@@ -4,7 +4,8 @@
 The distributed campaign fabric across real process boundaries (CI runs
 this):
 
-1. boot ``repro fabric serve`` (async front door) on a free port,
+1. boot ``repro fabric serve`` (the coordinator's HTTP service) on a
+   free port,
 2. boot two ``repro fabric worker`` subprocesses against it, each with
    its own private simulation cache,
 3. submit a conformance campaign through :class:`ServiceClient` and

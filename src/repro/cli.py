@@ -1157,9 +1157,8 @@ def cmd_watch(args) -> int:
 
 
 def cmd_fabric_serve(args) -> int:
-    """Boot the fabric coordinator: durable queue + HTTP front door."""
+    """Boot the fabric coordinator: durable queue + HTTP service."""
     from repro.fabric.coordinator import Coordinator
-    from repro.fabric.frontdoor import FabricFrontDoor
     from repro.service.server import ServiceApp
 
     if args.shards and args.shards > 1:
@@ -1183,22 +1182,15 @@ def cmd_fabric_serve(args) -> int:
     for entry in args.tenant or []:
         name, _, weight = entry.partition(":")
         coordinator.ensure_tenant(name, weight=int(weight) if weight else 1)
-    if args.threaded:
-        app = ServiceApp(
-            args.db, host=args.host, port=args.port, scheduler=coordinator
-        )
-    else:
-        app = FabricFrontDoor(
-            args.db, host=args.host, port=args.port, scheduler=coordinator
-        )
+    app = ServiceApp(
+        args.db, host=args.host, port=args.port, scheduler=coordinator
+    )
     app.install_signal_handlers()
     app.start()
     if app.resumed:
         print(f"resumed {len(app.resumed)} pending campaign(s) from the journal")
-    front = "threaded" if args.threaded else "async"
     print(
-        f"repro fabric coordinator listening on {app.url} "
-        f"({front} front door, store: {args.db})",
+        f"repro fabric coordinator listening on {app.url} (store: {args.db})",
         flush=True,
     )
     app.wait()
@@ -1677,7 +1669,7 @@ def build_parser() -> argparse.ArgumentParser:
     fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
 
     p = fabric_sub.add_parser(
-        "serve", help="run the coordinator: durable queue + front door"
+        "serve", help="run the coordinator: durable queue + HTTP service"
     )
     p.add_argument("--db", required=True, help="warehouse SQLite file")
     p.add_argument("--host", default="127.0.0.1")
@@ -1697,9 +1689,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME[:WEIGHT]",
                    help="pre-register a tenant with a DRR weight "
                    "(repeatable)")
-    p.add_argument("--threaded", action="store_true",
-                   help="serve on the thread-per-connection front end "
-                   "instead of the asyncio front door")
     p.add_argument("--shards", type=int, default=None,
                    help="open/create the warehouse as a sharded layout "
                    "with this many shards (a directory of shard-NNN.db "

@@ -12,8 +12,9 @@ Layers (each importable on its own):
 * :mod:`repro.fabric.worker` — the lease → execute → report agent.
 * :mod:`repro.fabric.supervisor` — fleet liveness, autoscaling off the
   tenant-backlog gauges, and lease-safe rolling drain/upgrade.
-* :mod:`repro.fabric.frontdoor` — asyncio HTTP front end over the
-  shared service router.
+
+The coordinator is served over HTTP by the campaign service's
+:class:`~repro.service.server.ServiceApp` (``repro fabric serve``).
 
 Exports resolve lazily: the coordinator imports the service layer and
 the service router imports the queue, so eager re-exports here would
@@ -45,7 +46,6 @@ _EXPORTS = {
     "FleetSupervisor": "repro.fabric.supervisor",
     "SupervisorConfig": "repro.fabric.supervisor",
     "FleetDecision": "repro.fabric.supervisor",
-    "FabricFrontDoor": "repro.fabric.frontdoor",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -324,7 +324,7 @@ class WorkQueue:
         """Durably add a campaign to the queue (idempotent by campaign id).
 
         Raises :class:`QuotaExceeded` when the tenant's ``max_pending``
-        quota is full — the front door turns that into a 429.
+        quota is full — the HTTP service turns that into a 429.
         """
         now = self._clock()
         payload = json.dumps(spec, sort_keys=True)

@@ -543,6 +543,31 @@ def _run_lease_expiry_class(
     coordinator = Coordinator(
         str(store_path), lease_ttl_s=0.4, max_attempts=5
     )
+    first_leases: set = set()
+    stale_outcomes: List[str] = []
+
+    class _LateFirstCompletion(LocalTransport):
+        # Attempt 1's completion is held on the wire until another
+        # attempt has settled the campaign: a campaign that runs faster
+        # than the TTL must not settle before its lease expires.
+        def lease(self, *args, **kwargs):
+            lease = super().lease(*args, **kwargs)
+            if lease and lease.get("attempt") == 1:
+                first_leases.add(lease["lease_id"])
+            return lease
+
+        def complete(self, campaign, lease_id, summary, bundle):
+            if lease_id not in first_leases:
+                return super().complete(campaign, lease_id, summary, bundle)
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if coordinator.job(campaign).state in TERMINAL_STATES:
+                    break
+                default_sleep(0.05)
+            reply = super().complete(campaign, lease_id, summary, bundle)
+            stale_outcomes.append(reply["outcome"])
+            return reply
+
     try:
         with cache_dir_override(classdir / "cache"), inject.active_plan(
             plan
@@ -550,7 +575,7 @@ def _run_lease_expiry_class(
             job = coordinator.submit(parse_campaign_spec(spec))
             workers = [
                 FabricWorker(
-                    LocalTransport(coordinator),
+                    _LateFirstCompletion(coordinator),
                     name=f"chaos-lease-w{i}",
                     store_path=str(store_path),
                     poll_s=0.05,
@@ -575,6 +600,11 @@ def _run_lease_expiry_class(
             outcome.fires = injector.fire_count()
         if outcome.fires == 0:
             outcome.violations.append("lease-expiry fault never fired")
+        outcome.violations += [
+            f"stale attempt-1 completion was not deduped: {stale}"
+            for stale in stale_outcomes
+            if stale != "duplicate"
+        ]
         _check_fabric_outcome(
             classdir, job.id, coordinator, baseline, outcome
         )

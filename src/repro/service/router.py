@@ -1,19 +1,17 @@
 """Transport-agnostic routing for the campaign service HTTP API.
 
-The same JSON REST surface is served by two transports — the stdlib
-``ThreadingHTTPServer`` in :mod:`repro.service.server` (single-process
-deployments) and the asyncio front door in
-:mod:`repro.fabric.frontdoor` (fabric deployments with thousands of
-concurrent watchers).  :class:`ServiceRouter` holds every handler once:
-transports parse the request, call :meth:`handle_get` /
-:meth:`handle_post`, and write the returned :class:`Response` bytes.
+:class:`ServiceRouter` holds every handler of the JSON REST surface,
+kept apart from socket handling: the transport — the stdlib
+``ThreadingHTTPServer`` in :mod:`repro.service.server`, for both the
+single-process service and the fabric coordinator — parses the
+request, calls :meth:`handle_get` / :meth:`handle_post`, and writes
+the returned :class:`Response` bytes.
 
 Two route results need transport cooperation and are returned as
 descriptors instead of responses:
 
-* :class:`LongPoll` — the transport blocks (thread) or awaits (event
-  loop) for events past the cursor, then renders
-  :meth:`ServiceRouter.events_page`.
+* :class:`LongPoll` — the transport blocks for events past the
+  cursor, then renders :meth:`ServiceRouter.events_page`.
 * :class:`EventStream` — the transport runs its SSE loop with
   :func:`sse_chunk` / :func:`sse_final`.
 

@@ -164,7 +164,6 @@ class Scheduler:
         self._seq = itertools.count()
         self._id_seq = itertools.count(1)
         self._stopping = False
-        self._listeners: List[Callable[[str], None]] = []
         self._workers: List[threading.Thread] = []
         for i in range(max(0, int(workers))):
             thread = threading.Thread(
@@ -384,25 +383,12 @@ class Scheduler:
 
     # -------------------------------------------------------------- events
 
-    def add_event_listener(self, listener: Callable[[str], None]) -> None:
-        """Register a callback fired (with the campaign id) after every
-        emitted event.  The async front door bridges this into its event
-        loop via ``call_soon_threadsafe``; callbacks must not block."""
-        with self._lock:
-            self._listeners.append(listener)
-
     def _emit(self, job: CampaignJob, event: dict) -> None:
         with self._events_cond:
             job.events.append(
                 {"seq": len(job.events), "time": self._clock(), **event}
             )
             self._events_cond.notify_all()
-            listeners = list(self._listeners)
-        for listener in listeners:
-            try:
-                listener(job.id)
-            except Exception:  # noqa: BLE001 - listeners must not kill emits
-                pass
 
     def events_since(self, campaign_id: str, after: int = 0) -> List[dict]:
         with self._lock:

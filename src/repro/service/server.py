@@ -26,8 +26,7 @@ with a ``ThreadingHTTPServer`` serving a small JSON REST API:
 ``GET  /metrics``                     Prometheus text exposition
 ====================================  =========================================
 
-Route handlers live in :class:`~repro.service.router.ServiceRouter`,
-shared with the asyncio front door in :mod:`repro.fabric.frontdoor`;
+Route handlers live in :class:`~repro.service.router.ServiceRouter`;
 this module is only the threaded transport.  The fabric endpoints are
 served when the app's scheduler is a
 :class:`~repro.fabric.coordinator.Coordinator` (pass one via the
@@ -57,11 +56,11 @@ from repro.service.router import (
     LongPoll,
     Response,
     ServiceRouter,
+    error_response,
     sse_chunk,
     sse_final,
 )
 from repro.service.scheduler import Scheduler, TERMINAL_STATES
-from repro.service.specs import SpecError
 
 
 class ServiceApp:
@@ -114,18 +113,22 @@ class ServiceApp:
         self._thread.start()
 
     def stop(self, drain: bool = False) -> None:
-        """Shut down: stop accepting, then stop the scheduler.
+        """Shut down: stop the scheduler, then stop accepting.
 
         ``drain=True`` finishes every queued campaign first; ``False``
         (the SIGTERM path) finishes only in-flight campaigns and leaves
-        the rest journaled for the next instance to resume.
+        the rest journaled for the next instance to resume.  The
+        scheduler goes first: ``server.shutdown()`` waits out a poll
+        interval, long enough for a queued campaign to start, and while
+        the scheduler winds down watchers (and fabric workers) still
+        reach the API; new submits are already refused.
         """
+        self.scheduler.shutdown(drain=drain)
         if self._thread is not None:
             # shutdown() handshakes with serve_forever; calling it on a
             # server that never started would block forever.
             self.server.shutdown()
         self.server.server_close()
-        self.scheduler.shutdown(drain=drain)
         self._stopped.set()
 
     def install_signal_handlers(self) -> None:
@@ -180,14 +183,25 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def _body_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise SpecError("request body too large")
-        raw = self.rfile.read(length) if length else b"{}"
+        """The decoded JSON body, or the error :class:`Response` to send."""
+        length = self.headers.get("Content-Length") or "0"
+        # A rejected length leaves the body unread on the socket, so the
+        # connection cannot carry another request.
+        if not length.isdecimal():
+            return error_response(
+                400, f"invalid Content-Length: {length!r}", Connection="close"
+            )
+        if int(length) > MAX_BODY_BYTES:
+            return error_response(
+                413, "request body too large", Connection="close"
+            )
+        raw = self.rfile.read(int(length))
         try:
             return json.loads(raw.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SpecError(f"request body is not valid JSON: {exc}")
+            return error_response(
+                400, f"request body is not valid JSON: {exc}"
+            )
 
     # ------------------------------------------------------------- routing
 
@@ -207,15 +221,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(result)
 
     def do_POST(self):  # noqa: N802 - stdlib naming
-        router = self.app.router
         parts = self._segments()
-        try:
-            payload = self._body_json()
-        except SpecError as exc:
-            return self._respond(
-                Response(400, (json.dumps({"error": str(exc)}) + "\n").encode())
-            )
-        self._respond(router.handle_post(parts, self.query, payload))
+        payload = self._body_json()
+        if isinstance(payload, Response):
+            return self._respond(payload)
+        self._respond(self.app.router.handle_post(parts, self.query, payload))
 
     # ------------------------------------------------------------------ SSE
 

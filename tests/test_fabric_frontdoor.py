@@ -1,14 +1,16 @@
-"""FabricFrontDoor: the asyncio front door over a real socket.
+"""The fabric's HTTP surface: a ``ServiceApp`` backed by a Coordinator.
 
-Same route table as the threaded ``ServiceApp`` (both consume
-``ServiceRouter``), so the assertions here mirror the service HTTP
-suite: submit/long-poll/SSE and the fabric worker protocol must all
-work against the event-loop transport, including malformed requests
-and connection reuse.
+``repro fabric serve`` runs the same threaded ``ServiceApp`` as the
+single-process service, with a :class:`~repro.fabric.coordinator.Coordinator`
+as its scheduler.  These tests drive that app over a real socket with
+one in-process worker draining the queue: submit/long-poll/SSE, the
+fabric worker protocol, the fabric Prometheus series, client
+reconnects, malformed requests and connection reuse.
 """
 
 import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -16,11 +18,10 @@ import time
 import pytest
 
 from repro.fabric.coordinator import Coordinator
-from repro.fabric.frontdoor import FabricFrontDoor
 from repro.fabric.worker import FabricWorker, LocalTransport
 from repro.faults.retry import RetryPolicy
 from repro.harness.cache import CACHE_DIR_ENV
-from repro.service import ServiceClient, ServiceError
+from repro.service import ServiceApp, ServiceClient, ServiceError
 
 TINY = {
     "kind": "conformance",
@@ -28,50 +29,56 @@ TINY = {
     "ccas": ["cubic"],
     "duration_s": 3,
     "trials": 2,
-    "run": "frontdoor-test",
+    "run": "fabric-http",
 }
+
+#: While set, the fixture's resident worker takes no leases.
+RESIDENT_IDLE = threading.Event()
+
+
+class _ResidentTransport(LocalTransport):
+    def lease(self, *args, **kwargs):
+        if RESIDENT_IDLE.is_set():
+            return None
+        return super().lease(*args, **kwargs)
 
 
 @pytest.fixture(scope="module")
-def frontdoor(tmp_path_factory):
-    """Front door + coordinator + one local worker draining the queue."""
-    import os
-
-    root = tmp_path_factory.mktemp("frontdoor")
+def fabric(tmp_path_factory):
+    """ServiceApp over a coordinator, one local worker draining the queue."""
+    root = tmp_path_factory.mktemp("fabric")
     before = os.environ.get(CACHE_DIR_ENV)
     os.environ[CACHE_DIR_ENV] = str(root / "cache")
     coordinator = Coordinator(str(root / "store.db"), lease_ttl_s=5.0)
     coordinator.ensure_tenant("teamA", weight=2)
-    door = FabricFrontDoor(str(root / "store.db"), scheduler=coordinator)
-    door.start()
+    app = ServiceApp(coordinator.store_path, scheduler=coordinator)
+    app.start()
     worker = FabricWorker(
-        LocalTransport(coordinator),
-        name="door-worker",
+        _ResidentTransport(coordinator),
+        name="http-worker",
         store_path=coordinator.store_path,
         poll_s=0.05,
         ttl_s=5.0,
     )
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
-    client = ServiceClient(door.url, timeout_s=30.0)
     try:
-        yield door, client, coordinator
+        yield app, ServiceClient(app.url, timeout_s=30.0)
     finally:
         worker.stop()
         thread.join(timeout=10.0)
-        door.stop(drain=False)
+        app.stop(drain=False)
         if before is None:
             os.environ.pop(CACHE_DIR_ENV, None)
         else:
             os.environ[CACHE_DIR_ENV] = before
 
 
-def test_healthz_and_keepalive(frontdoor):
-    door, client, _ = frontdoor
+def test_healthz_and_keepalive(fabric):
+    app, client = fabric
     assert client.health()["status"] == "ok"
     # Two requests down one kept-alive connection.
-    host, port = door.address
-    conn = http.client.HTTPConnection(host, port, timeout=10.0)
+    conn = http.client.HTTPConnection(*app.address, timeout=10.0)
     try:
         for _ in range(2):
             conn.request("GET", "/healthz")
@@ -82,8 +89,8 @@ def test_healthz_and_keepalive(frontdoor):
         conn.close()
 
 
-def test_submit_longpoll_and_wait(frontdoor):
-    _, client, _ = frontdoor
+def test_submit_longpoll_and_wait(fabric):
+    _, client = fabric
     accepted = client.submit(TINY, tenant="teamA")
     assert accepted["state"] in ("pending", "running")
     page = client.events(accepted["id"], after=0, timeout_s=5.0)
@@ -92,15 +99,13 @@ def test_submit_longpoll_and_wait(frontdoor):
     final = client.wait(accepted["id"], timeout_s=120.0)
     assert final["state"] == "done"
     assert final["progress"]["done"] == final["progress"]["total"] > 0
-    rows = client.metrics("frontdoor-test")
-    assert rows
+    assert client.metrics("fabric-http")
 
 
-def test_sse_stream_ends_with_final_snapshot(frontdoor):
-    door, client, _ = frontdoor
+def test_sse_stream_ends_with_final_snapshot(fabric):
+    app, client = fabric
     accepted = client.submit(dict(TINY, note="sse"))
-    host, port = door.address
-    conn = http.client.HTTPConnection(host, port, timeout=60.0)
+    conn = http.client.HTTPConnection(*app.address, timeout=60.0)
     try:
         conn.request(
             "GET",
@@ -127,23 +132,18 @@ def test_sse_stream_ends_with_final_snapshot(frontdoor):
         conn.close()
 
 
-def test_fabric_worker_protocol_over_http(frontdoor):
-    _, client, _ = frontdoor
+def test_fabric_worker_protocol_over_http(fabric):
+    _, client = fabric
     status = client.fabric_status()
     assert "depth" in status and "tenants" in status
-    accepted = client.submit(dict(TINY, note="protocol"))
-    lease = None
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline and lease is None:
+    # Keep the resident worker off the queue so the probe wins the lease.
+    RESIDENT_IDLE.set()
+    try:
+        accepted = client.submit(dict(TINY, note="protocol"))
         lease = client.fabric_lease("http-probe", ttl_s=30.0)
-        if lease is not None and lease["campaign"] != accepted["id"]:
-            # Raced another test's campaign: give it back untouched.
-            client.fabric_fail(
-                lease["campaign"], lease["lease_id"], "probe", retryable=True
-            )
-            lease = None
-        time.sleep(0.05)
-    assert lease is not None, "the probe never won the lease"
+    finally:
+        RESIDENT_IDLE.clear()
+    assert lease is not None and lease["campaign"] == accepted["id"]
     beat = client.fabric_heartbeat(
         lease["campaign"],
         lease["lease_id"],
@@ -160,15 +160,15 @@ def test_fabric_worker_protocol_over_http(frontdoor):
     assert final["state"] == "done"
 
 
-def test_prometheus_exposes_fabric_series(frontdoor):
-    _, client, _ = frontdoor
+def test_prometheus_exposes_fabric_series(fabric):
+    _, client = fabric
     text = client.metrics_text()
     assert "repro_fabric_queue_depth" in text
     assert 'repro_fabric_tenant_backlog{tenant="teamA"}' in text
 
 
-def test_unknown_routes_and_campaigns_404(frontdoor):
-    _, client, _ = frontdoor
+def test_unknown_routes_and_campaigns_404(fabric):
+    _, client = fabric
     with pytest.raises(ServiceError) as err:
         client.request("GET", "/no/such/route")
     assert err.value.status == 404
@@ -177,10 +177,9 @@ def test_unknown_routes_and_campaigns_404(frontdoor):
     assert err.value.status == 404
 
 
-def test_malformed_json_body_is_400(frontdoor):
-    door, _, _ = frontdoor
-    host, port = door.address
-    with socket.create_connection((host, port), timeout=10.0) as sock:
+def test_malformed_json_body_is_400(fabric):
+    app, _ = fabric
+    with socket.create_connection(app.address, timeout=10.0) as sock:
         payload = b"not-json!"
         sock.sendall(
             b"POST /campaigns HTTP/1.1\r\nHost: t\r\n"
@@ -192,12 +191,12 @@ def test_malformed_json_body_is_400(frontdoor):
     assert head.startswith("HTTP/1.1 400")
 
 
-def test_client_reconnects_through_retry_policy(frontdoor):
-    """Satellite contract: dropped long-polls (status 0) reconnect via
-    the unified RetryPolicy with the cursor intact — no event lost."""
-    door, _, _ = frontdoor
+def test_client_reconnects_through_retry_policy(fabric):
+    """Dropped long-polls (status 0) reconnect via the unified
+    RetryPolicy with the cursor intact — no event lost or doubled."""
+    app, _ = fabric
     client = ServiceClient(
-        door.url,
+        app.url,
         timeout_s=30.0,
         reconnect=RetryPolicy(
             max_attempts=10, backoff_s=0.01, backoff_cap_s=0.01,

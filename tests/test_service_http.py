@@ -7,6 +7,7 @@ identical submission must complete with zero new simulations (every
 trial served from the warehouse by its content-addressed key).
 """
 
+import socket
 import time
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.harness.cache import CACHE_DIR_ENV, ResultCache
 from repro.harness.matrix import run_matrix
 from repro.service import ServiceApp, ServiceClient, ServiceError
+from repro.service.router import MAX_BODY_BYTES
 from repro.service.specs import parse_campaign_spec
 from repro.store import ResultStore
 
@@ -205,6 +207,35 @@ def test_unknown_resources_are_404(service):
         with pytest.raises(ServiceError) as err:
             call()
         assert err.value.status == 404
+
+
+def _post_raw(address, length, body=b"", until_close=True):
+    """POST /campaigns over a raw socket with a hand-written
+    Content-Length; return the reply up to the server closing the
+    connection (or only the first read when ``until_close`` is off)."""
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(
+            b"POST /campaigns HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n" + body
+        )
+        chunks = [sock.recv(65536)]
+        while until_close and chunks[-1]:
+            chunks.append(sock.recv(65536))
+    return b"".join(chunks).decode()
+
+
+def test_malformed_request_bodies(service):
+    """Every bad body gets an answer, never a hang or a dropped socket;
+    a rejected Content-Length also closes the connection, because the
+    body it announced is never read."""
+    too_large = str(MAX_BODY_BYTES + 1).encode()
+    app, _ = service
+    head = _post_raw(app.address, b"9", b"not-json!", until_close=False)
+    assert head.startswith("HTTP/1.1 400")
+    for length, status in ((b"abc", 400), (b"-1", 400), (too_large, 413)):
+        reply = _post_raw(app.address, length)
+        assert reply.startswith(f"HTTP/1.1 {status}"), (length, reply)
+        assert "Connection: close" in reply
 
 
 def test_cancel_terminal_campaign_is_409(service):
