@@ -14,32 +14,59 @@ kernel TCP fast-recovery semantics and QUIC recovery periods
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
 class AckEvent:
-    """Everything a controller may want to know about an ACK."""
+    """Everything a controller may want to know about an ACK.
 
-    #: Simulated time the ACK was processed at the sender.
-    now: float
-    #: Payload bytes newly acknowledged by this ACK.
-    bytes_acked: int
-    #: RTT sample from the largest newly acked packet, seconds (None when
-    #: the ACK only covered retransmissions).
-    rtt_sample: Optional[float]
-    #: Delivery-rate sample, bytes per second (None until measurable).
-    delivery_rate: Optional[float]
-    #: True when the rate sample was taken while the flow was application
-    #: limited (bulk flows here are rarely app-limited, but short pacing
-    #: gaps can produce such samples).
-    is_app_limited: bool
-    #: Bytes still in flight *after* this ACK was applied.
-    bytes_in_flight: int
-    #: Round-trip counter maintained by the sender (increments when a full
-    #: flight is acknowledged).
-    round_count: int
+    Built once per ACK, so a ``__slots__`` class rather than a frozen
+    dataclass (about a third of the construction cost).  Controllers
+    treat it as read-only.
+    """
+
+    __slots__ = (
+        "now",
+        "bytes_acked",
+        "rtt_sample",
+        "delivery_rate",
+        "is_app_limited",
+        "bytes_in_flight",
+        "round_count",
+    )
+
+    def __init__(
+        self,
+        now: float,
+        bytes_acked: int,
+        rtt_sample: Optional[float],
+        delivery_rate: Optional[float],
+        is_app_limited: bool,
+        bytes_in_flight: int,
+        round_count: int,
+    ):
+        #: Simulated time the ACK was processed at the sender.
+        self.now = now
+        #: Payload bytes newly acknowledged by this ACK.
+        self.bytes_acked = bytes_acked
+        #: RTT sample from the largest newly acked packet, seconds (None
+        #: when the ACK only covered retransmissions).
+        self.rtt_sample = rtt_sample
+        #: Delivery-rate sample, bytes per second (None until measurable).
+        self.delivery_rate = delivery_rate
+        #: True when the rate sample was taken while the flow was
+        #: application limited (bulk flows here are rarely app-limited,
+        #: but short pacing gaps can produce such samples).
+        self.is_app_limited = is_app_limited
+        #: Bytes still in flight *after* this ACK was applied.
+        self.bytes_in_flight = bytes_in_flight
+        #: Round-trip counter maintained by the sender (increments when a
+        #: full flight is acknowledged).
+        self.round_count = round_count
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"AckEvent({fields})"
 
 
 class CongestionController(abc.ABC):

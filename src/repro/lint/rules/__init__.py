@@ -10,6 +10,7 @@ share one interface.
 from __future__ import annotations
 
 import ast
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -49,11 +50,19 @@ class ModuleSource:
         return head in dirs
 
 
+#: CPython 3.11's AST builder keeps its recursion depth in interpreter
+#: state, so ``ast.parse`` on two threads at once can fail with
+#: "SystemError: AST constructor recursion depth mismatch".  Parsing is
+#: serialized; everything after it still runs on the lint's threads.
+_PARSE_LOCK = threading.Lock()
+
+
 def parse_module(path: Path, rel: str, display: str) -> Optional[ModuleSource]:
     """Parse one file; returns None when the source does not parse."""
     text = path.read_text(encoding="utf-8")
     try:
-        tree = ast.parse(text, filename=str(path))
+        with _PARSE_LOCK:
+            tree = ast.parse(text, filename=str(path))
     except SyntaxError:
         return None
     return ModuleSource(

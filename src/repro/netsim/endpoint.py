@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cca.base import AckEvent, CongestionController
 from repro.cca.rtt import RttEstimator
-from repro.netsim.engine import EventLoop, Timer
+from repro.netsim.engine import Event, EventLoop, Timer
 from repro.netsim.packet import ACK_SIZE, AckInfo, Packet
 from repro.netsim.trace import FlowTrace
 
@@ -166,7 +166,7 @@ class Sender:
         self._rto_timer = Timer(loop, self._on_rto_timeout)
         self._loss_timer = Timer(loop, self._on_loss_timer)
         self._consecutive_timeouts = 0
-        self._send_wakeup: Optional[object] = None
+        self._send_wakeup: Optional[Event] = None
         self._next_send_time = 0.0
         self._last_cwnd_sample = -1.0
         self._started = False
@@ -246,10 +246,11 @@ class Sender:
     def _schedule_wakeup(self, at: float) -> None:
         if self._send_wakeup is not None:
             return
-        def wake() -> None:
-            self._send_wakeup = None
-            self._try_send()
-        self._send_wakeup = self._loop.schedule_at(at, wake)
+        self._send_wakeup = self._loop.schedule_at(at, self._wake)
+
+    def _wake(self) -> None:
+        self._send_wakeup = None
+        self._try_send()
 
     def _send_packet(self, now: float) -> None:
         retx_of: Optional[int] = None
@@ -550,7 +551,7 @@ class Sender:
         if self._episode_check is not None:
             self._episode_check.cancel()
         if self._send_wakeup is not None:
-            self._send_wakeup.cancel()  # type: ignore[attr-defined]
+            self._send_wakeup.cancel()
             self._send_wakeup = None
 
 

@@ -1,9 +1,27 @@
 """The discrete-event engine.
 
-A single :class:`EventLoop` drives one simulated experiment.  Events are
-``(time, sequence, callback)`` triples kept in a binary heap; the sequence
-number breaks ties so that events scheduled earlier run first, which makes
-every simulation fully deterministic for a given seed.
+A single :class:`EventLoop` drives one simulated experiment.  The heap
+holds ``(time, seq, event)`` tuples: ``seq`` is a per-loop counter, so two
+entries never compare equal and ties at the same ``time`` resolve by
+``seq`` in C, without ever reaching the :class:`Event`.  Events scheduled
+earlier therefore run first, which makes every simulation fully
+deterministic for a given seed.
+
+**Ordering invariant.**  Events run in ascending ``(time, seq)`` order,
+and every ``seq`` is taken from the loop's counter at the moment the
+caller asks for the event, exactly once.
+
+**Lazy timers.**  :class:`Timer` re-arms are the bulk of all scheduling
+(every ACK and every send pushes the RTO deadline back).  Moving a
+deadline *later* does not push a new entry: the timer takes the next
+``seq`` from the counter, as an eager push would have, and remembers the
+new ``(deadline, seq)`` key while its old, earlier entry stays queued.
+When that stale entry pops, the timer re-queues itself under the
+remembered key.  The old entry pops before the new key is due, so the
+re-queued entry sits in the heap before anything that must follow it is
+popped: the run order is exactly the eager one.  Moving a deadline
+*earlier* cancels the queued entry and pushes a new one.  Every push,
+re-queues included, goes through :meth:`EventLoop.schedule_at`.
 
 The engine is deliberately minimal: all protocol behaviour lives in the
 components (links, paths, endpoints) that schedule callbacks on the loop.
@@ -36,11 +54,6 @@ class Event:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
 
 class EventLoop:
     """A deterministic discrete-event scheduler.
@@ -51,7 +64,7 @@ class EventLoop:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -61,20 +74,32 @@ class EventLoop:
         """Current simulated time in seconds."""
         return self._now
 
+    def next_seq(self) -> int:
+        """Take the next sequence number, as a push at this moment would."""
+        return next(self._seq)
+
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self._now + delay, fn)
 
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run at absolute simulated time ``time``."""
+    def schedule_at(
+        self, time: float, fn: Callable[[], None], seq: Optional[int] = None
+    ) -> Event:
+        """Schedule ``fn`` to run at absolute simulated time ``time``.
+
+        ``seq`` re-queues under a sequence number taken earlier with
+        :meth:`next_seq`; by default the next one is taken now.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time:.9f}, now is {self._now:.9f}"
             )
-        event = Event(time, next(self._seq), fn)
-        heapq.heappush(self._queue, event)
+        if seq is None:
+            seq = next(self._seq)
+        event = Event(time, seq, fn)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def run(self, until: float) -> None:
@@ -87,35 +112,38 @@ class EventLoop:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         try:
-            queue = self._queue
-            while queue and queue[0].time <= until:
-                event = heapq.heappop(queue)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.fn()
+            self._drain(until)
             self._now = max(self._now, until)
         finally:
             self._running = False
 
     def run_until_idle(self, max_time: float = float("inf")) -> None:
-        """Run until no events remain or ``max_time`` is reached."""
+        """Run until no events remain or ``max_time`` is reached.
+
+        With a finite ``max_time`` the clock may rest at the time a lazy
+        timer re-queued itself rather than at the last callback it ran.
+        """
         if self._running:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         try:
-            queue = self._queue
-            while queue and queue[0].time <= max_time:
-                event = heapq.heappop(queue)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.fn()
+            self._drain(max_time)
         finally:
             self._running = False
 
+    def _drain(self, until: float) -> None:
+        queue = self._queue
+        pop = heapq.heappop
+        while queue and queue[0][0] <= until:
+            time, _, event = pop(queue)
+            if event.cancelled:
+                continue
+            self._now = time
+            event.fn()
+
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events, for diagnostics."""
+        """Number of queued (possibly cancelled or stale) entries, for
+        diagnostics."""
         return len(self._queue)
 
 
@@ -145,15 +173,22 @@ class Timer:
     """A rearmable one-shot timer built on :class:`EventLoop`.
 
     Mirrors how retransmission (RTO) and probe timers behave in real
-    stacks: re-arming cancels the previous deadline.
+    stacks: re-arming replaces the previous deadline.  Re-arms that move
+    the deadline later are lazy (see the module docstring); the observable
+    behaviour is that of cancelling and scheduling anew.
     """
 
-    __slots__ = ("_loop", "_event", "_callback")
+    __slots__ = ("_loop", "_event", "_callback", "_fn", "_deadline", "_seq")
 
     def __init__(self, loop: EventLoop, callback: Optional[Callable[[], None]] = None):
         self._loop = loop
+        #: The queued heap entry; its key may be earlier than the deadline.
         self._event: Optional[Event] = None
         self._callback = callback
+        self._fn: Optional[Callable[[], None]] = None
+        #: The logical ``(deadline, seq)`` key while armed.
+        self._deadline = 0.0
+        self._seq = -1
 
     @property
     def armed(self) -> bool:
@@ -162,23 +197,40 @@ class Timer:
     @property
     def deadline(self) -> Optional[float]:
         if self.armed:
-            return self._event.time  # type: ignore[union-attr]
+            return self._deadline
         return None
 
     def arm(self, delay: float, callback: Optional[Callable[[], None]] = None) -> None:
         """(Re-)arm the timer ``delay`` seconds from now."""
-        self.cancel()
         fn = callback or self._callback
         if fn is None:
+            self.cancel()
             raise SimulationError("timer armed without a callback")
-
-        def fire() -> None:
-            self._event = None
-            fn()
-
-        self._event = self._loop.schedule(delay, fire)
+        if delay < 0:
+            self.cancel()
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        loop = self._loop
+        self._fn = fn
+        self._deadline = deadline = loop._now + delay
+        event = self._event
+        if event is not None and deadline >= event.time:
+            # Not earlier: the queued entry stays and takes the seq an
+            # eager push would have taken; _fire re-queues under it.
+            self._seq = loop.next_seq()
+        else:
+            self.cancel()
+            self._event = loop.schedule_at(deadline, self._fire)
+            self._seq = self._event.seq
 
     def cancel(self) -> None:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def _fire(self) -> None:
+        if self._event.seq != self._seq:  # type: ignore[union-attr]
+            # A stale entry from before a later re-arm: queue the real key.
+            self._event = self._loop.schedule_at(self._deadline, self._fire, self._seq)
+            return
+        self._event = None
+        self._fn()  # type: ignore[misc]

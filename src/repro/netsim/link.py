@@ -92,6 +92,9 @@ class BottleneckLink:
         self._on_deliver = on_deliver
         self._on_drop = on_drop
         self._busy = False
+        #: The packet being serialized; one at a time, so the completion
+        #: event needs no per-packet closure.
+        self._in_service: Optional[Packet] = None
         #: Total payload-carrying bytes serialized, for utilization checks.
         self.bytes_sent = 0
 
@@ -110,10 +113,12 @@ class BottleneckLink:
 
     def _transmit(self, packet: Packet) -> None:
         self._busy = True
-        delay = self.serialization_delay(packet.size)
-        self._loop.schedule(delay, lambda: self._complete(packet))
+        self._in_service = packet
+        self._loop.schedule(self.serialization_delay(packet.size), self._complete)
 
-    def _complete(self, packet: Packet) -> None:
+    def _complete(self) -> None:
+        packet = self._in_service
+        self._in_service = None
         self.bytes_sent += packet.size
         self._on_deliver(packet)
         nxt = self.queue.pop()

@@ -137,6 +137,43 @@ def test_jobs_output_bit_identical(tmp_path):
     ]
 
 
+def test_parallel_lint_never_parses_two_files_at_once(tmp_path, monkeypatch):
+    """CPython 3.11's AST builder is not thread-safe ("AST constructor
+    recursion depth mismatch"): parses are serialized while the rest of
+    the per-file analysis stays on the pool's threads."""
+    import ast
+    import threading
+    import time
+
+    original = ast.parse
+    lock = threading.Lock()
+    state = {"active": 0, "peak": 0, "threads": set()}
+
+    def probing_parse(*args, **kwargs):
+        with lock:
+            state["active"] += 1
+            state["peak"] = max(state["peak"], state["active"])
+            state["threads"].add(threading.get_ident())
+        try:
+            time.sleep(0.002)  # drops the GIL: an unserialized parse overlaps
+            return original(*args, **kwargs)
+        finally:
+            with lock:
+                state["active"] -= 1
+
+    monkeypatch.setattr(ast, "parse", probing_parse)
+    files = {
+        f"src/repro/netsim/m{i}.py": BAD if i % 3 == 0 else CLEAN
+        for i in range(16)
+    }
+    config = make_project(tmp_path, files)
+    first = rows(run_lint(config, jobs=8, use_cache=False))
+    for _ in range(4):
+        assert rows(run_lint(config, jobs=8, use_cache=False)) == first
+    assert state["peak"] == 1
+    assert len(state["threads"]) > 1
+
+
 def test_jobs_cli_flag(tmp_path, capsys):
     config = make_project(tmp_path, {"src/repro/a.py": CLEAN})
     code = main(

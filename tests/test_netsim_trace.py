@@ -75,3 +75,62 @@ def test_merge_traces_sorted_by_arrival():
     a.on_delivery(3.0, 2.9, 1, 100, False)
     merged = merge_traces([a, b])
     assert [r.arrival_time for r in merged] == [1.0, 2.0, 3.0]
+
+
+def simulated_trace():
+    from repro.netsim.network import LinkConfig, Network
+    from repro.stacks import registry
+
+    flows = [registry.get_stack("linux").flow_spec("bbr"),
+             registry.get_stack("quiche").flow_spec("cubic")]
+    network = Network(LinkConfig(bandwidth_bps=10e6, rtt_s=0.02, buffer_bdp=1.0),
+                      flows, seed=3, base_jitter_s=0.25e-3, start_spread_s=0.2)
+    return network.run(2.0)[0].trace
+
+
+def test_json_round_trip_reproduces_every_field(tmp_path):
+    trace = simulated_trace()
+    assert trace.records and trace.losses and trace.cwnd_samples and trace.rate_samples
+    path = tmp_path / "sim.json"
+    trace.to_json(str(path))
+    loaded = FlowTrace.from_json(str(path))
+    assert (loaded.flow_id, loaded.label) == (trace.flow_id, trace.label)
+    assert len(loaded.records) == len(trace.records)
+    fields = ("arrival_time", "sent_time", "seq", "payload_bytes",
+              "one_way_delay", "is_retransmission")
+    for got, want in zip(loaded.records, trace.records):
+        assert got == want
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert type(got.is_retransmission) is bool
+    assert [(l.time, l.seq) for l in loaded.losses] == [(l.time, l.seq) for l in trace.losses]
+    assert loaded.cwnd_samples == trace.cwnd_samples
+    assert loaded.rate_samples == trace.rate_samples
+    assert loaded.total_bytes == trace.total_bytes
+
+
+def test_csv_export_matches_records(tmp_path):
+    import csv
+
+    trace = simulated_trace()
+    path = tmp_path / "sim.csv"
+    trace.to_csv(str(path))
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(trace.records)
+    for row, r in zip(rows, trace.records):
+        assert float(row["arrival_time"]) == r.arrival_time
+        assert float(row["sent_time"]) == r.sent_time
+        assert int(row["seq"]) == r.seq
+        assert int(row["payload_bytes"]) == r.payload_bytes
+        assert float(row["one_way_delay"]) == r.one_way_delay
+        assert int(row["is_retransmission"]) == int(r.is_retransmission)
+
+
+def test_merge_traces_keeps_every_record_of_a_simulation():
+    trace = simulated_trace()
+    other = build_trace()
+    merged = merge_traces([trace, other])
+    assert len(merged) == len(trace.records) + len(other.records)
+    times = [r.arrival_time for r in merged]
+    assert times == sorted(times)
+    assert set(map(id, merged)) == set(map(id, trace.records + other.records))
