@@ -11,7 +11,10 @@ the paper.  It provides
   (:mod:`repro.netsim.path`),
 * reliable bulk-transfer endpoints that host a congestion controller
   (:mod:`repro.netsim.endpoint`),
-* cross-traffic sources (:mod:`repro.netsim.crosstraffic`), and
+* cross-traffic sources (:mod:`repro.netsim.crosstraffic`),
+* the experiment network, which routes flows over a chain of queued
+  links with the dumbbell as its one-link case
+  (:mod:`repro.netsim.network`), and
 * packet-trace capture for offline analysis (:mod:`repro.netsim.trace`).
 """
 
@@ -32,7 +35,6 @@ from repro.netsim.network import (
     FlowSpec,
     FlowResult,
     LinkConfig,
-    run_flows,
 )
 from repro.netsim.crosstraffic import OnOffSource, CrossTrafficConfig
 from repro.netsim.qlog import trace_to_qlog, write_qlog, load_qlog
@@ -57,7 +59,6 @@ __all__ = [
     "FlowSpec",
     "FlowResult",
     "LinkConfig",
-    "run_flows",
     "OnOffSource",
     "CrossTrafficConfig",
     "trace_to_qlog",

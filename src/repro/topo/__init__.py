@@ -5,16 +5,17 @@ The subsystem has four layers:
 - :mod:`repro.topo.spec` — the declarative :class:`TopologySpec`
   (named queued links + routed flows), strictly parsed and canonically
   fingerprinted like every other spec in the repo;
-- :mod:`repro.topo.compile` — the compiler turning a spec into a
-  running :class:`TopoNetwork`, bit-identical to the dumbbell
-  ``Network`` for degenerate one-link specs;
+- :mod:`repro.topo.compile` — the translator from a spec to
+  :class:`TopoNetwork`, a :class:`repro.netsim.network.Network` whose
+  links, routes and flows come from the spec (the simulator itself has
+  one wiring and one run loop; a one-link spec is the dumbbell);
 - :mod:`repro.topo.metrics` — fairness/convergence metrics over the
   windowed per-flow throughput matrix (the trial payload);
 - :mod:`repro.topo.campaign` — the ``"topology"`` campaign kind:
   content-addressed trial jobs, store recording, service dispatch.
 """
 
-from repro.topo.compile import TopoNetwork, run_topology
+from repro.topo.compile import TopoNetwork
 from repro.topo.metrics import (
     convergence_time,
     flow_shares,
@@ -50,7 +51,6 @@ __all__ = [
     "load_topology_spec",
     "parking_lot",
     "parse_topology_spec",
-    "run_topology",
     "throughput_matrix",
     "utilization",
 ]

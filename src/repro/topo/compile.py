@@ -1,287 +1,64 @@
-"""The topology compiler: a TopologySpec wired into a running network.
+"""The topology compiler: a TopologySpec translated into a ``Network``.
 
-:class:`TopoNetwork` generalises the dumbbell
-:class:`~repro.netsim.network.Network` from one bottleneck to a route of
-queued links.  Each named link becomes (lazily, per used direction) a
-:class:`~repro.netsim.link.BottleneckLink` fed by the spec's queue
-discipline via :func:`repro.netsim.aqm.make_queue`; hops are glued with
-:class:`~repro.netsim.path.Path` segments carrying the link's one-way
-propagation delay, and ACKs return on an uncongested path exactly as in
-the dumbbell (the paper's reverse path is never the bottleneck).
-
-Bit-identity contract
----------------------
-For a degenerate one-link spec, a ``TopoNetwork`` run is **bit-identical**
-to ``Network`` with the same seed.  That pins the RNG draw order:
-
-1. master ``Random(seed)``; one ``uniform`` start-offset draw per flow
-   (skipped entirely when ``start_spread_s == 0``) — exactly as in
-   ``Network.__init__``;
-2. queue RNGs are derived from the seed alone (`seed ^ 0x51ED` for the
-   first forward link, matching ``Network``), never from the master RNG,
-   so adding links or reverse instances cannot perturb flow draws;
-3. per flow, in declaration order: one ``getrandbits(32)`` draw per
-   forward hop (the hop's ``Path``), then one for the return path — a
-   one-link flow therefore draws post-path-then-return-path, exactly the
-   dumbbell sequence.
-
-``run`` schedules sender starts exactly like ``Network.run`` and only
-then schedules ``end_s`` stops, so degenerate specs keep identical event
-sequence numbers too.
+:class:`TopoNetwork` is a :class:`~repro.netsim.network.Network` whose
+links and flows come from a validated :class:`TopologySpec`: each named
+link becomes a :class:`~repro.netsim.network.LinkConfig`, each flow
+entry a :class:`~repro.netsim.network.FlowSpec` built by its stack's
+registry profile, with the route given as link indices.  The wiring, the
+RNG draw order and the run loop are the ``Network``'s; a one-link spec
+is therefore the dumbbell, bit for bit.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict
 
-from repro.netsim.aqm import make_queue
-from repro.netsim.engine import EventLoop
-from repro.netsim.link import BottleneckLink
-from repro.netsim.endpoint import Receiver, Sender
-from repro.netsim.network import FlowResult
-from repro.netsim.packet import Packet
-from repro.netsim.path import NetemConfig, PERFECT, Path
-from repro.netsim.trace import FlowTrace
+from repro.netsim.network import Network, RoutedLink
 from repro.stacks import registry
-from repro.topo.spec import FlowEntry, LinkEntry, TopologySpec
-
-#: Queue-RNG salts: forward keeps the dumbbell's constant so one-link
-#: specs reproduce Network exactly; reverse instances get their own.
-_FWD_QUEUE_SALT = 0x51ED
-_REV_QUEUE_SALT = 0x7EAF
-#: Per-index spread so every link's queue RNG is independent while link
-#: index 0 still reduces to ``seed ^ 0x51ED`` (the dumbbell's seed).
-_LINK_SALT = 0x9E3779B9
+from repro.topo.spec import TopologySpec
 
 
-class _LinkInstance:
-    """One direction of a named link: serializer + queue + dispatch."""
+class TopoNetwork(Network):
+    """A wired-up topology experiment, ready to run."""
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        entry: LinkEntry,
-        seed: int,
-        on_drop,
-    ):
-        queue = make_queue(
-            entry.queue_discipline,
-            entry.link_config().queue_capacity(),
-            clock=lambda: loop.now,
-            rng=random.Random(seed),
-        )
-        self.entry = entry
-        #: flow_id -> Path carrying the packet beyond this link.
-        self.next_hop: Dict[int, Path] = {}
-        self.link = BottleneckLink(
-            loop,
-            entry.bandwidth_mbps * 1e6,
-            queue,
-            on_deliver=self._dispatch,
-            on_drop=on_drop,
-        )
-
-    def _dispatch(self, packet: Packet) -> None:
-        path = self.next_hop.get(packet.flow_id)
-        if path is not None:
-            path.send(packet)
-
-    @property
-    def queue(self):
-        return self.link.queue
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.link.bytes_sent
-
-
-class TopoNetwork:
-    """A wired-up multi-bottleneck experiment, ready to run."""
-
-    def __init__(
-        self,
-        spec: TopologySpec,
-        seed: int = 0,
-        base_jitter_s: float = 0.0,
-        start_spread_s: Optional[float] = None,
-    ):
+    def __init__(self, spec: TopologySpec, seed: int = 0, base_jitter_s: float = 0.0):
         spec.validate()
         self.spec = spec
-        self.loop = EventLoop()
-        self._rng = random.Random(seed)
-        spread = spec.start_spread_s if start_spread_s is None else start_spread_s
-        self._start_offsets = [
-            self._rng.uniform(0.0, spread) if spread > 0 else 0.0
-            for _ in spec.flows
-        ]
-
-        link_names = spec.link_names()
-        self._index = {name: i for i, name in enumerate(link_names)}
-        #: Bottleneck drops per flow id (diagnostics), as in ``Network``.
-        self.drops_by_flow: Dict[int, int] = {}
-        self.forward_links: Dict[str, _LinkInstance] = {
-            link.name: _LinkInstance(
-                self.loop,
-                link,
-                seed ^ _FWD_QUEUE_SALT ^ (i * _LINK_SALT),
-                self._on_drop,
-            )
-            for i, link in enumerate(spec.links)
-        }
-        # Reverse instances are created lazily so forward-only specs pay
-        # nothing for the unused direction.
-        self._reverse_links: Dict[str, _LinkInstance] = {}
-        self._reverse_seed = seed
-
-        self.senders: List[Sender] = []
-        self.receivers: List[Receiver] = []
-        self.traces: List[FlowTrace] = []
-        self._receiver_by_flow: Dict[int, Receiver] = {}
-
-        for flow_id, flow in enumerate(spec.flows):
-            self._wire_flow(flow_id, flow, base_jitter_s)
-
-    # ----------------------------------------------------------- wiring
-
-    def _reverse_instance(self, name: str) -> _LinkInstance:
-        instance = self._reverse_links.get(name)
-        if instance is None:
-            i = self._index[name]
-            instance = _LinkInstance(
-                self.loop,
-                self.spec.links[i],
-                self._reverse_seed ^ _REV_QUEUE_SALT ^ (i * _LINK_SALT),
-                self._on_drop,
-            )
-            self._reverse_links[name] = instance
-        return instance
-
-    def _wire_flow(self, flow_id: int, flow: FlowEntry, base_jitter_s: float) -> None:
-        trace = FlowTrace(flow_id, label=flow.label)
-        self.traces.append(trace)
-
-        route = list(flow.resolved_route(self.spec.link_names()))
-        if flow.direction == "reverse":
-            route.reverse()
-            instances = [self._reverse_instance(name) for name in route]
-        else:
-            instances = [self.forward_links[name] for name in route]
-
-        extra_s = flow.extra_delay_ms / 1e3
-        profile = registry.get_stack(flow.stack)
-        flow_spec = profile.flow_spec(flow.cca, flow.variant, label=flow.label)
-
-        # Hop paths, in route order: every hop but the last is a pure
-        # propagation segment; the last carries the merged netem exactly
-        # as the dumbbell's post-bottleneck path does.
-        for hop, instance in enumerate(instances):
-            last = hop == len(instances) - 1
-            if last:
-                deliver = self._make_receiver_delivery(flow_id)
-                netem = NetemConfig(jitter_s=base_jitter_s)
-            else:
-                deliver = instances[hop + 1].link.send
-                netem = PERFECT
-            path = Path(
-                self.loop,
-                instance.entry.delay_ms / 1e3 + (extra_s if last else 0.0),
-                deliver=deliver,
-                netem=netem,
-                rng=random.Random(self._rng.getrandbits(32)),
-            )
-            instance.next_hop[flow_id] = path
-
-        # Uncongested return path: the route's full one-way propagation.
-        return_delay = sum(inst.entry.delay_ms for inst in instances) / 1e3
-        sender_box: List[Sender] = []
-        return_path = Path(
-            self.loop,
-            return_delay + extra_s,
-            deliver=lambda pkt, box=sender_box: box[0].on_ack(pkt),
-            rng=random.Random(self._rng.getrandbits(32)),
+        names = spec.link_names()
+        index = {name: i for i, name in enumerate(names)}
+        flows = []
+        for entry in spec.flows:
+            route = [index[name] for name in entry.resolved_route(names)]
+            travel = route[::-1] if entry.direction == "reverse" else route
+            profile = registry.get_stack(entry.stack)
+            flows.append(replace(
+                profile.flow_spec(entry.cca, entry.variant, label=entry.label,
+                                  start_time=entry.start_s),
+                extra_delay_s=entry.extra_delay_ms / 1e3,
+                route=tuple(route),
+                direction=entry.direction,
+                end_time=entry.end_s,
+                # Milliseconds summed in travel order, then scaled once:
+                # a sum of per-hop seconds rounds differently.
+                return_delay_s=sum(spec.links[i].delay_ms for i in travel) / 1e3,
+            ))
+        super().__init__(
+            [link.link_config() for link in spec.links],
+            flows,
+            seed=seed,
+            base_jitter_s=base_jitter_s,
+            start_spread_s=spec.start_spread_s,
         )
-        receiver = Receiver(
-            self.loop,
-            flow_id,
-            send_ack=return_path.send,
-            config=flow_spec.receiver_config,
-            trace=trace,
-        )
-        self.receivers.append(receiver)
-        self._receiver_by_flow[flow_id] = receiver
+        #: The forward direction of every link, by name.
+        self.forward_links: Dict[str, RoutedLink] = dict(zip(names, self.links))
 
-        sender = Sender(
-            self.loop,
-            flow_id,
-            cca=flow_spec.cca_factory(),
-            transmit=instances[0].link.send,
-            config=flow_spec.sender_config,
-            trace=trace,
-        )
-        sender_box.append(sender)
-        self.senders.append(sender)
-
-    def _make_receiver_delivery(self, flow_id: int):
-        def deliver(packet: Packet) -> None:
-            self._receiver_by_flow[flow_id].on_packet(packet)
-        return deliver
-
-    def _on_drop(self, packet: Packet) -> None:
-        self.drops_by_flow[packet.flow_id] = (
-            self.drops_by_flow.get(packet.flow_id, 0) + 1
-        )
-
-    # -------------------------------------------------------- execution
-
-    def link_instances(self) -> Dict[str, _LinkInstance]:
-        """Forward instances plus any materialised reverse ones."""
+    def link_instances(self) -> Dict[str, RoutedLink]:
+        """Forward directions plus any reverse ones in use (``name:reverse``)."""
         out = dict(self.forward_links)
-        for name, instance in self._reverse_links.items():
-            out[f"{name}:reverse"] = instance
+        for i, link in self.reverse_links.items():
+            out[f"{self.spec.links[i].name}:reverse"] = link
         return out
 
-    def run(self, duration: float) -> List[FlowResult]:
-        """Run the experiment for ``duration`` seconds; collect results."""
-        for sender, flow, offset in zip(
-            self.senders, self.spec.flows, self._start_offsets
-        ):
-            start_at = flow.start_s + offset
-            if start_at <= self.loop.now:
-                sender.start()
-            else:
-                self.loop.schedule_at(start_at, sender.start)
-        # end_s stops are scheduled after every start so degenerate specs
-        # keep the dumbbell's event sequence numbers bit-exact.
-        for sender, flow in zip(self.senders, self.spec.flows):
-            if flow.end_s is not None:
-                self.loop.schedule_at(flow.end_s, sender.stop)
-        self.loop.run(duration)
-        for sender in self.senders:
-            sender.stop()
-        results = []
-        for sender, flow, trace in zip(self.senders, self.spec.flows, self.traces):
-            results.append(
-                FlowResult(
-                    label=flow.label,
-                    trace=trace,
-                    packets_sent=sender.packets_sent,
-                    retransmissions=sender.retransmissions,
-                    congestion_events=sender._congestion_events,
-                    spurious_events=sender.spurious_events,
-                )
-            )
-        return results
 
-
-def run_topology(
-    spec: TopologySpec,
-    duration_s: float,
-    seed: int = 0,
-    base_jitter_s: float = 0.0,
-) -> List[FlowResult]:
-    """Convenience one-shot topology runner."""
-    return TopoNetwork(spec, seed=seed, base_jitter_s=base_jitter_s).run(duration_s)
-
-
-__all__ = ["TopoNetwork", "run_topology"]
+__all__ = ["TopoNetwork"]

@@ -219,6 +219,13 @@ class TopologySpec:
             link.validate()
         for flow in self.flows:
             flow.validate(names)
+            # The start is jittered by up to start_spread_s; a stop that
+            # can fire before it leaves the flow silent.
+            if flow.end_s is not None and flow.end_s <= flow.start_s + self.start_spread_s:
+                raise TopoSpecError(
+                    f"flow {flow.label!r}: end_s must be after start_s + "
+                    f"start_spread_s ({flow.start_s} + {self.start_spread_s})"
+                )
 
     # ------------------------------------------------------------ identity
 

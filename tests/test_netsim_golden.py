@@ -26,7 +26,7 @@ from repro.netsim.crosstraffic import CrossTrafficConfig
 from repro.netsim.network import LinkConfig, Network
 from repro.netsim.path import NetemConfig
 from repro.stacks import registry
-from repro.topo import TopoNetwork, parking_lot
+from repro.topo import TopoNetwork, parking_lot, parse_topology_spec
 
 WAN = NetemConfig(jitter_s=0.002, loss_rate=0.005, reorder_rate=0.01, reorder_extra_s=0.004)
 
@@ -78,11 +78,32 @@ def _parking_lot():
     return network.run(3.0), network, 0.048
 
 
+def _chain_25ms_forward_and_reverse():
+    """Three 25 ms hops, one flow each way: the return path sums the route."""
+    spec = parse_topology_spec({
+        "name": "chain-25ms",
+        "links": [
+            {"name": "hop1", "bandwidth_mbps": 16, "delay_ms": 25},
+            {"name": "hop2", "bandwidth_mbps": 12, "delay_ms": 25},
+            {"name": "hop3", "bandwidth_mbps": 16, "delay_ms": 25},
+        ],
+        "flows": [
+            {"label": "forward-linux-cubic", "stack": "linux", "cca": "cubic"},
+            {"label": "reverse-quiche-cubic", "stack": "quiche", "cca": "cubic",
+             "direction": "reverse"},
+        ],
+        "start_spread_s": 0.5,
+    })
+    network = TopoNetwork(spec, seed=15, base_jitter_s=0.25e-3)
+    return network.run(4.0), network, 0.15
+
+
 SCENARIOS = {
     "kernel-vs-quiche-droptail": _kernel_vs_quiche_droptail,
     "bbr-vs-paced-quantized-fq_codel": _bbr_vs_paced_quantized_fq_codel,
     "wan-codel-cross-traffic": _wan_codel_cross_traffic,
     "parking-lot": _parking_lot,
+    "chain-25ms-forward-and-reverse": _chain_25ms_forward_and_reverse,
 }
 
 GOLDEN = {
@@ -94,6 +115,8 @@ GOLDEN = {
         "dae0780486556222c7d0b83341361b0fa30cb0cb49906fb6bb28f38a19daa0e9",
     "parking-lot":
         "bda993f809f645366540d57af0bc39fcb88a5af25cf7e7501bb1f38d2c985d77",
+    "chain-25ms-forward-and-reverse":
+        "19e384c2b17888635af93994534bb20348dcefa4052bc80a610690969688ec71",
 }
 
 

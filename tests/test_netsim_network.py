@@ -8,7 +8,6 @@ from repro.netsim import (
     FlowSpec,
     LinkConfig,
     Network,
-    run_flows,
 )
 
 
@@ -20,18 +19,17 @@ LINK = LinkConfig(bandwidth_bps=10e6, rtt_s=0.02, buffer_bdp=1.0)
 
 
 def test_single_flow_fills_link():
-    results = run_flows(LINK, [reno_flow("solo")], duration=10.0, seed=1)
+    results = Network(LINK, [reno_flow("solo")], seed=1).run(10.0)
     assert results[0].mean_throughput_bps == pytest.approx(10e6, rel=0.08)
 
 
 def test_two_flows_share_link():
-    results = run_flows(
+    results = Network(
         LINK,
         [reno_flow("a"), reno_flow("b")],
-        duration=15.0,
         seed=1,
         base_jitter_s=0.0004,
-    )
+    ).run(15.0)
     total = sum(r.mean_throughput_bps for r in results)
     assert total == pytest.approx(10e6, rel=0.10)
     shares = [r.mean_throughput_bps / total for r in results]
@@ -39,24 +37,24 @@ def test_two_flows_share_link():
 
 
 def test_same_seed_is_deterministic():
-    a = run_flows(LINK, [reno_flow("a"), reno_flow("b")], duration=5.0, seed=7)
-    b = run_flows(LINK, [reno_flow("a"), reno_flow("b")], duration=5.0, seed=7)
+    a = Network(LINK, [reno_flow("a"), reno_flow("b")], seed=7).run(5.0)
+    b = Network(LINK, [reno_flow("a"), reno_flow("b")], seed=7).run(5.0)
     assert a[0].mean_throughput_bps == b[0].mean_throughput_bps
     assert a[0].packets_sent == b[0].packets_sent
 
 
 def test_different_seeds_differ_with_jitter():
-    a = run_flows(
-        LINK, [reno_flow("a"), reno_flow("b")], duration=5.0, seed=1, base_jitter_s=0.0004
-    )
-    b = run_flows(
-        LINK, [reno_flow("a"), reno_flow("b")], duration=5.0, seed=2, base_jitter_s=0.0004
-    )
+    a = Network(
+        LINK, [reno_flow("a"), reno_flow("b")], seed=1, base_jitter_s=0.0004
+    ).run(5.0)
+    b = Network(
+        LINK, [reno_flow("a"), reno_flow("b")], seed=2, base_jitter_s=0.0004
+    ).run(5.0)
     assert a[0].packets_sent != b[0].packets_sent
 
 
 def test_flow_rtt_matches_configuration():
-    results = run_flows(LINK, [reno_flow("solo")], duration=5.0, seed=1)
+    results = Network(LINK, [reno_flow("solo")], seed=1).run(5.0)
     trace = results[0].trace
     min_owd = min(r.one_way_delay for r in trace.records)
     # One-way delay >= propagation (10 ms) and bounded by queue (+20 ms).
@@ -65,7 +63,7 @@ def test_flow_rtt_matches_configuration():
 
 def test_extra_delay_applies_per_flow():
     flows = [reno_flow("near"), reno_flow("far", extra_delay_s=0.02)]
-    results = run_flows(LINK, flows, duration=5.0, seed=1)
+    results = Network(LINK, flows, seed=1).run(5.0)
     near = min(r.one_way_delay for r in results[0].trace.records)
     far = min(r.one_way_delay for r in results[1].trace.records)
     assert far - near == pytest.approx(0.02, abs=0.005)
@@ -73,24 +71,24 @@ def test_extra_delay_applies_per_flow():
 
 def test_start_time_honored():
     flows = [reno_flow("early"), reno_flow("late", start_time=3.0)]
-    results = run_flows(LINK, flows, duration=6.0, seed=1)
+    results = Network(LINK, flows, seed=1).run(6.0)
     first_late = results[1].trace.records[0].arrival_time
     assert first_late >= 3.0
 
 
 def test_start_spread_randomizes_starts():
     flows = [reno_flow("a"), reno_flow("b")]
-    results = run_flows(LINK, flows, duration=5.0, seed=9, start_spread_s=0.5)
+    results = Network(LINK, flows, seed=9, start_spread_s=0.5).run(5.0)
     starts = [r.trace.records[0].sent_time for r in results]
     assert starts[0] != starts[1]
 
 
 def test_cross_traffic_takes_bandwidth():
     cross = CrossTrafficConfig(rate_bps=4e6, mean_on_s=10.0, mean_off_s=0.001)
-    solo = run_flows(LINK, [reno_flow("solo")], duration=10.0, seed=3)
-    with_cross = run_flows(
-        LINK, [reno_flow("solo")], duration=10.0, seed=3, cross_traffic=cross
-    )
+    solo = Network(LINK, [reno_flow("solo")], seed=3).run(10.0)
+    with_cross = Network(
+        LINK, [reno_flow("solo")], seed=3, cross_traffic=cross
+    ).run(10.0)
     assert (
         with_cross[0].mean_throughput_bps
         < solo[0].mean_throughput_bps - 1e6

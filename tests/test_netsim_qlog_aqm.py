@@ -134,17 +134,17 @@ class TestFactory:
 
     def test_network_runs_with_each_discipline(self):
         from repro.cca import NewReno
-        from repro.netsim.network import FlowSpec, LinkConfig, run_flows
+        from repro.netsim.network import FlowSpec, LinkConfig, Network
 
         for discipline in ("droptail", "red", "codel"):
             link = LinkConfig(
                 bandwidth_bps=10e6, rtt_s=0.02, buffer_bdp=1.0,
                 queue_discipline=discipline,
             )
-            results = run_flows(
+            results = Network(
                 link, [FlowSpec(label="a", cca_factory=lambda: NewReno(1448))],
-                duration=5.0, seed=1,
-            )
+                seed=1,
+            ).run(5.0)
             assert results[0].mean_throughput_bps > 5e6, discipline
 
     def test_invalid_discipline_in_config(self):

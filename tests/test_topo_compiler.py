@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.network import LinkConfig, Network
 from repro.stacks import registry
-from repro.topo.compile import TopoNetwork, run_topology
+from repro.topo.compile import TopoNetwork
 from repro.topo.spec import FlowEntry, LinkEntry, TopologySpec
 
 
@@ -111,7 +111,7 @@ class TestMultiBottleneck:
         assert core.bytes_sent < access.bytes_sent
 
     def test_delivered_payload_no_more_than_core_capacity(self):
-        results = run_topology(chain_spec(), 6.0, seed=9)
+        results = TopoNetwork(chain_spec(), seed=9).run(6.0)
         delivered_bps = sum(r.mean_throughput_bps for r in results)
         assert delivered_bps <= 12e6 * 1.01
 
@@ -192,5 +192,5 @@ class TestFlowControls:
             FlowEntry(label="far", stack="linux", cca="cubic",
                       extra_delay_ms=60.0),
         )
-        results = run_topology(chain_spec(flows=flows), 6.0, seed=3)
+        results = TopoNetwork(chain_spec(flows=flows), seed=3).run(6.0)
         assert results[0].mean_throughput_bps > results[1].mean_throughput_bps

@@ -131,6 +131,16 @@ class TestValidation:
         with pytest.raises(TopoSpecError, match="end_s"):
             FlowEntry(label="f", start_s=2.0, end_s=1.0).validate(["l"])
 
+    def test_end_before_the_jittered_start_rejected(self):
+        # With a 0.5 s start spread the flow may start as late as 1.5 s,
+        # after its 1.2 s stop, and then it never sends a packet.
+        payload = two_hop_payload(start_spread_s=0.5)
+        payload["flows"][0].update(start_s=1.0, end_s=1.2)
+        with pytest.raises(TopoSpecError, match="start_spread_s"):
+            parse_topology_spec(payload)
+        payload["flows"][0]["end_s"] = 1.6
+        parse_topology_spec(payload)
+
     def test_empty_topology_rejected(self):
         with pytest.raises(TopoSpecError, match="link"):
             TopologySpec(name="x", links=(), flows=(
