@@ -22,8 +22,9 @@ spurious loss declarations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.cca.base import AckEvent, CongestionController
 from repro.cca.rtt import RttEstimator
@@ -91,29 +92,6 @@ class SenderConfig:
             raise ValueError("total_bytes must be positive when set")
 
 
-class _SentPacket:
-    __slots__ = (
-        "seq",
-        "size",
-        "sent_time",
-        "acked",
-        "lost",
-        "retx_of",
-        "delivered_at_send",
-        "delivered_time_at_send",
-    )
-
-    def __init__(self, seq: int, size: int, sent_time: float):
-        self.seq = seq
-        self.size = size
-        self.sent_time = sent_time
-        self.acked = False
-        self.lost = False
-        self.retx_of: Optional[int] = None
-        self.delivered_at_send = 0
-        self.delivered_time_at_send = sent_time
-
-
 class Sender:
     """Reliable bulk-transfer sender hosting a congestion controller."""
 
@@ -137,7 +115,8 @@ class Sender:
 
         self.rtt = RttEstimator(initial_rtt=config.initial_rtt)
         self._next_seq = 0
-        self._sent: Dict[int, _SentPacket] = {}
+        #: Every data packet sent, by packet number: the sender's record.
+        self._sent: Dict[int, Packet] = {}
         self._lowest_unacked = 0
         self._largest_acked = -1
         self.bytes_in_flight = 0
@@ -154,7 +133,7 @@ class Sender:
         self._congestion_events = 0
 
         # Retransmission queue: original seqs awaiting retransmission.
-        self._retx_queue: List[int] = []
+        self._retx_queue: Deque[int] = deque()
 
         # Spurious-loss bookkeeping: seq -> original sent_time.
         self._declared_lost: Dict[int, float] = {}
@@ -166,6 +145,10 @@ class Sender:
         self._rto_timer = Timer(loop, self._on_rto_timeout)
         self._loss_timer = Timer(loop, self._on_loss_timer)
         self._consecutive_timeouts = 0
+        #: The RTO delay with back-off; recomputed by _update_rto_delay
+        #: whenever the RTT estimate or the timeout count changes.
+        self._rto_delay = 0.0
+        self._update_rto_delay()
         self._send_wakeup: Optional[Event] = None
         self._next_send_time = 0.0
         self._last_cwnd_sample = -1.0
@@ -179,6 +162,9 @@ class Sender:
 
         # Finite-flow bookkeeping.
         self._fresh_bytes_sent = 0
+        #: Set once a finite flow has handed all of ``total_bytes`` to the
+        #: transport; only retransmissions are sent after that.
+        self._all_fresh_sent = False
         self._start_time: Optional[float] = None
         #: Set once all of ``total_bytes`` has been acknowledged.
         self.completion_time: Optional[float] = None
@@ -197,10 +183,6 @@ class Sender:
     def complete(self) -> bool:
         return self.completion_time is not None
 
-    def _has_fresh_data(self) -> bool:
-        total = self.config.total_bytes
-        return total is None or self._fresh_bytes_sent < total
-
     @property
     def effective_cwnd(self) -> int:
         return int(self.cca.cwnd * self.config.cwnd_scale)
@@ -215,9 +197,8 @@ class Sender:
         return None
 
     def _quantize(self, t: float) -> float:
+        """Round ``t`` up to the send timer's tick; granularity > 0."""
         g = self.config.send_timer_granularity
-        if g <= 0:
-            return t
         ticks = int(t / g)
         quantized = ticks * g
         if quantized < t - 1e-12:
@@ -228,20 +209,25 @@ class Sender:
         if self._stopped:
             return
         now = self._loop.now
-        mss = self.config.mss
+        config = self.config
+        mss = config.mss
         while True:
-            if not self._retx_queue and not self._has_fresh_data():
+            if self._all_fresh_sent and not self._retx_queue:
                 return  # finite flow: everything handed to the transport.
             if self.bytes_in_flight + mss > self.effective_cwnd:
                 return  # cwnd-limited; ACKs will re-trigger us.
-            send_at = self._quantize(max(self._next_send_time, now))
+            next_send = self._next_send_time
+            send_at = now if now > next_send else next_send
+            if config.send_timer_granularity > 0:
+                send_at = self._quantize(send_at)
             if send_at > now + 1e-12:
                 self._schedule_wakeup(send_at)
                 return
             self._send_packet(now)
             rate = self._pacing_rate()
             if rate is not None and rate > 0:
-                self._next_send_time = max(self._next_send_time, now) + mss / rate
+                next_send = self._next_send_time
+                self._next_send_time = (now if now > next_send else next_send) + mss / rate
 
     def _schedule_wakeup(self, at: float) -> None:
         if self._send_wakeup is not None:
@@ -254,8 +240,9 @@ class Sender:
 
     def _send_packet(self, now: float) -> None:
         retx_of: Optional[int] = None
-        while self._retx_queue:
-            candidate = self._retx_queue.pop(0)
+        queue = self._retx_queue
+        while queue:
+            candidate = queue.popleft()
             info = self._sent.get(candidate)
             if info is not None and info.lost and not info.acked:
                 # A lost retransmission still carries the *original*
@@ -263,30 +250,26 @@ class Sender:
                 # the stream data if the carrier is lost again.
                 retx_of = info.retx_of if info.retx_of is not None else candidate
                 break
+        config = self.config
+        mss = config.mss
         if retx_of is None:
-            if not self._has_fresh_data():
+            if self._all_fresh_sent:
                 return  # only stale retransmission entries were queued
-            self._fresh_bytes_sent += self.config.mss
+            self._fresh_bytes_sent += mss
+            total = config.total_bytes
+            self._all_fresh_sent = total is not None and self._fresh_bytes_sent >= total
         seq = self._next_seq
-        self._next_seq += 1
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size=self.config.mss,
-            sent_time=now,
-            retx_of=retx_of,
-        )
-        info = _SentPacket(seq, self.config.mss, now)
-        info.retx_of = retx_of
-        info.delivered_at_send = self.delivered_bytes
-        info.delivered_time_at_send = self._delivered_time or now
-        self._sent[seq] = info
-        self.bytes_in_flight += self.config.mss
+        self._next_seq = seq + 1
+        packet = Packet(self.flow_id, seq, mss, now, retx_of=retx_of)
+        packet.delivered_at_send = self.delivered_bytes
+        packet.delivered_time_at_send = self._delivered_time or now
+        self._sent[seq] = packet
+        self.bytes_in_flight += mss
         self.packets_sent += 1
         if retx_of is not None:
             self.retransmissions += 1
-        self.cca.on_packet_sent(now, self.bytes_in_flight, self.config.mss)
-        self._arm_rto()
+        self.cca.on_packet_sent(now, self.bytes_in_flight, mss)
+        self._rto_timer.arm(self._rto_delay)  # data is in flight now
         self._sample_cwnd(now)
         self._transmit(packet)
 
@@ -296,9 +279,10 @@ class Sender:
     def on_ack(self, packet: Packet) -> None:
         assert packet.is_ack and packet.ack is not None
         ack = packet.ack
+        config = self.config
         now = self._loop.now
         newly_acked_bytes = 0
-        largest_newly: Optional[_SentPacket] = None
+        largest_newly: Optional[Packet] = None
 
         for seq in ack.newly_acked:
             info = self._sent.get(seq)
@@ -341,11 +325,12 @@ class Sender:
         rtt_sample: Optional[float] = None
         if largest_newly.seq == self._largest_acked:
             sample = now - largest_newly.sent_time
-            if self.config.loss_style == "quic":
+            if config.loss_style == "quic":
                 sample = max(sample - ack.ack_delay, 1e-6)
             if sample > 0:
                 rtt_sample = sample
                 self.rtt.update(sample)
+                self._update_rto_delay()
 
         # Delivery-rate sample.
         delivery_rate: Optional[float] = None
@@ -367,29 +352,29 @@ class Sender:
             round_count=self.round_count,
         )
         self.cca.on_ack(event)
-        self._consecutive_timeouts = 0
+        if self._consecutive_timeouts:
+            self._consecutive_timeouts = 0
+            self._update_rto_delay()
 
         # Finite-flow completion: all data handed over and none pending.
-        if self.completion_time is None and not self._has_fresh_data():
+        if self.completion_time is None and self._all_fresh_sent:
             # Spurious declarations can leave already-acked entries in
             # the retransmission queue; purge before deciding.
-            self._retx_queue = [
+            self._retx_queue = deque(
                 s
                 for s in self._retx_queue
                 if (info := self._sent.get(s)) is not None
                 and info.lost
                 and not info.acked
-            ]
-        if (
-            self.completion_time is None
-            and not self._has_fresh_data()
-            and not self._retx_queue
-            and self.bytes_in_flight <= 0
-            and self._lowest_unacked >= self._next_seq
-        ):
-            self.completion_time = now
-            self._rto_timer.cancel()
-            self._loss_timer.cancel()
+            )
+            if (
+                not self._retx_queue
+                and self.bytes_in_flight <= 0
+                and self._lowest_unacked >= self._next_seq
+            ):
+                self.completion_time = now
+                self._rto_timer.cancel()
+                self._loss_timer.cancel()
 
         self._arm_rto()
         self._sample_cwnd(now)
@@ -456,7 +441,7 @@ class Sender:
     def _on_loss_timer(self) -> None:
         self._detect_losses(self._loop.now)
 
-    def _declare_lost(self, info: _SentPacket, now: float, notify: bool = True) -> None:
+    def _declare_lost(self, info: Packet, now: float, notify: bool = True) -> None:
         info.lost = True
         self.bytes_in_flight -= info.size
         self._retx_queue.append(info.seq)
@@ -495,16 +480,19 @@ class Sender:
     # ------------------------------------------------------------------
     # Timeouts
     # ------------------------------------------------------------------
+    def _update_rto_delay(self) -> None:
+        self._rto_delay = self.rtt.rto() * (2 ** min(self._consecutive_timeouts, 6))
+
     def _arm_rto(self) -> None:
         if self.bytes_in_flight <= 0:
             self._rto_timer.cancel()
             return
-        rto = self.rtt.rto() * (2 ** min(self._consecutive_timeouts, 6))
-        self._rto_timer.arm(rto)
+        self._rto_timer.arm(self._rto_delay)
 
     def _on_rto_timeout(self) -> None:
         now = self._loop.now
         self._consecutive_timeouts += 1
+        self._update_rto_delay()
         # Everything outstanding is presumed lost (kernel
         # ``tcp_enter_loss`` marks all non-SACKed segments lost).  Anything
         # less can deadlock: phantom in-flight bytes above the collapsed
@@ -533,6 +521,9 @@ class Sender:
     # Tracing
     # ------------------------------------------------------------------
     def _sample_cwnd(self, now: float, force: bool = False) -> None:
+        """Record cwnd and pacing rate if ``cwnd_sample_interval`` has
+        passed since the last sample, or regardless when ``force`` is set
+        (congestion events, undos and RTOs)."""
         if self.trace is None:
             return
         if not force and now - self._last_cwnd_sample < self.config.cwnd_sample_interval:

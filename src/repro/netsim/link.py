@@ -92,19 +92,12 @@ class BottleneckLink:
         self._on_deliver = on_deliver
         self._on_drop = on_drop
         self._busy = False
-        #: The packet being serialized; one at a time, so the completion
-        #: event needs no per-packet closure.
-        self._in_service: Optional[Packet] = None
         #: Total payload-carrying bytes serialized, for utilization checks.
         self.bytes_sent = 0
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        return size_bytes * 8 / self.bandwidth_bps
-
     def send(self, packet: Packet) -> None:
         """Entry point: a packet arrives at the bottleneck."""
-        now = self._loop.now
-        packet.enqueue_time = now
+        packet.enqueue_time = self._loop.now
         if self._busy:
             if not self.queue.offer(packet) and self._on_drop is not None:
                 self._on_drop(packet)
@@ -113,12 +106,10 @@ class BottleneckLink:
 
     def _transmit(self, packet: Packet) -> None:
         self._busy = True
-        self._in_service = packet
-        self._loop.schedule(self.serialization_delay(packet.size), self._complete)
+        loop = self._loop
+        loop.schedule_at(loop.now + packet.size * 8 / self.bandwidth_bps, self._complete, packet)
 
-    def _complete(self) -> None:
-        packet = self._in_service
-        self._in_service = None
+    def _complete(self, packet: Packet) -> None:
         self.bytes_sent += packet.size
         self._on_deliver(packet)
         nxt = self.queue.pop()

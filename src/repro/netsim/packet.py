@@ -78,7 +78,8 @@ class Packet:
         "enqueue_time",
         "delivered_at_send",
         "delivered_time_at_send",
-        "is_app_limited",
+        "acked",
+        "lost",
     )
 
     def __init__(
@@ -105,7 +106,10 @@ class Packet:
         #: estimation"), filled by the sender for data packets.
         self.delivered_at_send = 0
         self.delivered_time_at_send = sent_time
-        self.is_app_limited = False
+        #: Sender-side fate of a data packet; the sender keeps the packet
+        #: it sent as its record and never reads these off the wire.
+        self.acked = False
+        self.lost = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ack" if self.is_ack else "data"

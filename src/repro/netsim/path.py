@@ -53,6 +53,11 @@ class Path:
     Delivery order is preserved for equal effective delays because the
     event loop breaks ties by scheduling order; jitter and reordering can
     invert delivery order exactly as netem does.
+
+    ``forwarded`` counts packets :meth:`send` scheduled to arrive, which
+    includes any still propagating when a run stops; ``lost`` counts
+    netem drops.  The arrival calls ``deliver(packet)`` straight
+    from the event loop, with no per-packet closure.
     """
 
     def __init__(
@@ -72,7 +77,7 @@ class Path:
         self.netem = netem
         self._rng = rng or random.Random(0)
         #: Diagnostics.
-        self.delivered = 0
+        self.forwarded = 0
         self.lost = 0
 
     def send(self, packet: Packet) -> None:
@@ -83,12 +88,10 @@ class Path:
         delay = self.delay_s
         if netem.jitter_s > 0.0:
             delay += self._rng.uniform(-netem.jitter_s, netem.jitter_s)
-            delay = max(delay, 0.0)
+            if delay < 0.0:
+                delay = 0.0
         if netem.reorder_rate > 0.0 and self._rng.random() < netem.reorder_rate:
             delay += netem.reorder_extra_s
-
-        def arrive() -> None:
-            self.delivered += 1
-            self._deliver(packet)
-
-        self._loop.schedule(delay, arrive)
+        self.forwarded += 1
+        loop = self._loop
+        loop.schedule_at(loop.now + delay, self._deliver, packet)

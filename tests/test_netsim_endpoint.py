@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cca.base import AckEvent, CongestionController
-from repro.netsim.engine import EventLoop
+from repro.netsim.engine import EventLoop, Timer
 from repro.netsim.endpoint import (
     Receiver,
     ReceiverConfig,
@@ -250,6 +250,37 @@ class TestReceiver:
             ReceiverConfig(ack_frequency=0).validate()
         with pytest.raises(ValueError):
             ReceiverConfig(max_ack_delay=-1).validate()
+
+
+class CheckedRtoTimer(Timer):
+    """An RTO timer that checks every delay it is armed with against the
+    RTT estimate and the timeout count at that moment."""
+
+    def __init__(self, sender):
+        super().__init__(sender._loop, sender._on_rto_timeout)
+        self.sender = sender
+        self.backoffs = []
+
+    def arm(self, delay, callback=None):
+        sender = self.sender
+        backoff = min(sender._consecutive_timeouts, 6)
+        assert delay == sender.rtt.rto() * 2**backoff
+        self.backoffs.append(backoff)
+        super().arm(delay, callback)
+
+
+def test_rto_delay_follows_rtt_and_backoff():
+    # Three blacked-out flights: three consecutive RTOs back off (QUIC
+    # collapses the window from the second on), then ACKs bring RTT
+    # samples and reset the back-off.
+    lb = Loopback(drop_seqs=set(range(30)))
+    timer = CheckedRtoTimer(lb.sender)
+    lb.sender._rto_timer = timer
+    lb.run(12.0)
+    assert len(lb.cca.rtos) == 2
+    assert max(timer.backoffs) == 3
+    assert timer.backoffs[-1] == 0 and lb.sender.rtt.srtt is not None
+    assert lb.sender.delivered_bytes > 100_000
 
 
 def test_invalid_sender_config():

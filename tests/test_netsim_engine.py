@@ -74,6 +74,32 @@ def test_scheduling_in_the_past_raises():
         loop.schedule(-0.1, lambda: None)
 
 
+def test_nan_times_are_rejected_and_later_events_still_run():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(0.3, lambda: fired.append(loop.now))
+    with pytest.raises(SimulationError):
+        loop.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        loop.schedule_at(float("nan"), lambda: None)
+    timer = Timer(loop, lambda: fired.append("timer"))
+    with pytest.raises(SimulationError):
+        timer.arm(float("nan"))
+    assert not timer.armed and timer.deadline is None
+    loop.run(1.0)
+    assert fired == [0.3]
+
+
+def test_argument_callbacks_get_their_argument_in_order():
+    loop = EventLoop()
+    seen = []
+    assert loop.schedule_at(0.2, seen.append, "b") is None
+    loop.schedule_at(0.1, seen.append, "a")
+    loop.schedule(0.2, lambda: seen.append("c"))  # ties "b", asked later
+    loop.run(1.0)
+    assert seen == ["a", "b", "c"]
+
+
 def test_now_tracks_current_event_time():
     loop = EventLoop()
     seen = []

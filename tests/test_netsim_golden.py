@@ -98,12 +98,27 @@ def _chain_25ms_forward_and_reverse():
     return network.run(4.0), network, 0.15
 
 
+def _finite_flows_rto_backoff():
+    """30% forward loss on finite flows: 9 RTOs, two in a row (back-off),
+    and both flows complete."""
+    specs = []
+    for stack in ("linux", "quiche"):
+        spec = registry.get_stack(stack).flow_spec("cubic", label=f"{stack}-cubic")
+        spec.sender_config = replace(spec.sender_config, total_bytes=300_000)
+        spec.forward_netem = NetemConfig(loss_rate=0.3)
+        specs.append(spec)
+    link = LinkConfig(5e6, 0.04, buffer_bdp=0.5)
+    network = Network(link, specs, seed=1, start_spread_s=0.2)
+    return network.run(10.0), network, link.rtt_s
+
+
 SCENARIOS = {
     "kernel-vs-quiche-droptail": _kernel_vs_quiche_droptail,
     "bbr-vs-paced-quantized-fq_codel": _bbr_vs_paced_quantized_fq_codel,
     "wan-codel-cross-traffic": _wan_codel_cross_traffic,
     "parking-lot": _parking_lot,
     "chain-25ms-forward-and-reverse": _chain_25ms_forward_and_reverse,
+    "finite-flows-rto-backoff": _finite_flows_rto_backoff,
 }
 
 GOLDEN = {
@@ -117,6 +132,8 @@ GOLDEN = {
         "bda993f809f645366540d57af0bc39fcb88a5af25cf7e7501bb1f38d2c985d77",
     "chain-25ms-forward-and-reverse":
         "19e384c2b17888635af93994534bb20348dcefa4052bc80a610690969688ec71",
+    "finite-flows-rto-backoff":
+        "65edf3c0876e7d06209b514a4ad54f10794035b7ced2ec5602abfef6c6119e68",
 }
 
 

@@ -46,7 +46,7 @@ def test_random_loss_rate():
         path.send(make_packet(seq=seq))
     loop.run(10.0)
     assert 0.62 < len(arrived) / 2000 < 0.78
-    assert path.lost + path.delivered == 2000
+    assert path.lost + path.forwarded == 2000
 
 
 def test_jitter_bounds_delay():
