@@ -26,7 +26,7 @@ lint-graph:
 	PYTHONPATH=src python -m repro lint --dump-graph locks
 
 # Regenerates every table/figure; first run simulates (~25 min), later
-# runs replay from benchmarks/.quicbench_cache.
+# runs replay from the benches' warehouse, benchmarks/.quicbench_store.db.
 bench:
 	QUICBENCH_JOBS=$(JOBS) pytest benchmarks/ --benchmark-only
 
@@ -90,7 +90,7 @@ chaos:
 	PYTHONPATH=src python -m repro chaos --matrix smoke
 
 clean-cache:
-	rm -rf benchmarks/.quicbench_cache benchmarks/output
+	rm -rf benchmarks/.quicbench_store.db* benchmarks/output
 
 loc:
 	@find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1

@@ -1,9 +1,10 @@
 """Shared benchmark infrastructure.
 
 Every benchmark regenerates one table or figure of the paper.  Simulation
-results (sampled point clouds, bandwidth shares) are cached on disk under
-``benchmarks/.quicbench_cache`` so re-runs only pay for the analysis; the
-rendered text artifacts land in ``benchmarks/output/`` for inspection.
+results (sampled point clouds, bandwidth shares) persist in the benches'
+own results warehouse, ``benchmarks/.quicbench_store.db`` (gitignored),
+so re-runs only pay for the analysis; the rendered text artifacts land in
+``benchmarks/output/`` for inspection.
 
 Benchmarks run the underlying experiment exactly once
 (``benchmark.pedantic(..., rounds=1)``) — the interesting output is the
@@ -11,10 +12,11 @@ reproduced numbers, not the timing.
 
 Every ``test_bench_*`` module additionally emits one machine-readable
 ``output/BENCH_<module>.json`` record: an autouse fixture times every
-test, :func:`emit_bench` lets a module attach richer fields
-(packets/sec and the like), and the session-finish hook writes the
-merged record — so CI history can diff wall times per module without
-each benchmark hand-rolling its own JSON.
+test, a report hook notes every failure, :func:`emit_bench` lets a module
+attach richer fields (packets/sec and the like), and the session-finish
+hook writes the merged record with a ``passed`` flag — so CI history can
+diff wall times per module, and a record can never hide a failed
+assertion, without each benchmark hand-rolling its own JSON.
 """
 
 import json
@@ -24,12 +26,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
+from repro.store import StoreCache
 
 BENCH_DIR = Path(__file__).parent
 OUTPUT_DIR = BENCH_DIR / "output"
-CACHE_DIR = BENCH_DIR / ".quicbench_cache"
+STORE_PATH = BENCH_DIR / ".quicbench_store.db"
 
 #: Bench-scale protocol: long enough for BBR's 10 s ProbeRTT cycles to
 #: repeat within every trial (see DESIGN.md scaling note).
@@ -39,8 +41,6 @@ BENCH_CONFIG = ExperimentConfig(duration_s=100.0, trials=3)
 #: matter.
 SHARE_CONFIG = ExperimentConfig(duration_s=40.0, trials=2)
 
-_SHARED_CACHE = ResultCache(directory=CACHE_DIR)
-
 #: Worker-process count for the experiment executor; ``JOBS=N make bench``
 #: (or ``QUICBENCH_JOBS=N pytest benchmarks/``) parallelises the trial
 #: campaigns.  Results are numerically identical at any job count.
@@ -49,11 +49,14 @@ _JOBS = int(os.environ.get("QUICBENCH_JOBS", "1") or "1")
 
 @pytest.fixture(scope="session")
 def bench_cache():
-    return _SHARED_CACHE
+    """Memory LRU over the benches' warehouse, closed at session end."""
+    cache = StoreCache(STORE_PATH)
+    yield cache
+    cache.close()
 
 
 @pytest.fixture(scope="session")
-def bench_executor():
+def bench_executor(bench_cache):
     """A shared :class:`repro.exec.Executor`, or ``None`` when serial.
 
     ``None`` keeps the historical single-process code path byte-for-byte
@@ -66,7 +69,7 @@ def bench_executor():
     OUTPUT_DIR.mkdir(exist_ok=True)
     return Executor(
         jobs=_JOBS,
-        cache=_SHARED_CACHE,
+        cache=bench_cache,
         manifest_path=OUTPUT_DIR / "run_manifest.jsonl",
     )
 
@@ -103,6 +106,8 @@ def run_once(benchmark, fn):
 _BENCH_TIMES = {}
 #: module basename -> extra fields attached via :func:`emit_bench`.
 _BENCH_EXTRA = {}
+#: module basenames with at least one failed test (any phase).
+_BENCH_FAILED = set()
 
 
 def _bench_name(module_name: str) -> str:
@@ -132,6 +137,12 @@ def _bench_timer(request):
     _BENCH_TIMES.setdefault(name, {})[request.node.name] = round(wall_s, 4)
 
 
+def pytest_runtest_logreport(report):
+    """Note every failed benchmark test for its module's ``passed`` flag."""
+    if report.failed:
+        _BENCH_FAILED.add(_bench_name(Path(report.nodeid.split("::")[0]).stem))
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write one ``output/BENCH_<module>.json`` per benchmark module."""
     if not _BENCH_TIMES and not _BENCH_EXTRA:
@@ -143,6 +154,7 @@ def pytest_sessionfinish(session, exitstatus):
             "module": f"test_bench_{name}",
             "tests": tests,
             "wall_s": round(sum(tests.values()), 4),
+            "passed": name not in _BENCH_FAILED,
         }
         payload.update(_BENCH_EXTRA.get(name, {}))
         (OUTPUT_DIR / f"BENCH_{name}.json").write_text(

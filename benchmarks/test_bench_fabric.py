@@ -23,7 +23,6 @@ from conftest import emit_bench, run_once
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.queue import WorkQueue
 from repro.fabric.worker import FabricWorker, LocalTransport
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.service.specs import parse_campaign_spec
 from repro.store import open_store
@@ -191,18 +190,13 @@ def _drain_fleet(store_path, workers):
         coordinator.shutdown(drain=False)
 
 
-def test_campaign_latency_by_fleet_size(
-    benchmark, tmp_path, monkeypatch, save_artifact
-):
+def test_campaign_latency_by_fleet_size(benchmark, tmp_path, save_artifact):
     walls = {}
 
     def sweep():
         for workers in FLEET_SIZES:
-            # Fresh store and cache per fleet: every run is cold, so the
+            # Fresh store per fleet: every run is cold, so the
             # wall-clocks compare worker counts, not cache luck.
-            monkeypatch.setenv(
-                CACHE_DIR_ENV, str(tmp_path / f"cache-{workers}")
-            )
             walls[workers] = _drain_fleet(
                 tmp_path / f"fabric-{workers}.db", workers
             )

@@ -25,7 +25,7 @@ PEERS = ["bbr3", "cubic", "gcc"]
 CONFIG = ExperimentConfig(duration_s=20.0, trials=2)
 
 
-def test_peer_conformance_campaign(benchmark, tmp_path):
+def test_peer_conformance_campaign(benchmark):
     condition = scenarios.shallow_buffer()
 
     def run():
@@ -34,7 +34,7 @@ def test_peer_conformance_campaign(benchmark, tmp_path):
             PEERS,
             condition,
             CONFIG,
-            cache=ResultCache(directory=tmp_path / "cache"),
+            cache=ResultCache(),
         )
         wall_s = time.perf_counter() - start
         # Packet count from one representative trial per peer (the

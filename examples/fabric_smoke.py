@@ -7,7 +7,7 @@ this):
 1. boot ``repro fabric serve`` (the coordinator's HTTP service) on a
    free port,
 2. boot two ``repro fabric worker`` subprocesses against it, each with
-   its own private simulation cache,
+   its own in-memory simulation cache,
 3. submit a conformance campaign through :class:`ServiceClient` and
    stream its progress events live,
 4. assert the warehouse contents are bit-identical to the same campaign
@@ -30,7 +30,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.harness.cache import CACHE_DIR_ENV  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.scheduler import (  # noqa: E402
     DONE,
@@ -78,13 +77,11 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-fabric-smoke-"))
     db = workdir / "store.db"
 
-    def child_env(cache_name):
-        return dict(
-            os.environ,
-            PYTHONPATH=str(ROOT / "src"),
-            PYTHONUNBUFFERED="1",
-            **{CACHE_DIR_ENV: str(workdir / cache_name)},
-        )
+    child_env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        PYTHONUNBUFFERED="1",
+    )
 
     print(f"[1/6] booting repro fabric serve (store: {db}) ...")
     serve = subprocess.Popen(
@@ -93,7 +90,7 @@ def main() -> None:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env=child_env("serve-cache"),
+        env=child_env,
         cwd=str(ROOT),
     )
     workers = []
@@ -108,7 +105,7 @@ def main() -> None:
                 [sys.executable, "-m", "repro", "fabric", "worker",
                  "--url", url, "--store", str(db),
                  "--name", f"smoke-w{i}", "--poll", "0.2", "--ttl", "10"],
-                env=child_env(f"worker{i}-cache"),
+                env=child_env,
                 cwd=str(ROOT),
             ))
 
@@ -126,7 +123,6 @@ def main() -> None:
         assert status["states"].get("done") == 1, status
 
         print("[4/6] comparing against a single-process scheduler run ...")
-        os.environ[CACHE_DIR_ENV] = str(workdir / "direct-cache")
         single = Scheduler(str(workdir / "direct.db"), workers=1)
         job = single.submit(parse_campaign_spec(SPEC))
         deadline = time.monotonic() + 300.0

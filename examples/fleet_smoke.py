@@ -35,7 +35,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.fabric.queue import WorkQueue  # noqa: E402
 from repro.fabric.supervisor import FleetSupervisor  # noqa: E402
-from repro.harness.cache import CACHE_DIR_ENV  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.scheduler import (  # noqa: E402
     DONE,
@@ -88,13 +87,11 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-fleet-smoke-"))
     root = workdir / "warehouse"
 
-    def child_env(cache_name):
-        return dict(
-            os.environ,
-            PYTHONPATH=str(ROOT / "src"),
-            PYTHONUNBUFFERED="1",
-            **{CACHE_DIR_ENV: str(workdir / cache_name)},
-        )
+    child_env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        PYTHONUNBUFFERED="1",
+    )
 
     print(f"[1/6] booting repro fabric serve --shards {SHARDS} ({root}) ...")
     serve = subprocess.Popen(
@@ -104,7 +101,7 @@ def main() -> None:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env=child_env("serve-cache"),
+        env=child_env,
         cwd=str(ROOT),
     )
     v1_workers = []
@@ -123,7 +120,7 @@ def main() -> None:
                  "--url", url, "--store", str(root),
                  "--name", f"smoke-w{i}", "--version", "v1",
                  "--poll", "0.2", "--ttl", "10"],
-                env=child_env(f"worker{i}-cache"),
+                env=child_env,
                 cwd=str(ROOT),
             ))
 
@@ -149,7 +146,7 @@ def main() -> None:
                  "--url", url, "--store", str(root),
                  "--name", name, "--version", version,
                  "--poll", "0.2", "--ttl", "10"],
-                env=child_env(f"{name}-cache"),
+                env=child_env,
                 cwd=str(ROOT),
             )
             print(f"  spawned {name} ({version})")
@@ -184,7 +181,6 @@ def main() -> None:
         print("  every campaign: done in exactly one lease attempt")
 
         print("[5/6] diffing against a single-shard single-process run ...")
-        os.environ[CACHE_DIR_ENV] = str(workdir / "direct-cache")
         single = Scheduler(str(workdir / "direct.db"), workers=1)
         for spec in specs():
             job = single.submit(parse_campaign_spec(spec))

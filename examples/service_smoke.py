@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.harness.cache import CACHE_DIR_ENV, ResultCache  # noqa: E402
+from repro.harness.cache import ResultCache  # noqa: E402
 from repro.harness.matrix import run_matrix  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.specs import parse_campaign_spec  # noqa: E402
@@ -63,7 +63,6 @@ def main() -> None:
         os.environ,
         PYTHONPATH=str(ROOT / "src"),
         PYTHONUNBUFFERED="1",
-        **{CACHE_DIR_ENV: str(workdir / "serve-cache")},
     )
 
     print(f"[1/5] booting repro serve (store: {db}) ...")
@@ -108,7 +107,7 @@ def main() -> None:
                 conditions=spec.resolved_conditions(),
                 implementations=spec.implementations(),
                 config=spec.experiment_config(),
-                cache=ResultCache(directory=workdir / "direct-cache"),
+                cache=ResultCache(),
                 store=direct_store,
                 store_run="direct",
             )

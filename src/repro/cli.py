@@ -20,7 +20,7 @@ the ``repro.store`` results warehouse (``--run`` names the stored run).
 
 The warehouse itself is driven by ``quicbench store``:
 
-* ``store ingest`` — load JSONL manifests and disk-cache directories.
+* ``store ingest`` — load JSONL manifests and sideline spill files.
 * ``store runs`` — list recorded runs and row counts.
 * ``store query`` — filtered metric export (table, CSV, JSON).
 * ``store diff`` — run-vs-run or run-vs-baseline comparison flagging
@@ -123,8 +123,8 @@ def _executor(args):
         from repro.store import StoreCache, open_store
 
         store = open_store(store_path)
-        # Three-tier cache: campaigns reuse any trial the warehouse
-        # already holds and write new ones through.
+        # Memory LRU over the warehouse: campaigns reuse any trial
+        # the warehouse already holds and write new ones through.
         cache = StoreCache(store)
     return Executor(
         jobs=jobs,
@@ -888,30 +888,18 @@ def cmd_cca_peer_matrix(args) -> int:
 
 
 def cmd_store_ingest(args) -> int:
-    """Load manifests, a cache directory and/or a sideline spill."""
-    from repro.store import (
-        ingest_cache_dir,
-        ingest_manifest,
-        ingest_sideline,
-        open_store,
-    )
+    """Load manifests and/or a sideline spill."""
+    from repro.store import ingest_manifest, ingest_sideline, open_store
 
     with open_store(args.db) as store:
         for path in args.manifest:
             report = ingest_manifest(store, path, run_prefix=args.run)
             print(f"{path}: {report.summary()}")
-        if args.cache_dir:
-            run = store.ensure_run(args.run) if args.run else None
-            report = ingest_cache_dir(store, args.cache_dir, run=run)
-            print(f"{args.cache_dir}: {report.summary()}")
         for path in args.sideline:
             report = ingest_sideline(store, path)
             print(f"{path}: {report.summary()}")
-        if not args.manifest and not args.cache_dir and not args.sideline:
-            print(
-                "nothing to ingest "
-                "(pass --manifest, --cache-dir and/or --sideline)"
-            )
+        if not args.manifest and not args.sideline:
+            print("nothing to ingest (pass --manifest and/or --sideline)")
             return 2
     return 0
 
@@ -1490,16 +1478,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--db", required=True, help="warehouse SQLite file")
         return sp
 
-    p = _store_parser("ingest", "load manifests / cache dirs into a store")
+    p = _store_parser("ingest", "load manifests / sideline spills into a store")
     p.add_argument("--manifest", action="append", default=[],
                    help="JSONL run manifest to ingest (repeatable)")
-    p.add_argument("--cache-dir", default=None,
-                   help="disk-cache directory of .npy trial payloads")
     p.add_argument("--sideline", action="append", default=[],
                    help="sideline spill file written while the store "
                    "sink's circuit breaker was open (repeatable)")
     p.add_argument("--run", default=None,
-                   help="run-name prefix for manifests / run for cache trials")
+                   help="run-name prefix for manifests")
     p.set_defaults(fn=cmd_store_ingest)
 
     p = _store_parser("runs", "list recorded runs and row counts")

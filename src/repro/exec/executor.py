@@ -9,10 +9,9 @@ returns their values in submission order.  Scheduling model:
   the exact code path the harness uses without an executor.
 * With ``jobs=N`` a pool of N ``multiprocessing`` workers (``spawn``
   start method, so everything crossing the boundary must pickle) pulls
-  jobs from a queue.  Workers hold their own worker-local
-  :class:`~repro.harness.cache.ResultCache` sharing the parent's disk
-  directory; computed values are shipped back and inserted into the
-  parent cache.
+  jobs from a queue.  Workers hold their own in-memory
+  :class:`~repro.harness.cache.ResultCache`; computed values are shipped
+  back and inserted into the parent cache.
 * Each job attempt has an optional wall-clock ``timeout_s``; a timed-out
   or crashed worker is terminated and replaced, and the job is retried
   with exponential backoff up to ``retries`` extra attempts.
@@ -73,13 +72,7 @@ class _PoolBroken(Exception):
     """Internal: the worker pool cannot start or keeps dying."""
 
 
-def _worker_main(
-    task_q,
-    result_q,
-    cache_dir: Optional[str],
-    cache_enabled: bool,
-    fault_plan: Optional[FaultPlan] = None,
-):
+def _worker_main(task_q, result_q, fault_plan: Optional[FaultPlan] = None):
     """Worker loop: pull (index, job, attempt) tasks until the None sentinel.
 
     Runs in a spawned child process; must only touch picklable state.
@@ -90,7 +83,7 @@ def _worker_main(
     if fault_plan is not None:
         inject.activate(fault_plan)
     inject.fault_point("exec.worker.start")
-    cache = ResultCache(directory=cache_dir, enabled=cache_enabled)
+    cache = ResultCache()
     pid = os.getpid()
     while True:
         task = task_q.get()
@@ -336,7 +329,7 @@ class Executor:
             sink.campaign_end(campaign, records, wall, self.cache.counters())
         if self.store_sink is not None:
             # Persist every completed payload (computed *and* cache-served:
-            # a first store-backed run over a warm disk cache should still
+            # a store-backed run over a warm in-memory cache should still
             # fill the warehouse).  Content-addressed keys dedupe re-runs.
             self.store_sink.trials(
                 campaign,
@@ -402,14 +395,7 @@ class Executor:
         except OSError as exc:
             raise _PoolBroken(f"cannot create queues: {exc}")
 
-        cache_dir = self.cache.directory
-        worker_args = (
-            task_q,
-            result_q,
-            None if cache_dir is None else str(cache_dir),
-            self.cache.enabled,
-            self.fault_plan,
-        )
+        worker_args = (task_q, result_q, self.fault_plan)
         procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         respawn_budget = len(indices) * (self.retries + 1)
 

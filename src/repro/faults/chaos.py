@@ -161,13 +161,12 @@ def _peer_joblist(duration_s: float, trials: int):
     )
 
 
-def _baseline(joblist, workdir: Path) -> Dict[str, _Snap]:
+def _baseline(joblist) -> Dict[str, _Snap]:
     from repro.exec import Executor
     from repro.harness.cache import ResultCache
 
-    # Explicit directory: never share the user's QUICBENCH_CACHE_DIR, so
-    # a chaos run is hermetic and the baseline is really recomputed.
-    cache = ResultCache(directory=workdir / "baseline-cache")
+    # A fresh cache: the baseline is really recomputed.
+    cache = ResultCache()
     with Executor(jobs=1, cache=cache) as executor:
         values = executor.run(joblist, campaign="chaos-baseline")
     return {
@@ -247,7 +246,7 @@ def _run_faulted(
     timeout_s = 3.0 if fault == FAULT_WORKER_HANG else 30.0
     with inject.active_plan(plan) as injector:
         store = ResultStore(classdir / "store.db")
-        cache = StoreCache(store, directory=classdir / "cache")
+        cache = StoreCache(store)
         executor = Executor(
             jobs=class_jobs,
             cache=cache,
@@ -299,7 +298,7 @@ def _recover(
                 + f"sideline replayed: {report.trials} trials "
                 f"(+{report.trials_deduped} dup)"
             )
-        cache = StoreCache(store, directory=classdir / "recovery-cache")
+        cache = StoreCache(store)
         with Executor(jobs=1, cache=cache, store=store,
                       store_run="chaos-recovery") as executor:
             executor.run(joblist, campaign="chaos-recovery")
@@ -442,22 +441,20 @@ def _fabric_baseline(spec: dict, basedir: Path) -> Dict[str, _Snap]:
 def _fabric_baselines(specs: List[dict], basedir: Path) -> Dict[str, _Snap]:
     import time
 
-    from repro.harness.cache import cache_dir_override
     from repro.service.scheduler import TERMINAL_STATES, Scheduler
     from repro.service.specs import parse_campaign_spec
 
     basedir.mkdir(parents=True, exist_ok=True)
     store_path = basedir / "baseline.db"
-    with cache_dir_override(basedir / "baseline-cache"):
-        scheduler = Scheduler(str(store_path), workers=1)
-        for spec in specs:
-            job = scheduler.submit(parse_campaign_spec(spec))
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                if scheduler.job(job.id).state in TERMINAL_STATES:
-                    break
-                default_sleep(0.05)
-        scheduler.shutdown(drain=True, timeout=30.0)
+    scheduler = Scheduler(str(store_path), workers=1)
+    for spec in specs:
+        job = scheduler.submit(parse_campaign_spec(spec))
+        deadline = time.monotonic() + 300.0
+        while time.monotonic() < deadline:
+            if scheduler.job(job.id).state in TERMINAL_STATES:
+                break
+            default_sleep(0.05)
+    scheduler.shutdown(drain=True, timeout=30.0)
     return _store_snaps(store_path)
 
 
@@ -533,7 +530,6 @@ def _run_lease_expiry_class(
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.harness.cache import cache_dir_override
     from repro.service.scheduler import TERMINAL_STATES
     from repro.service.specs import parse_campaign_spec
 
@@ -569,9 +565,7 @@ def _run_lease_expiry_class(
             return reply
 
     try:
-        with cache_dir_override(classdir / "cache"), inject.active_plan(
-            plan
-        ) as injector:
+        with inject.active_plan(plan) as injector:
             job = coordinator.submit(parse_campaign_spec(spec))
             workers = [
                 FabricWorker(
@@ -631,7 +625,6 @@ def _run_worker_sigkill_class(
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.harness.cache import CACHE_DIR_ENV, cache_dir_override
     from repro.service.scheduler import TERMINAL_STATES
     from repro.service.server import ServiceApp
     from repro.service.specs import parse_campaign_spec
@@ -646,54 +639,50 @@ def _run_worker_sigkill_class(
     app.start()
     proc = None
     try:
-        with cache_dir_override(classdir / "cache"):
-            job = coordinator.submit(parse_campaign_spec(spec))
-            env = dict(os.environ)
-            env[CACHE_DIR_ENV] = str(classdir / "victim-cache")
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "fabric", "worker",
-                    "--url", app.url, "--store", str(store_path),
-                    "--ttl", "1.0", "--poll", "0.05",
-                    "--name", "chaos-victim",
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
+        job = coordinator.submit(parse_campaign_spec(spec))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "fabric", "worker",
+                "--url", app.url, "--store", str(store_path),
+                "--ttl", "1.0", "--poll", "0.05",
+                "--name", "chaos-victim",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        # Kill the instant the victim holds the lease: mid-campaign,
+        # trials in flight, nothing flushed.
+        leased = False
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            if coordinator.fabric_status()["leases"]:
+                leased = True
+                break
+            default_sleep(0.02)
+        if not leased:
+            outcome.violations.append(
+                "victim worker never leased the task"
             )
-            # Kill the instant the victim holds the lease: mid-campaign,
-            # trials in flight, nothing flushed.
-            leased = False
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if coordinator.fabric_status()["leases"]:
-                    leased = True
-                    break
-                default_sleep(0.02)
-            if not leased:
-                outcome.violations.append(
-                    "victim worker never leased the task"
-                )
-                return
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30.0)
-            outcome.fires = 1  # the kill is the (process-level) fault
-            rescuer = FabricWorker(
-                LocalTransport(coordinator),
-                name="chaos-rescuer",
-                store_path=str(store_path),
-                poll_s=0.05,
-                ttl_s=1.0,
-            )
-            thread = threading.Thread(target=rescuer.run, daemon=True)
-            thread.start()
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                if coordinator.job(job.id).state in TERMINAL_STATES:
-                    break
-                default_sleep(0.05)
-            rescuer.stop()
-            thread.join(timeout=10.0)
+            return
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30.0)
+        outcome.fires = 1  # the kill is the (process-level) fault
+        rescuer = FabricWorker(
+            LocalTransport(coordinator),
+            name="chaos-rescuer",
+            store_path=str(store_path),
+            poll_s=0.05,
+            ttl_s=1.0,
+        )
+        thread = threading.Thread(target=rescuer.run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 300.0
+        while time.monotonic() < deadline:
+            if coordinator.job(job.id).state in TERMINAL_STATES:
+                break
+            default_sleep(0.05)
+        rescuer.stop()
+        thread.join(timeout=10.0)
         _check_fabric_outcome(
             classdir, job.id, coordinator, baseline, outcome
         )
@@ -721,7 +710,6 @@ def _run_shard_loss_class(
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.harness.cache import cache_dir_override
     from repro.service.scheduler import TERMINAL_STATES, Scheduler
     from repro.service.specs import parse_campaign_spec
     from repro.store import ShardLostError, open_store, shard_index
@@ -732,24 +720,23 @@ def _run_shard_loss_class(
     open_store(root, shards=3).close()
     coordinator = Coordinator(str(root), lease_ttl_s=10.0, max_attempts=3)
     try:
-        with cache_dir_override(classdir / "cache"):
-            job = coordinator.submit(parse_campaign_spec(spec))
-            worker = FabricWorker(
-                LocalTransport(coordinator),
-                name="chaos-shard-w1",
-                store_path=str(root),
-                poll_s=0.05,
-                ttl_s=10.0,
-            )
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                if coordinator.job(job.id).state in TERMINAL_STATES:
-                    break
-                default_sleep(0.05)
-            worker.stop()
-            thread.join(timeout=10.0)
+        job = coordinator.submit(parse_campaign_spec(spec))
+        worker = FabricWorker(
+            LocalTransport(coordinator),
+            name="chaos-shard-w1",
+            store_path=str(root),
+            poll_s=0.05,
+            ttl_s=10.0,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 300.0
+        while time.monotonic() < deadline:
+            if coordinator.job(job.id).state in TERMINAL_STATES:
+                break
+            default_sleep(0.05)
+        worker.stop()
+        thread.join(timeout=10.0)
     finally:
         coordinator.shutdown(drain=False)
     if coordinator.job(job.id).state != "done":
@@ -840,15 +827,14 @@ def _run_shard_loss_class(
     # the lost payloads (content-addressed identity dedupes the rest).
     import time as _time
 
-    with cache_dir_override(classdir / "heal-cache"):
-        scheduler = Scheduler(str(root), workers=1)
-        job2 = scheduler.submit(parse_campaign_spec(spec))
-        deadline = _time.monotonic() + 300.0
-        while _time.monotonic() < deadline:
-            if scheduler.job(job2.id).state in TERMINAL_STATES:
-                break
-            default_sleep(0.05)
-        scheduler.shutdown(drain=True, timeout=30.0)
+    scheduler = Scheduler(str(root), workers=1)
+    job2 = scheduler.submit(parse_campaign_spec(spec))
+    deadline = _time.monotonic() + 300.0
+    while _time.monotonic() < deadline:
+        if scheduler.job(job2.id).state in TERMINAL_STATES:
+            break
+        default_sleep(0.05)
+    scheduler.shutdown(drain=True, timeout=30.0)
 
     with open_store(root) as store:
         if not store.integrity_ok():
@@ -892,7 +878,6 @@ def _run_drain_during_lease_class(
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.harness.cache import cache_dir_override
     from repro.service.scheduler import TERMINAL_STATES
     from repro.service.specs import parse_campaign_spec
 
@@ -907,70 +892,69 @@ def _run_drain_during_lease_class(
     rescuer = None
     rescuer_thread = None
     try:
-        with cache_dir_override(classdir / "cache"):
-            job_a = coordinator.submit(parse_campaign_spec(spec_a))
-            job_b = coordinator.submit(parse_campaign_spec(spec_b))
-            victim = FabricWorker(
-                LocalTransport(coordinator),
-                name="chaos-drain-victim",
-                store_path=str(store_path),
-                poll_s=0.05,
-                ttl_s=10.0,
+        job_a = coordinator.submit(parse_campaign_spec(spec_a))
+        job_b = coordinator.submit(parse_campaign_spec(spec_b))
+        victim = FabricWorker(
+            LocalTransport(coordinator),
+            name="chaos-drain-victim",
+            store_path=str(store_path),
+            poll_s=0.05,
+            ttl_s=10.0,
+        )
+        victim_thread = threading.Thread(target=victim.run, daemon=True)
+        victim_thread.start()
+        # Wait until the victim actually holds a lease, then drain
+        # it mid-flight.
+        deadline = time.monotonic() + 60.0
+        leased = False
+        while time.monotonic() < deadline:
+            leases = coordinator.fabric_status()["leases"]
+            if any(l["owner"] == victim.name for l in leases):
+                leased = True
+                break
+            default_sleep(0.02)
+        if not leased:
+            outcome.violations.append("victim never held a lease")
+            victim.stop()
+            return
+        coordinator.drain_worker(victim.name)
+        outcome.fires = 1
+        rescuer = FabricWorker(
+            LocalTransport(coordinator),
+            name="chaos-drain-rescuer",
+            store_path=str(store_path),
+            poll_s=0.05,
+            ttl_s=10.0,
+        )
+        rescuer_thread = threading.Thread(target=rescuer.run, daemon=True)
+        rescuer_thread.start()
+        seen_owners: Dict[str, set] = {}
+        deadline = time.monotonic() + 300.0
+        while time.monotonic() < deadline:
+            for lease in coordinator.fabric_status()["leases"]:
+                seen_owners.setdefault(
+                    lease["campaign"], set()
+                ).add(lease["owner"])
+            states = {
+                coordinator.job(job_a.id).state,
+                coordinator.job(job_b.id).state,
+            }
+            if states <= set(TERMINAL_STATES):
+                break
+            default_sleep(0.05)
+        # The drained victim must exit on its own (never killed).
+        victim_thread.join(timeout=60.0)
+        if victim_thread.is_alive():
+            outcome.violations.append(
+                "drained worker never exited on its own"
             )
-            victim_thread = threading.Thread(target=victim.run, daemon=True)
-            victim_thread.start()
-            # Wait until the victim actually holds a lease, then drain
-            # it mid-flight.
-            deadline = time.monotonic() + 60.0
-            leased = False
-            while time.monotonic() < deadline:
-                leases = coordinator.fabric_status()["leases"]
-                if any(l["owner"] == victim.name for l in leases):
-                    leased = True
-                    break
-                default_sleep(0.02)
-            if not leased:
-                outcome.violations.append("victim never held a lease")
-                victim.stop()
-                return
-            coordinator.drain_worker(victim.name)
-            outcome.fires = 1
-            rescuer = FabricWorker(
-                LocalTransport(coordinator),
-                name="chaos-drain-rescuer",
-                store_path=str(store_path),
-                poll_s=0.05,
-                ttl_s=10.0,
+            victim.stop()
+        elif not victim.drained:
+            outcome.violations.append(
+                "victim exited without observing the drain directive"
             )
-            rescuer_thread = threading.Thread(target=rescuer.run, daemon=True)
-            rescuer_thread.start()
-            seen_owners: Dict[str, set] = {}
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                for lease in coordinator.fabric_status()["leases"]:
-                    seen_owners.setdefault(
-                        lease["campaign"], set()
-                    ).add(lease["owner"])
-                states = {
-                    coordinator.job(job_a.id).state,
-                    coordinator.job(job_b.id).state,
-                }
-                if states <= set(TERMINAL_STATES):
-                    break
-                default_sleep(0.05)
-            # The drained victim must exit on its own (never killed).
-            victim_thread.join(timeout=60.0)
-            if victim_thread.is_alive():
-                outcome.violations.append(
-                    "drained worker never exited on its own"
-                )
-                victim.stop()
-            elif not victim.drained:
-                outcome.violations.append(
-                    "victim exited without observing the drain directive"
-                )
-            rescuer.stop()
-            rescuer_thread.join(timeout=10.0)
+        rescuer.stop()
+        rescuer_thread.join(timeout=10.0)
         # The drained worker deregistered: no active registry row left.
         active = [
             w["name"]
@@ -1032,7 +1016,6 @@ def _run_supervisor_sigkill_class(
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.queue import WorkQueue
     from repro.fabric.supervisor import FleetSupervisor, SupervisorConfig
-    from repro.harness.cache import CACHE_DIR_ENV, cache_dir_override
     from repro.service.scheduler import TERMINAL_STATES
     from repro.service.server import ServiceApp
     from repro.service.specs import parse_campaign_spec
@@ -1045,46 +1028,42 @@ def _run_supervisor_sigkill_class(
     app.start()
     proc = None
     try:
-        with cache_dir_override(classdir / "cache"):
-            job = coordinator.submit(parse_campaign_spec(spec))
-            env = dict(os.environ)
-            env[CACHE_DIR_ENV] = str(classdir / "fleet-cache")
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "fabric", "supervise",
-                    "--db", str(store_path), "--url", app.url,
-                    "--store", str(store_path),
-                    "--min-workers", "1", "--max-workers", "2",
-                    "--interval", "0.1", "--ttl", "10.0",
-                    "--poll", "0.05",
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
+        job = coordinator.submit(parse_campaign_spec(spec))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "fabric", "supervise",
+                "--db", str(store_path), "--url", app.url,
+                "--store", str(store_path),
+                "--min-workers", "1", "--max-workers", "2",
+                "--interval", "0.1", "--ttl", "10.0",
+                "--poll", "0.05",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        # Kill the supervisor the moment its spawned worker holds
+        # the lease: fleet alive, campaign in flight, supervisor
+        # gone without cleanup.
+        leased = False
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            if coordinator.fabric_status()["leases"]:
+                leased = True
+                break
+            default_sleep(0.02)
+        if not leased:
+            outcome.violations.append(
+                "supervised worker never leased the task"
             )
-            # Kill the supervisor the moment its spawned worker holds
-            # the lease: fleet alive, campaign in flight, supervisor
-            # gone without cleanup.
-            leased = False
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                if coordinator.fabric_status()["leases"]:
-                    leased = True
-                    break
-                default_sleep(0.02)
-            if not leased:
-                outcome.violations.append(
-                    "supervised worker never leased the task"
-                )
-                return
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30.0)
-            outcome.fires = 1
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                if coordinator.job(job.id).state in TERMINAL_STATES:
-                    break
-                default_sleep(0.05)
+            return
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30.0)
+        outcome.fires = 1
+        deadline = time.monotonic() + 300.0
+        while time.monotonic() < deadline:
+            if coordinator.job(job.id).state in TERMINAL_STATES:
+                break
+            default_sleep(0.05)
         # A replacement supervisor adopts the orphaned fleet from the
         # registry alone (its handles dict starts empty) and retires it.
         with WorkQueue(str(store_path)) as queue:
@@ -1168,7 +1147,7 @@ def run_chaos(
     resolved = fault_matrix(matrix, seed=seed)
     joblist = _chaos_jobs(duration_s, trials)
     say(f"chaos: baseline campaign ({len(joblist)} jobs)...")
-    baseline = _baseline(joblist, workdir)
+    baseline = _baseline(joblist)
     report = ChaosReport(
         matrix=matrix, seed=seed, baseline_trials=len(baseline)
     )
@@ -1241,7 +1220,7 @@ def run_chaos(
         reset_breakers()
         try:
             kind_jobs = joblist_fn(duration_s, trials)
-            kind_baseline = _baseline(kind_jobs, workdir / f"{kind}-baseline")
+            kind_baseline = _baseline(kind_jobs)
             _run_faulted(fault, plan, kind_jobs, classdir, jobs, outcome)
             sideline_keys = _sideline_keys(
                 Path(f"{classdir / 'store.db'}.sideline.jsonl")

@@ -1,55 +1,36 @@
-"""Caching of sampled point clouds.
+"""In-memory caching of sampled point clouds.
 
 A full paper-scale sweep re-runs the same (stack, CCA, network, seed)
 simulation many times — most obviously the kernel-vs-kernel reference
-runs shared by every conformance measurement.  The cache stores the
-*sampled PE points* (the only thing downstream analysis needs) in memory
-and optionally on disk as ``.npy`` files.
+runs shared by every conformance measurement.  The cache keeps the
+*sampled PE points* (the only thing downstream analysis needs) in a
+bounded in-memory LRU, so full-matrix campaigns cannot grow memory
+without bound; hit/miss/eviction counters feed the executor's telemetry.
 
-Disk caching is keyed by a content hash of every parameter that affects
-the result plus a schema-version salt; bump :data:`CACHE_SCHEMA_VERSION`
-whenever simulator or sampling semantics change.
-
-The cache is safe to share between the worker processes of
-``repro.exec``: disk writes go through a per-process unique temp file
-followed by an atomic ``os.replace``, so concurrent writers of the same
-key cannot clobber each other mid-write.  The in-memory tier is bounded
-by an LRU entry cap so full-matrix campaigns cannot grow memory without
-bound; hit/miss/eviction counters feed the executor's telemetry.
+Keys are a content hash of every parameter that affects the result plus
+a schema-version salt; bump :data:`CACHE_SCHEMA_VERSION` whenever
+simulator or sampling semantics change.  The same keys are the results
+warehouse's trial identities, so reuse across processes and runs is
+:class:`repro.store.StoreCache`'s job: the warehouse sits under this
+memory tier as the one persistent tier.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.faults import inject
-
-#: Bump to invalidate disk caches after behavioural changes.
+#: Bump to invalidate stored trials after behavioural changes.
 CACHE_SCHEMA_VERSION = 6
 
-#: Environment variable overriding the disk-cache directory.
-CACHE_DIR_ENV = "QUICBENCH_CACHE_DIR"
-
-#: Environment variable overriding the in-memory LRU entry cap.
-CACHE_MAX_ENTRIES_ENV = "QUICBENCH_CACHE_MAX_ENTRIES"
-
-#: Default in-memory entry cap: a full 22-impl x 16-condition campaign at
-#: the paper protocol is ~2k distinct trials, so 4096 keeps every working
-#: set of interest while bounding degenerate sweeps.
+#: Default entry cap: a full 22-impl x 16-condition campaign at the paper
+#: protocol is ~2k distinct trials, so 4096 keeps every working set of
+#: interest while bounding degenerate sweeps.
 DEFAULT_MAX_ENTRIES = 4096
-
-#: Monotonic per-process counter making temp-file names unique even when
-#: one process writes the same key twice (e.g. retry after a crash).
-_TMP_COUNTER = itertools.count()
 
 
 def cache_key(**params) -> str:
@@ -62,135 +43,40 @@ def cache_key(**params) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
-@contextmanager
-def cache_dir_override(directory: Union[str, Path]):
-    """Temporarily pin :data:`CACHE_DIR_ENV` to ``directory``.
-
-    The hermeticity seam for chaos runs and tests: campaigns inside the
-    block cache under ``directory`` regardless of the user's
-    environment, and the previous value is restored on exit.
-    """
-    before = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(directory)
-    try:
-        yield
-    finally:
-        if before is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = before
-
-
-def _tmp_path(path: Path) -> Path:
-    """A collision-free sibling temp name for an atomic write of ``path``.
-
-    The name embeds the PID and a per-process counter: two worker
-    processes (or two attempts in one process) computing the same key
-    write distinct temp files before the atomic ``os.replace``.
-    """
-    return path.with_name(f"{path.stem}.{os.getpid()}-{next(_TMP_COUNTER)}.tmp.npy")
-
-
 class ResultCache:
-    """Two-level (memory, disk) cache of numpy arrays.
+    """Bounded in-memory LRU of numpy arrays."""
 
-    The memory tier is a bounded LRU (``max_entries``); the disk tier is
-    unbounded and shared between processes.  ``QUICBENCH_CACHE_DIR`` is
-    resolved *lazily* at lookup time, so setting the environment variable
-    after ``import repro`` takes effect on the process-wide default cache.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[Union[str, Path]] = None,
-        enabled: bool = True,
-        max_entries: Optional[int] = None,
-    ):
-        self.enabled = enabled
-        self._explicit_directory = Path(directory) if directory is not None else None
-        if max_entries is None:
-            max_entries = int(
-                os.environ.get(CACHE_MAX_ENTRIES_ENV, DEFAULT_MAX_ENTRIES)
-            )
-        #: LRU entry cap for the memory tier; ``0`` or negative = unbounded.
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+        #: LRU entry cap; ``0`` or negative = unbounded.
         self.max_entries = max_entries
         self._memory: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Disk-tier I/O failures absorbed (cache degrades to memory-only).
-        self.disk_errors = 0
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """Disk-cache directory; env var resolved at access time."""
-        if self._explicit_directory is not None:
-            return self._explicit_directory
-        env_dir = os.environ.get(CACHE_DIR_ENV)
-        return Path(env_dir) if env_dir else None
-
-    @directory.setter
-    def directory(self, value: Optional[Union[str, Path]]) -> None:
-        self._explicit_directory = Path(value) if value is not None else None
 
     def get(self, key: str) -> Optional[np.ndarray]:
-        """Look ``key`` up in memory then disk; counts one hit or miss."""
-        if not self.enabled:
+        """Look ``key`` up; counts one hit or miss."""
+        value = self._memory.get(key)
+        if value is None:
+            self.misses += 1
             return None
-        if key in self._memory:
-            self._memory.move_to_end(key)
-            self.hits += 1
-            return self._memory[key]
-        path = self._path(key)
-        if path is not None and path.exists():
-            try:
-                inject.fault_point("cache.load", key=key)
-                value = np.load(path)
-            except (OSError, ValueError):
-                self.disk_errors += 1
-                try:
-                    path.unlink(missing_ok=True)
-                except OSError:
-                    pass  # unreadable *and* undeletable: recompute anyway
-            else:
-                self._remember(key, value)
-                self.hits += 1
-                return value
-        self.misses += 1
-        return None
+        self._memory.move_to_end(key)
+        self.hits += 1
+        return value
 
     def put(self, key: str, value: np.ndarray) -> np.ndarray:
-        """Insert a computed value into both tiers (atomic disk write)."""
+        """Insert a computed value."""
         value = np.asarray(value)
-        if not self.enabled:
-            return value
         self._remember(key, value)
-        path = self._path(key)
-        if path is not None and not path.exists():
-            # Disk-tier writes are best-effort: a full or failing disk
-            # costs future cross-process reuse, never the computed value.
-            try:
-                inject.fault_point("cache.write", key=key)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = _tmp_path(path)
-                try:
-                    np.save(tmp, value)
-                    os.replace(tmp, path)
-                finally:
-                    tmp.unlink(missing_ok=True)
-            except OSError:
-                self.disk_errors += 1
         return value
 
     def get_or_compute(
         self, key: str, compute: Callable[[], np.ndarray]
     ) -> np.ndarray:
-        if not self.enabled:
-            return compute()
         value = self.get(key)
         if value is not None:
             return value
-        return self.put(key, np.asarray(compute()))
+        return self.put(key, compute())
 
     def _remember(self, key: str, value: np.ndarray) -> None:
         self._memory[key] = value
@@ -200,25 +86,15 @@ class ResultCache:
                 self._memory.popitem(last=False)
                 self.evictions += 1
 
-    def _path(self, key: str) -> Optional[Path]:
-        directory = self.directory
-        if directory is None:
-            return None
-        return directory / f"{key}.npy"
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
     def counters(self) -> dict:
         """Snapshot of the cache counters (for run telemetry)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "disk_errors": self.disk_errors,
             "entries": len(self._memory),
         }
 
 
-#: Process-wide default cache (memory-only unless QUICBENCH_CACHE_DIR set).
+#: Process-wide default cache.
 DEFAULT_CACHE = ResultCache()

@@ -87,12 +87,9 @@ class LintConfig:
         }
     )
 
-    #: Files allowed to read ``os.environ`` (the config/cache seams);
-    #: everywhere else an environment read is hidden global state.
-    environ_allowed_files: Tuple[str, ...] = (
-        "harness/config.py",
-        "harness/cache.py",
-    )
+    #: Files allowed to read ``os.environ`` (the config seam); everywhere
+    #: else an environment read is hidden global state.
+    environ_allowed_files: Tuple[str, ...] = ("harness/config.py",)
 
     #: Documentation corpus for the CLI doc-coverage contract rule.
     doc_files: Tuple[str, ...] = ("README.md",)

@@ -11,11 +11,12 @@ package provides:
   telemetry journal, behind a schema-versioned migration ladder
   (``repro.store.schema``).
 * :class:`StoreCache` (``repro.store.cache``) — a drop-in
-  :class:`~repro.harness.cache.ResultCache` whose third tier is the
-  warehouse, so campaigns transparently reuse and persist trials.
-* Ingestion (``repro.store.ingest``) — JSONL run manifests, disk cache
-  directories, live harness results, and sideline spill files written
-  while the store was unreachable.
+  :class:`~repro.harness.cache.ResultCache` that puts the warehouse
+  under the in-memory LRU as the one persistent tier, so campaigns
+  transparently reuse and persist trials across runs.
+* Ingestion (``repro.store.ingest``) — JSONL run manifests, live
+  harness results, and sideline spill files written while the store was
+  unreachable.
 * Diffing (``repro.store.diff``) — run-vs-run and run-vs-baseline
   comparison flagging metric moves and conformance-verdict flips.
 
@@ -42,7 +43,6 @@ from repro.store.diff import (
 )
 from repro.store.ingest import (
     IngestReport,
-    ingest_cache_dir,
     ingest_manifest,
     ingest_measurements,
     ingest_sideline,
@@ -79,7 +79,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "IngestReport",
     "ingest_manifest",
-    "ingest_cache_dir",
     "ingest_measurements",
     "ingest_sideline",
     "RunDiff",

@@ -1,8 +1,8 @@
-"""A :class:`ResultCache` whose third tier is the warehouse.
+"""A :class:`ResultCache` whose persistent tier is the warehouse.
 
-``StoreCache`` extends the harness's two-level (memory, disk) cache with
-read-through/write-through access to a :class:`ResultStore`: a campaign
-run with ``--store`` both *reuses* every trial any previous run already
+``StoreCache`` puts read-through/write-through access to a
+:class:`ResultStore` under the harness's in-memory LRU: a campaign run
+with ``--store`` both *reuses* every trial any previous run already
 computed and *persists* every trial it computes, without any harness
 code changing — the cache keys are the warehouse's content-addressed
 trial identities already.
@@ -28,18 +28,10 @@ from repro.store.warehouse import ResultStore, StoreError
 
 
 class StoreCache(ResultCache):
-    """Three-tier cache: memory LRU -> disk .npy -> results warehouse."""
+    """Two-tier cache: memory LRU -> results warehouse."""
 
-    def __init__(
-        self,
-        store: Union[ResultStore, str, Path],
-        directory: Optional[Union[str, Path]] = None,
-        enabled: bool = True,
-        max_entries: Optional[int] = None,
-    ):
-        super().__init__(
-            directory=directory, enabled=enabled, max_entries=max_entries
-        )
+    def __init__(self, store: Union[ResultStore, str, Path]):
+        super().__init__()
         if isinstance(store, (str, Path)):
             from repro.store.sharded import open_store
 
@@ -55,19 +47,19 @@ class StoreCache(ResultCache):
         self.store_hits = 0
         self.store_puts = 0
         #: Store operations that failed and were absorbed: the campaign
-        #: degrades to the memory/disk tiers instead of dying mid-run.
+        #: degrades to the memory tier instead of dying mid-run.
         self.store_errors = 0
 
     def _degrade(self, op: str, exc: BaseException) -> None:
         self.store_errors += 1
         warnings.warn(
-            f"repro.store: warehouse {op} failed, degrading to "
-            f"memory/disk cache tiers ({type(exc).__name__}: {exc})"
+            f"repro.store: warehouse {op} failed, degrading to the "
+            f"memory cache tier ({type(exc).__name__}: {exc})"
         )
 
     def get(self, key: str) -> Optional[np.ndarray]:
         value = super().get(key)
-        if value is not None or not self.enabled:
+        if value is not None:
             return value
         try:
             stored = self.store.get_trial(key)
@@ -76,7 +68,7 @@ class StoreCache(ResultCache):
             return None
         if stored is None:
             return None
-        # Promote into the faster tiers and convert the miss that
+        # Promote into the memory tier and convert the miss that
         # ``super().get`` counted into a hit: the campaign did not have
         # to simulate anything.
         self._remember(key, stored)
@@ -87,12 +79,11 @@ class StoreCache(ResultCache):
 
     def put(self, key: str, value: np.ndarray) -> np.ndarray:
         value = super().put(key, value)
-        if self.enabled:
-            try:
-                if self.store.put_trial(key, value):
-                    self.store_puts += 1
-            except (StoreError, sqlite3.Error, OSError) as exc:
-                self._degrade("write", exc)
+        try:
+            if self.store.put_trial(key, value):
+                self.store_puts += 1
+        except (StoreError, sqlite3.Error, OSError) as exc:
+            self._degrade("write", exc)
         return value
 
     def counters(self) -> dict:

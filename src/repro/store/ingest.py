@@ -1,6 +1,6 @@
 """Ingestion paths into the warehouse.
 
-Four sources cover everything the repo produces today:
+Three sources cover everything the repo produces today:
 
 * :func:`ingest_manifest` — the append-only JSONL run manifests that
   ``repro.exec`` writes (PR 1).  Each ``campaign_start``/``job``/
@@ -8,10 +8,6 @@ Four sources cover everything the repo produces today:
   under one store run per campaign occurrence.  Truncated final lines
   (a crashed campaign) are skipped, not fatal — the readable prefix is
   ingested.
-* :func:`ingest_cache_dir` — a ``QUICBENCH_CACHE_DIR``-style directory
-  of content-addressed ``.npy`` payloads; each file becomes a ``trials``
-  row under its cache key, deduped against whatever the store already
-  holds.
 * :func:`ingest_measurements` — live harness results
   (:class:`~repro.harness.conformance.ConformanceMeasurement` objects or
   a :class:`~repro.harness.matrix.MatrixResult`), recorded at full
@@ -121,29 +117,6 @@ def ingest_manifest(
     return report
 
 
-def ingest_cache_dir(
-    store: ResultStore,
-    directory: Union[str, Path],
-    run: Optional[RunRef] = None,
-) -> IngestReport:
-    """Load every ``<key>.npy`` payload of a disk cache into ``trials``."""
-    directory = Path(directory)
-    report = IngestReport()
-    for path in sorted(directory.glob("*.npy")):
-        if ".tmp" in path.name:  # in-flight atomic-write leftovers
-            continue
-        try:
-            value = np.load(path)
-        except (OSError, ValueError):
-            report.skipped_lines += 1
-            continue
-        if store.put_trial(path.stem, value, run=run):
-            report.trials += 1
-        else:
-            report.trials_deduped += 1
-    return report
-
-
 def ingest_sideline(
     store: ResultStore,
     path: Union[str, Path],
@@ -222,7 +195,6 @@ def ingest_measurements(
 __all__ = [
     "IngestReport",
     "ingest_manifest",
-    "ingest_cache_dir",
     "ingest_measurements",
     "ingest_sideline",
 ]

@@ -50,7 +50,7 @@ def pytest_sessionfinish(session, exitstatus):
 @pytest.fixture
 def fresh_cache():
     """Memory-only cache isolated to one test."""
-    return ResultCache(directory=None, enabled=True)
+    return ResultCache()
 
 
 @pytest.fixture

@@ -160,9 +160,6 @@ class TestCampaign:
             assert 0.0 <= value <= 1.0
 
     def test_resubmission_is_fully_cache_served(self, tmp_path, monkeypatch):
-        from repro.harness.cache import CACHE_DIR_ENV
-
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
         # Unique protocol so no earlier test pre-warmed these keys.
         payload = peer_payload(duration_s=4.5, run="peer-cached")
         spec = parse_campaign_spec(payload)
@@ -186,7 +183,7 @@ class TestCampaign:
 
         summaries = []
         for jobs in (1, 3):
-            cache = ResultCache(directory=tmp_path / f"cache-{jobs}")
+            cache = ResultCache()
             with ResultStore(str(tmp_path / f"store-{jobs}.db")) as store:
                 executor = Executor(jobs=jobs, cache=cache)
                 try:
@@ -198,18 +195,18 @@ class TestCampaign:
 
 
 class TestEvaluateAndRecord:
-    def test_evaluate_peer_group_serial_matches_executor_path(self, tmp_path):
+    def test_evaluate_peer_group_serial_matches_executor_path(self):
         condition = scenarios.shallow_buffer()
         config = ExperimentConfig(duration_s=4.0, trials=2)
         serial = evaluate_peer_group(
             ["bbr3", "gcc"],
             condition,
             config,
-            cache=ResultCache(directory=tmp_path / "serial"),
+            cache=ResultCache(),
         )
         from repro.exec import Executor
 
-        executor = Executor(jobs=1, cache=ResultCache(directory=tmp_path / "ex"))
+        executor = Executor(jobs=1, cache=ResultCache())
         try:
             pooled = evaluate_peer_group(
                 ["bbr3", "gcc"], condition, config, executor=executor
@@ -220,10 +217,10 @@ class TestEvaluateAndRecord:
         assert np.array_equal(serial.labels, pooled.labels)
         assert serial.summary() == pooled.summary()
 
-    def test_compute_peer_trial_caches(self, tmp_path):
+    def test_compute_peer_trial_caches(self):
         condition = scenarios.shallow_buffer()
         config = ExperimentConfig(duration_s=4.0, trials=1)
-        cache = ResultCache(directory=tmp_path / "cache")
+        cache = ResultCache()
         first = compute_peer_trial(
             "linux", "gcc", condition, config, 0, cache=cache
         )
@@ -241,7 +238,7 @@ class TestEvaluateAndRecord:
             ["bbr3", "gcc"],
             condition,
             config,
-            cache=ResultCache(directory=tmp_path / "cache"),
+            cache=ResultCache(),
         )
         with ResultStore(str(tmp_path / "store.db")) as store:
             run = store.ensure_run("rec")

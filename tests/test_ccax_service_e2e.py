@@ -11,7 +11,6 @@ import urllib.request
 
 import pytest
 
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service import ServiceApp, ServiceClient
 
 #: A deliberately lazy NewReno variant: same machinery, half the
@@ -54,10 +53,6 @@ def service(tmp_path_factory):
     root = tmp_path_factory.mktemp("ccax-service")
     module_path = root / "lazy_cca.py"
     module_path.write_text(EXTERNAL_MODULE)
-    import os
-
-    before = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(root / "cache")
     app = ServiceApp(str(root / "store.db"), workers=1, max_pending=16)
     app.start()
     client = ServiceClient(app.url, timeout_s=30.0)
@@ -65,10 +60,6 @@ def service(tmp_path_factory):
         yield app, client, module_path
     finally:
         app.stop(drain=False)
-        if before is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = before
         from repro.ccax import registry
 
         registry.unregister("lazyreno")

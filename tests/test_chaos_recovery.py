@@ -23,7 +23,6 @@ import pytest
 from repro.exec import Executor, Job
 from repro.faults.breaker import reset_breakers
 from repro.faults.retry import RetryPolicy
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service.client import ServiceClient
 from repro.store import ResultStore, StoreCache, ingest_manifest
 
@@ -76,7 +75,7 @@ class TestWorkerSigkill:
         # retries.  Results flow into a warehouse via the store sink.
         faulted_db = tmp_path / "faulted.db"
         with ResultStore(faulted_db) as store:
-            cache = StoreCache(store, directory=tmp_path / "faulted-cache")
+            cache = StoreCache(store)
             with Executor(
                 jobs=2,
                 cache=cache,
@@ -96,7 +95,7 @@ class TestWorkerSigkill:
         # Uninterrupted run into a fresh warehouse.
         clean_db = tmp_path / "clean.db"
         with ResultStore(clean_db) as store:
-            cache = StoreCache(store, directory=tmp_path / "clean-cache")
+            cache = StoreCache(store)
             with Executor(jobs=1, cache=cache, store=store,
                           store_run="recovery") as executor:
                 clean_values = executor.run(
@@ -116,10 +115,7 @@ class TestWorkerSigkill:
         marker = tmp_path / "kill-once"
         with Executor(
             jobs=2,
-            cache=StoreCache(
-                ResultStore(tmp_path / "s.db"),
-                directory=tmp_path / "cache",
-            ),
+            cache=StoreCache(ResultStore(tmp_path / "s.db")),
             retry=RetryPolicy(max_attempts=3, backoff_s=0.01),
             manifest_path=tmp_path / "manifest.jsonl",
         ) as executor:
@@ -149,12 +145,11 @@ SPEC = {
 }
 
 
-def _boot_serve(db: Path, cache_dir: Path):
+def _boot_serve(db: Path):
     env = dict(
         os.environ,
         PYTHONPATH=str(ROOT / "src"),
         PYTHONUNBUFFERED="1",
-        **{CACHE_DIR_ENV: str(cache_dir)},
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--db", str(db),
@@ -201,7 +196,7 @@ class TestServiceSigkill:
         # Clean reference: the same campaign run to completion without
         # interruption, in its own warehouse.
         clean_db = tmp_path / "clean.db"
-        proc, url = _boot_serve(clean_db, tmp_path / "clean-cache")
+        proc, url = _boot_serve(clean_db)
         try:
             client = ServiceClient(url)
             accepted = client.submit(SPEC)
@@ -216,7 +211,7 @@ class TestServiceSigkill:
         # Interrupted run: SIGKILL the whole service while the campaign
         # is running — no drain, no journal flush, nothing graceful.
         db = tmp_path / "killed.db"
-        proc, url = _boot_serve(db, tmp_path / "killed-cache")
+        proc, url = _boot_serve(db)
         killed_mid_flight = False
         try:
             client = ServiceClient(url)
@@ -243,7 +238,7 @@ class TestServiceSigkill:
 
         # Restart on the same warehouse: resume_pending re-queues the
         # journaled campaign and runs it to completion.
-        proc, url = _boot_serve(db, tmp_path / "killed-cache")
+        proc, url = _boot_serve(db)
         try:
             client = ServiceClient(url)
             final = _wait_done(client, accepted["id"], timeout_s=300.0)

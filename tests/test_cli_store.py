@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.store import ResultStore
 
 CAMPAIGN = [
@@ -23,9 +22,7 @@ def db(tmp_path_factory):
     """One tiny campaign, shared read-only by every test in the module."""
     root = tmp_path_factory.mktemp("cli-store")
     path = str(root / "store.db")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(CACHE_DIR_ENV, str(root / "cache"))
-        assert main(CAMPAIGN + ["--store", path]) == 0
+    assert main(CAMPAIGN + ["--store", path]) == 0
     return path
 
 
@@ -117,20 +114,18 @@ def test_store_render_writes_svg(db, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_store_ingest_manifest_roundtrip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+def test_store_ingest_manifest_roundtrip(tmp_path, capsys):
     manifest = tmp_path / "run.jsonl"
     db = str(tmp_path / "fresh.db")
     assert main(CAMPAIGN + ["--manifest", str(manifest)]) == 0
     assert main(
         ["store", "ingest", "--db", db,
-         "--manifest", str(manifest), "--cache-dir", str(tmp_path / "cache"),
-         "--run", "imported"]
+         "--manifest", str(manifest), "--run", "imported"]
     ) == 0
     out = capsys.readouterr().out
     assert "ingested:" in out
     with ResultStore(db) as store:
-        assert store.counts()["trials"] > 0
+        assert store.counts()["events"] > 0
         assert any(r.name.startswith("imported:") for r in store.runs())
 
 

@@ -19,6 +19,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.conformance import gather_trials
 from repro.harness.runner import Impl, sampled_points, trial_identity
+from repro.store import ResultStore, StoreCache
 
 QUICK = ExperimentConfig(duration_s=3.0, trials=2)
 COND = NetworkCondition(bandwidth_mbps=20, rtt_ms=10, buffer_bdp=1)
@@ -153,6 +154,31 @@ class TestPoolExecutor:
         assert len(serial) == len(parallel) == QUICK.trials
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b), "parallel must be bit-identical"
+
+    def test_pool_campaign_reuses_only_through_the_warehouse(
+        self, tmp_path, monkeypatch
+    ):
+        # The retired disk-cache variable is inert: nothing lands in it,
+        # and a later campaign reuses trials through the warehouse alone.
+        legacy = tmp_path / "legacy-cache"
+        legacy.mkdir()
+        monkeypatch.setenv("QUICBENCH_CACHE_DIR", str(legacy))
+        joblist = pair_trial_jobs(
+            Impl("quicgo", "reno"), Impl("linux", "reno"), COND, QUICK
+        )
+        with ResultStore(tmp_path / "warehouse.db") as store:
+            with Executor(jobs=2, cache=StoreCache(store)) as ex:
+                first = ex.run(joblist)
+            assert ex.last_mode.startswith("pool-spawn")
+            assert all(r.status == "ok" for r in ex.last_records)
+            assert list(legacy.iterdir()) == []
+            assert set(store.trial_keys()) == {job.key for job in joblist}
+
+            with Executor(jobs=2, cache=StoreCache(store)) as again_ex:
+                again = again_ex.run(joblist)
+        assert all(r.status == "cached" for r in again_ex.last_records)
+        for a, b in zip(first, again):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_worker_crash_retried_to_completion(self, tmp_path):
         counter = tmp_path / "crashes"

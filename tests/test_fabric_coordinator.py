@@ -14,7 +14,6 @@ import pytest
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.queue import QuotaExceeded, WorkQueue
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service.scheduler import DONE, TERMINAL_STATES, Scheduler
 from repro.service.specs import parse_campaign_spec
 from repro.store import ResultStore
@@ -27,11 +26,6 @@ TINY = {
     "trials": 2,
     "run": "fabric-test",
 }
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
 
 
 def snapshots(path):

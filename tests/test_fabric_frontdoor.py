@@ -10,7 +10,6 @@ reconnects, malformed requests and connection reuse.
 
 import http.client
 import json
-import os
 import socket
 import threading
 import time
@@ -20,7 +19,6 @@ import pytest
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.worker import FabricWorker, LocalTransport
 from repro.faults.retry import RetryPolicy
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service import ServiceApp, ServiceClient, ServiceError
 
 TINY = {
@@ -47,8 +45,6 @@ class _ResidentTransport(LocalTransport):
 def fabric(tmp_path_factory):
     """ServiceApp over a coordinator, one local worker draining the queue."""
     root = tmp_path_factory.mktemp("fabric")
-    before = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(root / "cache")
     coordinator = Coordinator(str(root / "store.db"), lease_ttl_s=5.0)
     coordinator.ensure_tenant("teamA", weight=2)
     app = ServiceApp(coordinator.store_path, scheduler=coordinator)
@@ -68,10 +64,6 @@ def fabric(tmp_path_factory):
         worker.stop()
         thread.join(timeout=10.0)
         app.stop(drain=False)
-        if before is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = before
 
 
 def test_healthz_and_keepalive(fabric):

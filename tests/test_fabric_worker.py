@@ -10,12 +10,10 @@ import threading
 import time
 from types import SimpleNamespace
 
-import pytest
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.queue import WorkQueue
 from repro.fabric.worker import FabricWorker, LocalTransport
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service.client import ServiceError
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.service.specs import parse_campaign_spec
@@ -37,11 +35,6 @@ LEASE = {
     "attempt": 1,
     "expires_at": 0.0,
 }
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
 
 
 class ScriptTransport:

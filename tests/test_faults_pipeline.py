@@ -105,37 +105,14 @@ class TestWarehouseFaults:
 class TestStoreCacheDegradation:
     def test_dead_store_degrades_to_memory_tier(self, tmp_path):
         store = ResultStore(tmp_path / "s.db")
-        cache = StoreCache(store, directory=tmp_path / "cache")
+        cache = StoreCache(store)
         store.close()  # the warehouse goes away mid-campaign
         with pytest.warns(UserWarning, match="degrading"):
             value = cache.get_or_compute("k", lambda: np.ones(4))
         assert np.array_equal(value, np.ones(4))
         assert cache.counters()["store_errors"] >= 1
-        # The faster tiers still serve it.
+        # The memory tier still serves it.
         assert np.array_equal(cache.get("k"), np.ones(4))
-
-
-class TestHarnessCacheFaults:
-    def test_disk_write_failure_absorbed(self, tmp_path):
-        plan = FaultPlan("df", (rule(FAULT_DISK_FULL, "cache.write"),))
-        cache = ResultCache(directory=tmp_path)
-        with active_plan(plan):
-            value = cache.get_or_compute("k", lambda: np.ones(2))
-        assert np.array_equal(value, np.ones(2))
-        assert cache.disk_errors == 1
-        assert not (tmp_path / "k.npy").exists()
-        assert np.array_equal(cache.get("k"), np.ones(2))  # memory tier
-
-    def test_unreadable_disk_entry_recomputed(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put("k", np.ones(2))
-        cache.clear_memory()
-        plan = FaultPlan("dl", (rule(FAULT_DISK_FULL, "cache.load", hits=(1,)),))
-        with active_plan(plan):
-            assert cache.get("k") is None
-        assert cache.disk_errors == 1
-        recomputed = cache.get_or_compute("k", lambda: np.full(2, 7.0))
-        assert np.array_equal(recomputed, np.full(2, 7.0))
 
 
 # ------------------------------------------------------------ store sink
@@ -234,7 +211,7 @@ class TestExecutorFaults:
         assert ex.retries == 6
         assert ex.backoff_s == 0.125
 
-    def test_poison_job_quarantined_in_pool(self, tmp_path):
+    def test_poison_job_quarantined_in_pool(self):
         # Crash the worker on *every* attempt of the poison job: without
         # quarantine this would burn the whole respawn budget.
         plan = FaultPlan(
@@ -242,7 +219,7 @@ class TestExecutorFaults:
         )
         ex = Executor(
             jobs=2,
-            cache=ResultCache(directory=tmp_path / "cache"),
+            cache=ResultCache(),
             retry=RetryPolicy(max_attempts=6, backoff_s=0.01),
             poison_crashes=2,
             fault_plan=plan,
@@ -253,9 +230,7 @@ class TestExecutorFaults:
         assert record.status == STATUS_QUARANTINED
         assert "quarantined after 2 worker crashes" in record.error
 
-    def test_worker_crash_under_quarantine_threshold_still_retries(
-        self, tmp_path
-    ):
+    def test_worker_crash_under_quarantine_threshold_still_retries(self):
         # First-attempt-only crash: the retry succeeds before the poison
         # threshold, proving quarantine never fires on transient crashes.
         plan = FaultPlan(
@@ -264,7 +239,7 @@ class TestExecutorFaults:
         )
         ex = Executor(
             jobs=2,
-            cache=ResultCache(directory=tmp_path / "cache"),
+            cache=ResultCache(),
             retry=RetryPolicy(max_attempts=4, backoff_s=0.01),
             poison_crashes=3,
             fault_plan=plan,

@@ -92,7 +92,7 @@ class TestFaultPlan:
             name="p",
             rules=(
                 rule(FAULT_STORE_LOCKED, "store.execute"),
-                rule(FAULT_DISK_FULL, "cache.write"),
+                rule(FAULT_JOURNAL_TRUNCATE, "exec.manifest.line"),
             ),
         )
         assert len(plan.rules_for("store.execute")) == 1

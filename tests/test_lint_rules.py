@@ -302,12 +302,12 @@ def test_environ_read_flagged_outside_seams(tmp_path):
                     c = os.getenv("QUIC_TUNING")
                     return a, b, c
             """,
-            # The sanctioned seams stay clean.
-            "src/repro/harness/cache.py": """
+            # The sanctioned seam stays clean.
+            "src/repro/harness/config.py": """
                 import os
 
-                def cache_dir():
-                    return os.environ.get("QUICBENCH_CACHE_DIR")
+                def jobs():
+                    return os.environ.get("QUICBENCH_JOBS")
             """,
         },
     )

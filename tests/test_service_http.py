@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.harness.cache import CACHE_DIR_ENV, ResultCache
+from repro.harness.cache import ResultCache
 from repro.harness.matrix import run_matrix
 from repro.service import ServiceApp, ServiceClient, ServiceError
 from repro.service.router import MAX_BODY_BYTES
@@ -35,10 +35,6 @@ E2E_SPEC = {
 def service(tmp_path_factory):
     """One app + client shared by the module (campaigns accumulate)."""
     root = tmp_path_factory.mktemp("service")
-    import os
-
-    before = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(root / "cache")
     app = ServiceApp(str(root / "store.db"), workers=1, max_pending=16)
     app.start()
     client = ServiceClient(app.url, timeout_s=30.0)
@@ -46,10 +42,6 @@ def service(tmp_path_factory):
         yield app, client
     finally:
         app.stop(drain=False)
-        if before is None:
-            os.environ.pop(CACHE_DIR_ENV, None)
-        else:
-            os.environ[CACHE_DIR_ENV] = before
 
 
 def metric_map(rows):
@@ -86,13 +78,12 @@ def test_e2e_metrics_bit_identical_and_second_submission_cached(
     # The same campaign, run directly through the harness with a private
     # cache that has never seen the service's results.
     spec = parse_campaign_spec(E2E_SPEC)
-    direct_dir = tmp_path / "direct-cache"
     with ResultStore(str(tmp_path / "direct.db")) as direct_store:
         run_matrix(
             conditions=spec.resolved_conditions(),
             implementations=spec.implementations(),
             config=spec.experiment_config(),
-            cache=ResultCache(directory=direct_dir),
+            cache=ResultCache(),
             store=direct_store,
             store_run="direct",
         )
@@ -246,8 +237,7 @@ def test_cancel_terminal_campaign_is_409(service):
     assert err.value.status == 409
 
 
-def test_backpressure_429_with_retry_after(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+def test_backpressure_429_with_retry_after(tmp_path):
     # workers=0: nothing drains, so the bounded queue fills immediately.
     app = ServiceApp(
         str(tmp_path / "store.db"), workers=0, max_pending=1, resume=False

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.harness.cache import CACHE_DIR_ENV
 from repro.service import QueueFull, Scheduler, ServiceApp, parse_campaign_spec
 from repro.service.scheduler import (
     CANCELLED,
@@ -31,11 +30,6 @@ TINY = {
     "duration_s": 3,
     "trials": 2,
 }
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
 
 
 def wait_state(scheduler, campaign_id, timeout=120.0):
@@ -70,9 +64,9 @@ def test_campaign_runs_and_journals(tmp_path):
         assert "service_started" in journal
 
 
-def test_second_submission_dedupes_through_the_store(tmp_path, monkeypatch):
-    # No disk cache at all: the only reuse path is the warehouse.
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+def test_second_submission_dedupes_through_the_store(tmp_path):
+    # Each campaign gets a fresh memory cache: the only reuse path is
+    # the warehouse.
     db = str(tmp_path / "store.db")
     scheduler = Scheduler(db, workers=1)
     spec = parse_campaign_spec(TINY)

@@ -117,7 +117,7 @@ class TestRegressionAcceptance:
             implementations=impls,
             condition=COND,
             config=QUICK,
-            cache=ResultCache(directory=None),
+            cache=ResultCache(),
             store=store,
         )
         flips_memory = {(r.stack, r.cca) for r in flipped_verdicts(rows)}
@@ -133,7 +133,7 @@ class TestRegressionAcceptance:
         assert diff.compared == len(impls)
 
     def test_stored_metrics_bit_identical_to_memory(self, store):
-        cache = ResultCache(directory=None)
+        cache = ResultCache()
         run = store.ensure_run("one-off")
         measurement = measure_conformance(
             "quicgo", "reno", COND, QUICK, cache=cache,
@@ -158,7 +158,7 @@ class TestRegressionAcceptance:
             implementations=impls,
             condition=COND,
             config=QUICK,
-            cache=ResultCache(directory=None),
+            cache=ResultCache(),
             store=store,
         )
         rebuilt = regression_matrix_from_store(store, MILESTONES)
@@ -175,7 +175,7 @@ class TestRegressionAcceptance:
         from repro.store import StoreCache
 
         test, ref = Impl("quicgo", "reno"), Impl("linux", "reno")
-        trials = gather_trials(test, ref, COND, QUICK, cache=ResultCache(directory=None))
+        trials = gather_trials(test, ref, COND, QUICK, cache=ResultCache())
         keys = [
             trial_identity(test, ref, COND, QUICK, t)[1]
             for t in range(QUICK.trials)

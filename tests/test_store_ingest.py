@@ -1,5 +1,5 @@
-"""Ingestion paths: JSONL manifests, cache directories, live results,
-and the executor's store sink."""
+"""Ingestion paths: JSONL manifests, live results and the executor's
+store sink."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.exec.telemetry import RunManifest
 from repro.harness.cache import ResultCache
 from repro.store import (
     ResultStore,
-    ingest_cache_dir,
     ingest_manifest,
     ingest_measurements,
 )
@@ -74,30 +73,6 @@ class TestManifestIngest:
         assert store.has_run("nightly:alpha")
 
 
-class TestCacheDirIngest:
-    def test_npy_payloads_become_trials(self, store, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cache = ResultCache(directory=cache_dir)
-        payloads = {f"key{i}": np.arange(4.0) * i for i in range(3)}
-        for key, value in payloads.items():
-            cache.put(key, value)
-        (cache_dir / "junk.npy.tmp123").write_bytes(b"partial")
-        report = ingest_cache_dir(store, cache_dir)
-        assert report.trials == 3 and report.trials_deduped == 0
-        for key, value in payloads.items():
-            assert np.array_equal(store.get_trial(key), value)
-        # Second pass dedupes everything.
-        again = ingest_cache_dir(store, cache_dir)
-        assert again.trials == 0 and again.trials_deduped == 3
-
-    def test_unreadable_file_is_counted_and_skipped(self, store, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "broken.npy").write_bytes(b"not numpy")
-        report = ingest_cache_dir(store, cache_dir)
-        assert report.skipped_lines == 1 and report.trials == 0
-
-
 class TestMeasurementIngest:
     def test_live_measurements_land_under_run(
         self, store, small_condition, fresh_cache
@@ -119,7 +94,7 @@ class TestMeasurementIngest:
 
 class TestExecutorStoreSink:
     def test_campaign_writes_events_and_trials(self, store):
-        ex = Executor(jobs=1, cache=ResultCache(directory=None), store=store)
+        ex = Executor(jobs=1, cache=ResultCache(), store=store)
         jobs = [Job(fn=_double, args=(x,), key=f"k{x}") for x in range(3)]
         ex.run(jobs, campaign="demo")
         ex.close()
@@ -133,7 +108,7 @@ class TestExecutorStoreSink:
 
     def test_store_run_pins_all_campaigns_to_one_run(self, store):
         ex = Executor(
-            jobs=1, cache=ResultCache(directory=None),
+            jobs=1, cache=ResultCache(),
             store=store, store_run="pinned",
         )
         ex.run([Job(fn=_double, args=(1,), key="a")], campaign="one")
@@ -144,7 +119,7 @@ class TestExecutorStoreSink:
 
     def test_executor_owns_store_opened_from_path(self, tmp_path):
         path = tmp_path / "owned.db"
-        with Executor(jobs=1, cache=ResultCache(directory=None), store=path) as ex:
+        with Executor(jobs=1, cache=ResultCache(), store=path) as ex:
             ex.run([Job(fn=_double, args=(3,), key="k")], campaign="c")
         with ResultStore(path) as reopened:
             assert reopened.has_trial("k")

@@ -222,8 +222,8 @@ class TestStoreCache:
         cache.put("k", value)
         assert store.has_trial("k") and cache.store_puts == 1
 
-        # A cold cache on the same store serves the trial from tier 3
-        # and promotes it (second get is a memory hit, not a store hit).
+        # A cold cache on the same store serves the trial from the
+        # warehouse and promotes it (second get is a memory hit, not a store hit).
         cold = StoreCache(store)
         assert np.array_equal(cold.get("k"), value)
         assert cold.get("k") is not None
@@ -237,13 +237,6 @@ class TestStoreCache:
         cache = StoreCache(store)
         assert cache.get("absent") is None
         assert cache.counters()["misses"] == 1
-
-    def test_disabled_cache_bypasses_store(self, store):
-        from repro.store import StoreCache
-
-        cache = StoreCache(store, enabled=False)
-        cache.put("k", np.zeros(2))
-        assert not store.has_trial("k")
 
     def test_owned_store_from_path(self, tmp_path):
         from repro.store import StoreCache

@@ -33,8 +33,8 @@ def store(tmp_path):
         yield s
 
 
-def run_campaign(spec, store, cache_dir):
-    with Executor(jobs=1, cache=StoreCache(store, directory=cache_dir),
+def run_campaign(spec, store):
+    with Executor(jobs=1, cache=StoreCache(store),
                   store=store, store_run=spec.run_name()) as executor:
         return execute_campaign(spec, store, executor)
 
@@ -48,8 +48,8 @@ class TestTrialIdentity:
         assert first != topo_campaign.topo_trial_identity(topo, 4.0, 1, 1)
         assert first != topo_campaign.topo_trial_identity(topo, 5.0, 1, 0)
 
-    def test_compute_is_cached_and_deterministic(self, tmp_path):
-        cache = ResultCache(directory=tmp_path / "c")
+    def test_compute_is_cached_and_deterministic(self):
+        cache = ResultCache()
         doc = dumbbell("cubic").canonical()
         first = topo_campaign.compute_topology_matrix(doc, 3.0, 0, 0,
                                                       cache=cache)
@@ -62,9 +62,9 @@ class TestTrialIdentity:
 
 
 class TestCampaignThroughStore:
-    def test_metrics_land_and_are_queryable(self, store, tmp_path):
+    def test_metrics_land_and_are_queryable(self, store):
         spec = parse_campaign_spec(payload())
-        result = run_campaign(spec, store, tmp_path / "cache")
+        result = run_campaign(spec, store)
         assert result["runs"] == ["topo-camp"]
         n_flows = sum(len(t["flows"]) for t in result["topologies"])
         assert result["cells"] == n_flows > 0
@@ -87,12 +87,12 @@ class TestCampaignThroughStore:
         utils = store.query(run="topo-camp", metric="utilization")
         assert all(0.0 < r.value <= 1.05 for r in utils)
 
-    def test_identical_resubmission_is_fully_cached(self, store, tmp_path):
+    def test_identical_resubmission_is_fully_cached(self, store):
         spec = parse_campaign_spec(payload())
-        first = run_campaign(spec, store, tmp_path / "c1")
+        first = run_campaign(spec, store)
         trials_before = store.counts()["trials"]
 
-        cache = StoreCache(store, directory=tmp_path / "c2")
+        cache = StoreCache(store)
         with Executor(jobs=1, cache=cache, store=store,
                       store_run=spec.run_name()) as executor:
             second = execute_campaign(spec, store, executor)
@@ -101,33 +101,28 @@ class TestCampaignThroughStore:
         assert store.counts()["trials"] == trials_before
         assert statuses and all(s == "cached" for s in statuses)
 
-    def test_serial_path_equals_executor_path(self, store, tmp_path,
-                                              monkeypatch):
-        from repro.harness.cache import CACHE_DIR_ENV
-
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "serial-cache"))
+    def test_serial_path_equals_executor_path(self, store):
         spec = parse_campaign_spec(payload())
         direct = execute_campaign(spec, None, None)
-        via_store = run_campaign(spec, store, tmp_path / "exec-cache")
+        via_store = run_campaign(spec, store)
         assert direct["topologies"] == via_store["topologies"]
 
     def test_parallel_jobs_bit_identical(self, store, tmp_path):
         spec = parse_campaign_spec(payload())
-        serial = run_campaign(spec, store, tmp_path / "c1")
+        serial = run_campaign(spec, store)
         with ResultStore(str(tmp_path / "other.db")) as other:
-            with Executor(jobs=2, cache=StoreCache(
-                    other, directory=tmp_path / "c3"),
-                    store=other, store_run=spec.run_name()) as executor:
+            with Executor(jobs=2, cache=StoreCache(other),
+                          store=other, store_run=spec.run_name()) as executor:
                 parallel = execute_campaign(spec, other, executor)
         assert serial["topologies"] == parallel["topologies"]
 
 
 class TestFairnessPanel:
-    def test_matrix_and_figure(self, store, tmp_path):
+    def test_matrix_and_figure(self, store):
         from repro.viz import fairness_panel_figure, stored_fairness_matrix
 
         spec = parse_campaign_spec(payload())
-        run_campaign(spec, store, tmp_path / "cache")
+        run_campaign(spec, store)
         rows, cols, values = stored_fairness_matrix(store, "topo-camp")
         assert cols == ["chain-cubic", "dumbbell-cubic"]
         assert values.shape == (len(rows), 2)
@@ -148,12 +143,9 @@ class TestFairnessPanel:
 
 
 class TestServiceRoundTrip:
-    def test_http_submission_and_cached_resubmission(self, tmp_path,
-                                                     monkeypatch):
-        from repro.harness.cache import CACHE_DIR_ENV
+    def test_http_submission_and_cached_resubmission(self, tmp_path):
         from repro.service import ServiceApp, ServiceClient
 
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "svc-cache"))
         app = ServiceApp(str(tmp_path / "svc.db"), workers=1)
         app.start()
         try:
