@@ -12,11 +12,12 @@ install:
 test:
 	pytest tests/
 
-# Determinism/concurrency/contract static analysis (the CI gate):
-# per-file rule packs plus the whole-program pass (lock-order cycles,
-# held-lock blocking chains, determinism taint).  Warm runs replay
-# per-file summaries from .lint-cache.json and finish in well under a
-# second; `repro lint --no-cache` forces a cold run.
+# Determinism/concurrency/contract static analysis (the CI gate): one
+# serial pass of per-file rule packs plus the whole-program rules
+# (lock-order cycles, held-lock blocking, determinism taint).  Only
+# justified inline suppressions waive a finding; --stats counts them.
+# Warm runs replay per-file summaries from .lint-cache.json and finish
+# in well under a second; `repro lint --no-cache` forces a cold run.
 lint:
 	PYTHONPATH=src python -m repro lint --stats
 

@@ -1,6 +1,6 @@
 """CLI plumbing for ``repro lint`` (registered from :mod:`repro.cli`).
 
-Exit codes: 0 when every finding is suppressed or baselined, 1 when new
+Exit codes: 0 when every finding is suppressed inline, 1 when active
 findings exist, 2 on usage errors — so ``repro lint`` drops straight
 into CI as a gate.
 """
@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, find_repo_root
 from repro.lint.engine import LintReport, lint_paths
 from repro.lint.findings import FORMATS, render_findings
@@ -42,19 +41,9 @@ def add_lint_parser(sub) -> None:
         help="repository root (default: auto-detected from cwd)",
     )
     p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: <root>/lint-baseline.json)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    p.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule finding/suppression/baseline counts",
+        help="print per-rule active/suppressed finding counts",
     )
     p.add_argument(
         "--list-rules",
@@ -65,14 +54,6 @@ def add_lint_parser(sub) -> None:
         "--rules",
         default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel analysis workers (default: os.cpu_count(); "
-        "output is bit-identical at any jobs count)",
     )
     p.add_argument(
         "--no-cache",
@@ -92,16 +73,13 @@ def add_lint_parser(sub) -> None:
 def _stats_table(report: LintReport) -> str:
     from repro.harness import reporting
 
+    stats = report.stats()
     rows = []
-    for rule in sorted(set(report.rules_run) | set(report.stats())):
-        row = report.stats().get(
-            rule, {"active": 0, "suppressed": 0, "baselined": 0}
-        )
-        rows.append(
-            [rule, row["active"], row["suppressed"], row["baselined"]]
-        )
+    for rule in sorted(set(report.rules_run) | set(stats)):
+        row = stats.get(rule, {"active": 0, "suppressed": 0})
+        rows.append([rule, row["active"], row["suppressed"]])
     return reporting.format_table(
-        ["rule", "active", "suppressed", "baselined"],
+        ["rule", "active", "suppressed"],
         rows,
         title=f"lint stats over {report.files} files",
     )
@@ -129,9 +107,6 @@ def cmd_lint(args) -> int:
         )
         return 2
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else config.baseline_path()
-    )
     paths = [Path(p) for p in args.paths] if args.paths else None
 
     if args.dump_graph:
@@ -145,24 +120,8 @@ def cmd_lint(args) -> int:
         return 0
 
     report = lint_paths(
-        paths=paths,
-        config=config,
-        baseline=Baseline.load(baseline_path),
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
+        paths=paths, config=config, use_cache=not args.no_cache
     )
-
-    if args.write_baseline:
-        # Grandfather everything currently active (plus what the old
-        # baseline already held and still occurs).
-        Baseline.from_findings(report.findings + report.baselined).save(
-            baseline_path
-        )
-        print(
-            f"wrote {len(report.findings) + len(report.baselined)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
 
     gated = report.findings + report.parse_errors
     if gated or args.format == "sarif":
@@ -172,15 +131,13 @@ def cmd_lint(args) -> int:
         print(_stats_table(report))
         print(
             f"totals: {len(report.findings)} active, "
-            f"{len(report.suppressed)} suppressed, "
-            f"{len(report.baselined)} baselined"
+            f"{len(report.suppressed)} suppressed"
         )
     if gated:
         if args.format not in ("github", "sarif"):
             print(
-                f"\nlint: {len(gated)} finding(s); suppress with "
-                "'# lint: disable=RULE -- why' or grandfather via "
-                "'repro lint --write-baseline'",
+                f"\nlint: {len(gated)} finding(s); fix them or suppress "
+                "with '# lint: disable=RULE -- why'",
                 file=sys.stderr,
             )
         return 1
@@ -189,8 +146,7 @@ def cmd_lint(args) -> int:
             f"lint: clean ({report.files} files, "
             f"{len(report.rules_run)} rules, "
             f"{report.cache_hits} cached, "
-            f"{len(report.suppressed)} suppressed, "
-            f"{len(report.baselined)} baselined)"
+            f"{len(report.suppressed)} suppressed)"
         )
     return 0
 

@@ -32,7 +32,7 @@ def find_repo_root(start: Optional[Path] = None) -> Path:
 class LintConfig:
     """Scoping and seam declarations for every rule pack."""
 
-    #: Repository root (holds README.md, docs/, lint-baseline.json).
+    #: Repository root (holds README.md, docs/ and the analysis cache).
     root: Path
     #: The package the linter analyses (module paths are relative to it).
     src: Path
@@ -111,9 +111,6 @@ class LintConfig:
         ".put_trials",
     )
 
-    #: Default baseline location (repo-relative).
-    baseline_name: str = "lint-baseline.json"
-
     #: Incremental analysis cache location (repo-relative, gitignored).
     cache_name: str = ".lint-cache.json"
 
@@ -124,9 +121,6 @@ class LintConfig:
     def for_root(cls, root: Path, **overrides) -> "LintConfig":
         root = Path(root).resolve()
         return cls(root=root, src=root / "src" / "repro", **overrides)
-
-    def baseline_path(self) -> Path:
-        return self.root / self.baseline_name
 
     def cache_path(self) -> Path:
         return self.root / self.cache_name

@@ -1,33 +1,30 @@
-"""The lint engine: incremental, parallel, whole-program.
+"""The lint engine: one serial, incremental, whole-program pass.
 
 One :func:`lint_paths` call is one lint run, in three phases:
 
-1. **Per-file analysis** (parallel, cached).  Every target file is
+1. **Per-file analysis** (cached).  Every target file is read once and
    content-hashed; on a cache hit the stored summary/findings/
-   suppressions are replayed with zero parsing.  Misses are parsed,
-   their analysis summary extracted (:mod:`repro.lint.graph`) and every
-   ``scope="file"`` rule run, across ``--jobs`` worker threads.  Results
-   are aggregated in file order regardless of completion order, so the
-   report is bit-identical at any jobs count.
+   suppressions are replayed with zero parsing.  A miss parses that
+   same text, extracts its analysis summary (:mod:`repro.lint.graph`)
+   and runs every ``scope="file"`` rule.  Files are visited in sorted
+   order, so the report is deterministic.
 2. **Whole-program analysis.**  The summaries (cached + fresh) are
    assembled into the :class:`~repro.lint.graph.ProjectGraph`, and every
-   ``scope="project"`` rule — lock-order cycles, transitive
-   blocking-under-lock, determinism taint — runs against it.
-3. **Filtering.**  Raw findings pass through inline suppressions and
-   the checked-in baseline exactly as before; the resulting
-   :class:`LintReport` carries active findings (the CI gate), the
-   suppressed/grandfathered burn-down views, and cache hit counters.
+   ``scope="project"`` rule — lock-order cycles, held-lock blocking,
+   determinism taint — runs against it.
+3. **Suppressions.**  Raw findings pass through the inline
+   ``# lint: disable=RULE -- why`` comments, the only waiver; a
+   suppression that matched nothing becomes a finding itself.  The
+   resulting :class:`LintReport` carries active findings (the CI gate),
+   the suppressed view, and cache hit counters.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline
 from repro.lint.cache import (
     AnalysisCache,
     FileEntry,
@@ -37,11 +34,12 @@ from repro.lint.cache import (
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.graph import ProjectGraph, build_graph, extract_summary
-from repro.lint.rules import ModuleSource, Rule, all_rules, parse_module
+from repro.lint.rules import Rule, all_rules, parse_module
 from repro.lint.suppress import (
     Suppression,
     apply_suppressions,
     parse_suppressions,
+    unused_suppressions,
 )
 
 
@@ -51,7 +49,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)  # active (gate)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     parse_errors: List[Finding] = field(default_factory=list)
     files: int = 0
     rules_run: List[str] = field(default_factory=list)
@@ -64,24 +61,20 @@ class LintReport:
         return not self.findings and not self.parse_errors
 
     def all_raw(self) -> List[Finding]:
-        return self.findings + self.suppressed + self.baselined
+        return self.findings + self.suppressed
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-rule counters: active / suppressed / baselined findings."""
+        """Per-rule counters: active / suppressed findings."""
         table: Dict[str, Dict[str, int]] = {}
-
-        def bump(rule: str, column: str) -> None:
-            row = table.setdefault(
-                rule, {"active": 0, "suppressed": 0, "baselined": 0}
-            )
-            row[column] += 1
-
-        for finding in self.findings:
-            bump(finding.rule, "active")
-        for finding in self.suppressed:
-            bump(finding.rule, "suppressed")
-        for finding in self.baselined:
-            bump(finding.rule, "baselined")
+        for column, findings in (
+            ("active", self.findings),
+            ("suppressed", self.suppressed),
+        ):
+            for finding in findings:
+                row = table.setdefault(
+                    finding.rule, {"active": 0, "suppressed": 0}
+                )
+                row[column] += 1
         return table
 
 
@@ -129,7 +122,7 @@ def _analyze_file(
 ) -> FileEntry:
     """Cold path for one file: parse, extract summary, run file rules."""
     content_hash = text_hash(text)
-    module = parse_module(file, rel, display)
+    module = parse_module(file, rel, display, text)
     if module is None:
         return FileEntry(
             hash=content_hash,
@@ -156,29 +149,27 @@ def _analyze_file(
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     config: Optional[LintConfig] = None,
-    baseline: Optional[Baseline] = None,
     rules: Optional[Sequence[Rule]] = None,
-    jobs: Optional[int] = None,
     use_cache: bool = True,
     keep_graph: bool = False,
 ) -> LintReport:
-    """Run the linter; defaults to the configured package and baseline."""
+    """Run the linter; defaults to the configured package."""
     if config is None:
         from repro.lint.config import find_repo_root
 
         config = LintConfig.for_root(find_repo_root())
     if paths is None:
         paths = [config.src]
-    if baseline is None:
-        baseline = Baseline.load(config.baseline_path())
     chosen = list(rules) if rules is not None else all_rules()
     if config.enabled_rules:
         chosen = [r for r in chosen if r.id in config.enabled_rules]
     file_rules = [r for r in chosen if r.scope == "file"]
     project_rules = [r for r in chosen if r.scope == "project"]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, int(jobs))
+    # Suppressions of a rule that did not run, or of a project rule
+    # whose graph this run saw only part of, are not checked for use.
+    src = config.src.resolve()
+    whole = any(Path(p).resolve() in (src, *src.parents) for p in paths)
+    checked = {r.id for r in (chosen if whole else file_rules)}
 
     signature = compute_signature(config, chosen)
     cache = (
@@ -188,50 +179,29 @@ def lint_paths(
     )
 
     report = LintReport(rules_run=[r.id for r in chosen])
-    files = _collect_files(paths, config)
-    keyed: List[Tuple[Path, str, str, str]] = []  # (file, rel, display, text)
-    for file in files:
+
+    # Phase 1: per-file analysis — cached entries replay, misses are
+    # analysed from the very text that was hashed.
+    entries: List[Tuple[str, FileEntry]] = []  # (display, entry)
+    for file in _collect_files(paths, config):
         try:
             text = file.read_text(encoding="utf-8")
         except OSError:
             continue
-        keyed.append(
-            (file, _module_rel(file, config), _module_display(file, config),
-             text)
-        )
-
-    # Phase 1: per-file analysis — cached entries replay, misses run in
-    # an ordered thread map so output is identical at any jobs count.
-    entries: List[Tuple[str, str, Optional[FileEntry]]] = []
-    miss_jobs: List[Tuple[int, Path, str, str, str]] = []
-    for i, (file, rel, display, text) in enumerate(keyed):
+        display = _module_display(file, config)
         entry = cache.get(display, text_hash(text)) if use_cache else None
         if entry is None:
-            miss_jobs.append((i, file, rel, display, text))
-        entries.append((rel, display, entry))
-
-    if miss_jobs:
-        def run(job):
-            _i, file, rel, display, text = job
-            return _analyze_file(
-                file, rel, display, text, file_rules, config
+            entry = _analyze_file(
+                file, _module_rel(file, config), display, text,
+                file_rules, config,
             )
-
-        if jobs > 1 and len(miss_jobs) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(run, miss_jobs))
-        else:
-            fresh = [run(job) for job in miss_jobs]
-        for (i, _file, rel, display, _text), entry in zip(miss_jobs, fresh):
-            entries[i] = (rel, display, entry)
             cache.put(display, entry)
+        entries.append((display, entry))
 
     raw: List[Finding] = []
     suppressions_by_path: Dict[str, List[Suppression]] = {}
     summaries: List[Dict] = []
-    for rel, display, entry in entries:
-        if entry is None:  # unreadable file was skipped above
-            continue
+    for display, entry in entries:
         if entry.error:
             report.parse_errors.append(
                 Finding(
@@ -263,22 +233,19 @@ def lint_paths(
     if keep_graph:
         report.graph = graph
 
-    # Phase 3: suppressions, baseline, deterministic ordering.
+    # Phase 3: suppressions (and their use), deterministic ordering.
     active, suppressed = apply_suppressions(raw, suppressions_by_path)
-    fresh_findings, grandfathered = baseline.partition(active)
+    active.extend(unused_suppressions(suppressions_by_path, checked))
     report.findings = sorted(
-        fresh_findings, key=lambda f: (f.path, f.line, f.rule, f.message)
+        active, key=lambda f: (f.path, f.line, f.rule, f.message)
     )
     report.suppressed = sorted(
         suppressed, key=lambda f: (f.path, f.line, f.rule, f.message)
     )
-    report.baselined = sorted(
-        grandfathered, key=lambda f: (f.path, f.line, f.rule, f.message)
-    )
     report.cache_hits = cache.hits
     report.cache_misses = cache.misses
     if use_cache:
-        cache.save(keep=[display for _rel, display, _e in entries])
+        cache.save(keep=[display for display, _entry in entries])
     return report
 
 
@@ -295,7 +262,6 @@ def build_project_graph(
     report = lint_paths(
         paths=paths,
         config=config,
-        baseline=Baseline(),
         use_cache=use_cache,
         keep_graph=True,
     )

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import List, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at a specific source location.
 
-    ``snippet`` (the stripped source line) rather than the line number
-    forms the finding's identity, so baseline entries survive unrelated
-    edits that shift code up or down a file.
+    ``snippet`` is the stripped source line, shown by the SARIF reporter.
     """
 
     rule: str
@@ -21,9 +19,6 @@ class Finding:
     line: int
     message: str
     snippet: str = ""
-
-    def identity(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.snippet)
 
     def row(self) -> dict:
         return asdict(self)

@@ -48,13 +48,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import LOCK_FACTORIES, LintConfig
 from repro.lint.findings import Finding
-from repro.lint.rules import ModuleSource, canonical, dotted_name, import_map
+from repro.lint.rules import (
+    ModuleSource,
+    _self_attr,
+    canonical,
+    dotted_name,
+    import_map,
+)
 
 #: Bump when the summary shape changes — invalidates the analysis cache.
-SUMMARY_VERSION = 6
+SUMMARY_VERSION = 7
 
-#: Canonical callables that block the calling thread (interprocedural
-#: vocabulary; the per-method rule keeps its own narrower set).
+#: Canonical callables that block the calling thread.
 BLOCKING_CALLS = {
     "time.sleep": "time.sleep() sleeps",
     "urllib.request.urlopen": "urllib urlopen does network I/O",
@@ -76,7 +81,9 @@ _BLOCKING_ATTR_RECV = {
     "join": _re.compile(
         r"(thread|proc|worker|pool|executor|queue)", _re.IGNORECASE
     ),
-    "result": _re.compile(r"future", _re.IGNORECASE),
+    "result": _re.compile(
+        r"(future|thread|proc|worker|pool|executor)", _re.IGNORECASE
+    ),
     "wait": _re.compile(
         r"(event|cond|barrier|future|proc)", _re.IGNORECASE
     ),
@@ -117,6 +124,27 @@ def module_dotted(rel: str, root_pkg: str) -> str:
 
 def _snip(module: ModuleSource, line: int) -> str:
     return module.snippet(line)
+
+
+def _annotation_classes(node: ast.AST, imports: Dict[str, str]) -> List[str]:
+    """Canonical class names an annotation may denote: ``A`` itself, or
+    every member of ``Union[A, B]``, ``Optional[A]`` and ``A | B``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        members = [node.left, node.right]
+    elif isinstance(node, ast.Subscript) and canonical(
+        dotted_name(node.value), imports
+    ) in ("typing.Union", "typing.Optional"):
+        inner = node.slice
+        members = list(inner.elts) if isinstance(inner, ast.Tuple) else [inner]
+    else:
+        name = canonical(dotted_name(node), imports)
+        return [name] if name else []
+    out: List[str] = []
+    for member in members:
+        for name in _annotation_classes(member, imports):
+            if name not in out:
+                out.append(name)
+    return out
 
 
 def _lock_kind(factory: str) -> Optional[str]:
@@ -313,16 +341,6 @@ class _Extractor:
         _FunctionExtractor(self, fn, qname, cls_name, enclosing_locks).run()
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 class _FunctionExtractor:
     """Single-pass, flow-sensitive walk of one function body.
 
@@ -350,7 +368,7 @@ class _FunctionExtractor:
             "cls": cls_name,
             "name": fn.name,
             "params": self.params,
-            "returns_cls": None,
+            "returns_cls": [],
             "acquires": [],
             "calls": [],
             "blocking": [],
@@ -358,11 +376,10 @@ class _FunctionExtractor:
             "self_sets": [],
             "local_locks": {},
         }
-        returns = getattr(fn, "returns", None)
-        if returns is not None:
-            ann = canonical(dotted_name(returns), mx.imports)
-            if ann and ann not in ("None",):
-                self.out["returns_cls"] = ann
+        if fn.returns is not None:
+            self.out["returns_cls"] = _annotation_classes(
+                fn.returns, mx.imports
+            )
         for arg in list(fn.args.args) + list(fn.args.kwonlyargs):
             if arg.annotation is not None:
                 ann = canonical(dotted_name(arg.annotation), mx.imports)
@@ -1012,12 +1029,16 @@ class ProjectGraph:
                 owner = self.resolve_class(head)
                 if owner and tail:
                     fn = self.resolve_method(owner, tail)
-            if fn:
-                ann = self.functions[fn].get("returns_cls")
+            # A Union/Optional return resolves against every member.
+            out: List[str] = []
+            for ann in self.functions[fn]["returns_cls"] if fn else ():
                 cls = self.resolve_class(ann)
-                if cls:
-                    return self._method_with_overrides(cls, ref["attr"])
-            return []
+                if cls is None:
+                    continue
+                for callee in self._method_with_overrides(cls, ref["attr"]):
+                    if callee not in out:
+                        out.append(callee)
+            return out
         return []
 
     # ----------------------------------------------------------- lock model
@@ -1175,7 +1196,7 @@ class ProjectGraph:
 
 
 class LockAnalysis:
-    """Interprocedural lock-order + blocking-under-lock analysis."""
+    """Interprocedural lock-order + held-lock blocking analysis."""
 
     def __init__(self, graph: ProjectGraph):
         self.graph = graph
@@ -1332,7 +1353,6 @@ class LockAnalysis:
                                 "what": what,
                                 "via": callee,
                                 "chain": self._chain(callee, what),
-                                "hop": 1,
                             }
                         )
             for blk in blocking:
@@ -1348,7 +1368,6 @@ class LockAnalysis:
                         "what": blk["what"],
                         "via": None,
                         "chain": [],
-                        "hop": 0,
                     }
                 )
 
@@ -1500,28 +1519,7 @@ class LockAnalysis:
     def blocking_findings(self, rule_id: str) -> List[Finding]:
         findings = []
         seen: Set[Tuple[str, int, str]] = set()
-        from repro.lint.rules.concurrency import (
-            _BLOCKING_CALLS as _PER_METHOD_CALLS,
-            _BLOCKING_PREFIXES as _PER_METHOD_PREFIXES,
-        )
-
         for site in self.blocking_sites:
-            if site["hop"] == 0:
-                # The per-method blocking-under-lock rule owns the case
-                # where the held lock belongs to the same class AND the
-                # call is in its (narrower) vocabulary; this
-                # interprocedural rule adds foreign/global locks,
-                # call-chain reachability, and the sqlite/queue
-                # heuristics the per-method rule cannot see.
-                fn_cls_prefix = site["fn"].rsplit(".", 1)[0]
-                covered = site["what"] in _PER_METHOD_CALLS or site[
-                    "what"
-                ].startswith(_PER_METHOD_PREFIXES)
-                if covered and all(
-                    held.rsplit(".", 1)[0] == fn_cls_prefix
-                    for held in site["held"]
-                ):
-                    continue
             key = (site["display"], site["line"], site["what"])
             if key in seen:
                 continue

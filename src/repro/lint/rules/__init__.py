@@ -10,7 +10,6 @@ share one interface.
 from __future__ import annotations
 
 import ast
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -50,19 +49,14 @@ class ModuleSource:
         return head in dirs
 
 
-#: CPython 3.11's AST builder keeps its recursion depth in interpreter
-#: state, so ``ast.parse`` on two threads at once can fail with
-#: "SystemError: AST constructor recursion depth mismatch".  Parsing is
-#: serialized; everything after it still runs on the lint's threads.
-_PARSE_LOCK = threading.Lock()
-
-
-def parse_module(path: Path, rel: str, display: str) -> Optional[ModuleSource]:
-    """Parse one file; returns None when the source does not parse."""
-    text = path.read_text(encoding="utf-8")
+def parse_module(
+    path: Path, rel: str, display: str, text: str
+) -> Optional[ModuleSource]:
+    """Parse ``text`` (the source read from ``path``); None if it does
+    not parse.  The caller passes the text it already hashed, so the
+    analysis always matches the content its cache entry is keyed by."""
     try:
-        with _PARSE_LOCK:
-            tree = ast.parse(text, filename=str(path))
+        tree = ast.parse(text, filename=str(path))
     except SyntaxError:
         return None
     return ModuleSource(
@@ -87,6 +81,17 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
+    return None
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` for an ``self.X`` attribute expression, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
     return None
 
 

@@ -12,16 +12,17 @@ Applied to the threaded packages (``service/``, ``exec/``, ``store/``):
   ``check_same_thread=False``, connections handed to ``threading.Thread``
   via ``args=``, and thread-target methods that use a connection
   attribute created elsewhere.
-* ``blocking-under-lock`` — sleeping, joining threads/processes, HTTP
-  requests or subprocesses while holding a lock stalls every other
-  thread; ``Condition.wait`` on the held lock is the sanctioned
-  exception (it releases the lock).
+* ``raw-sleep-retry`` — a raw ``time.sleep`` in these packages is a
+  hand-rolled retry loop; pauses go through the one ``RetryPolicy``.
+
+A blocking call made while a lock is held is the whole-program rule
+``lock-held-blocking`` (:mod:`repro.lint.rules.wholeprogram`): it sees
+the call in the locking method itself and through any call chain.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.config import LOCK_FACTORIES, LintConfig
@@ -29,8 +30,8 @@ from repro.lint.findings import Finding
 from repro.lint.rules import (
     ModuleSource,
     Rule,
+    _self_attr,
     call_name,
-    canonical,
     dotted_name,
     import_map,
 )
@@ -38,17 +39,6 @@ from repro.lint.rules import (
 #: Methods where unlocked access is allowed: construction and teardown
 #: happen before/after the object is shared between threads.
 _EXEMPT_METHODS = frozenset({"__init__", "__del__", "__post_init__"})
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``X`` for an ``self.X`` attribute expression, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _init_factories(cls: ast.ClassDef, imports) -> Dict[str, str]:
@@ -355,101 +345,6 @@ class SqliteThreadRule(Rule):
         return findings
 
 
-#: Canonical callables that block the calling thread.
-_BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "urllib.request.urlopen",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "socket.create_connection",
-    }
-)
-_BLOCKING_PREFIXES = ("requests.", "http.client.")
-#: ``.join()`` receivers that look like threads/processes/pools.
-_JOINABLE = re.compile(r"(thread|proc|worker|pool|executor)", re.IGNORECASE)
-
-
-class BlockingUnderLockRule(Rule):
-    id = "blocking-under-lock"
-    pack = "concurrency"
-    description = (
-        "sleep/join/HTTP/subprocess calls while holding a lock stall "
-        "every other thread"
-    )
-
-    def check(self, modules, config):
-        findings: List[Finding] = []
-        for module in modules:
-            if not module.in_dirs(config.concurrency_dirs):
-                continue
-            imports = import_map(module.tree)
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                factories = _init_factories(node, imports)
-                lock_attrs = {
-                    attr
-                    for attr, factory in factories.items()
-                    if factory in LOCK_FACTORIES
-                }
-                if not lock_attrs:
-                    continue
-                for method in node.body:
-                    if isinstance(
-                        method, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        self._scan_method(
-                            module, method, lock_attrs, imports, findings
-                        )
-        return findings
-
-    def _scan_method(self, module, method, lock_attrs, imports, findings):
-        def walk(node, locked):
-            if isinstance(node, ast.With) and _with_lock_attrs(
-                node, lock_attrs
-            ):
-                for stmt in node.body:
-                    walk(stmt, True)
-                return
-            if locked and isinstance(node, ast.Call):
-                message = self._blocking_call(node, lock_attrs, imports)
-                if message:
-                    findings.append(module.finding(self.id, node, message))
-            for child in ast.iter_child_nodes(node):
-                walk(child, locked)
-
-        for stmt in method.body:
-            walk(stmt, False)
-
-    @staticmethod
-    def _blocking_call(node: ast.Call, lock_attrs, imports) -> Optional[str]:
-        name = call_name(node, imports) or ""
-        if name in _BLOCKING_CALLS or name.startswith(_BLOCKING_PREFIXES):
-            return f"{name}() blocks while a lock is held"
-        if isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            receiver_attr = _self_attr(receiver)
-            # Condition.wait on the held lock *releases* it: sanctioned.
-            if receiver_attr in lock_attrs:
-                return None
-            method = node.func.attr
-            receiver_name = (dotted_name(receiver) or "").split(".")[-1]
-            if method == "join" and _JOINABLE.search(receiver_name or ""):
-                return (
-                    f"{receiver_name}.join() while a lock is held can "
-                    "deadlock if the joined thread needs the same lock"
-                )
-            if method == "result" and _JOINABLE.search(receiver_name or ""):
-                return (
-                    f"{receiver_name}.result() blocks on another task "
-                    "while a lock is held"
-                )
-        return None
-
-
 class RawSleepRetryRule(Rule):
     id = "raw-sleep-retry"
     pack = "concurrency"
@@ -489,7 +384,6 @@ class RawSleepRetryRule(Rule):
 RULES = (
     LockDisciplineRule,
     SqliteThreadRule,
-    BlockingUnderLockRule,
     RawSleepRetryRule,
 )
 

@@ -13,9 +13,9 @@ import tree.
   in opposite orders can deadlock under concurrency, even when each
   path is individually correct.
 * ``lock-held-blocking`` — a blocking primitive (sqlite commit, HTTP
-  I/O, ``sleep``, subprocess, ``queue.get``/``join``) reached *through
-  a call chain* while a lock is held; the per-method
-  ``blocking-under-lock`` rule cannot see past the first call.
+  I/O, ``sleep``, subprocess, ``queue.get``/``join``, a thread or
+  future ``result()``) called while a lock is held, either directly in
+  the locking function or reached through any resolved call chain.
 * ``taint-identity`` — a nondeterminism source (wall clock, RNG,
   ``os.urandom``, ``id()``, set iteration order) flows into an identity
   sink (``trial_identity``, ``cache_key``, spec fingerprints, the
@@ -47,11 +47,11 @@ class LockOrderCycleRule(ProjectRule):
 class LockHeldBlockingRule(ProjectRule):
     id = "lock-held-blocking"
     pack = "concurrency"
-    version = 1
+    version = 2
     description = (
-        "no lock may be held across a blocking call reached through "
-        "any resolved call chain (sqlite commit, HTTP, sleep, "
-        "subprocess, queue waits)"
+        "no lock may be held across a blocking call, made directly or "
+        "reached through any resolved call chain (sqlite commit, HTTP, "
+        "sleep, subprocess, joins, queue and future waits)"
     )
 
     def check_project(self, graph, config) -> List[Finding]:

@@ -5,17 +5,22 @@ holds nothing but the comment — to the next source line.  The
 justification after ``--`` is **required**: a silent suppression is
 itself reported (rule ``suppression-justification``), so every exception
 to an invariant carries its reasoning in the diff that introduced it.
+A suppression that no longer matches any finding is reported too (rule
+``unused-suppression``), so a waiver cannot outlive the code it excused
+or silently stop covering a site the analysis no longer sees.
+These inline comments are the only way to accept a finding.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import AbstractSet, Dict, List, Tuple
 
 from repro.lint.findings import Finding
 
 SUPPRESSION_RULE = "suppression-justification"
+UNUSED_RULE = "unused-suppression"
 
 _PATTERN = re.compile(
     r"#\s*lint:\s*disable=(?P<rules>[A-Za-z0-9_,\- ]+?)"
@@ -95,9 +100,43 @@ def apply_suppressions(
     return active, suppressed
 
 
+def unused_suppressions(
+    by_path: Dict[str, List[Suppression]], checked: AbstractSet[str]
+) -> List[Finding]:
+    """Findings for suppressed rule ids that matched nothing this run.
+
+    Call after :func:`apply_suppressions`.  Only rules in ``checked``
+    count: a rule that did not run (a ``--rules`` subset) could not have
+    matched, so silence from it proves nothing.
+    """
+    findings: List[Finding] = []
+    for path, items in sorted(by_path.items()):
+        for sup in items:
+            dead = [
+                rule
+                for rule in sup.rules
+                if rule in checked and rule not in sup.used_for
+            ]
+            if dead:
+                findings.append(
+                    Finding(
+                        rule=UNUSED_RULE,
+                        path=path,
+                        line=sup.line,
+                        message=(
+                            f"'# lint: disable={','.join(dead)}' "
+                            "suppresses nothing on this line; delete it"
+                        ),
+                    )
+                )
+    return findings
+
+
 __all__ = [
     "SUPPRESSION_RULE",
+    "UNUSED_RULE",
     "Suppression",
     "apply_suppressions",
     "parse_suppressions",
+    "unused_suppressions",
 ]

@@ -1,12 +1,12 @@
-"""Incremental cache + parallel analysis: warm runs, invalidation,
-bit-identical --jobs output, and the new CLI surface (SARIF, graph
-dumps, unknown-rule listing)."""
+"""Incremental cache + the serial pass: warm runs, invalidation, one
+parse per file on a cold run, and the CLI surface (SARIF, graph dumps,
+unknown-rule listing)."""
 
 import json
 import textwrap
 
 from repro.cli import main
-from repro.lint import Baseline, Finding, LintConfig, lint_paths, render_findings
+from repro.lint import Finding, LintConfig, lint_paths, render_findings
 from repro.lint.cache import AnalysisCache, compute_signature
 from repro.lint.rules import all_rules
 
@@ -33,7 +33,7 @@ def make_project(tmp_path, files):
 
 
 def run_lint(config, **kwargs):
-    return lint_paths(config=config, baseline=Baseline(), **kwargs)
+    return lint_paths(config=config, **kwargs)
 
 
 def rows(report):
@@ -117,78 +117,44 @@ def test_stale_cache_entries_pruned(tmp_path):
     assert sorted(data["files"]) == ["src/repro/a.py"]
 
 
-# -------------------------------------------------------------------- jobs
+# ------------------------------------------------------------------ parsing
 
 
-def test_jobs_output_bit_identical(tmp_path):
-    files = {
-        f"src/repro/netsim/m{i}.py": BAD if i % 3 == 0 else CLEAN
-        for i in range(12)
-    }
-    config = make_project(tmp_path, files)
-    serial = run_lint(config, jobs=1, use_cache=False)
-    parallel = run_lint(config, jobs=8, use_cache=False)
-    assert render_findings(serial.findings, "json") == render_findings(
-        parallel.findings, "json"
-    )
-    assert rows(serial) == rows(parallel)
-    assert [f.row() for f in serial.suppressed] == [
-        f.row() for f in parallel.suppressed
-    ]
-
-
-def test_parallel_lint_never_parses_two_files_at_once(tmp_path, monkeypatch):
-    """CPython 3.11's AST builder is not thread-safe ("AST constructor
-    recursion depth mismatch"): parses are serialized while the rest of
-    the per-file analysis stays on the pool's threads."""
+def test_cold_run_parses_each_file_once(tmp_path, monkeypatch):
+    """The engine hashes the text it read and analyses that same text:
+    one read and one ``ast.parse`` per file, so a cache entry's analysis
+    always matches its content hash."""
     import ast
-    import threading
-    import time
+    import pathlib
 
-    original = ast.parse
-    lock = threading.Lock()
-    state = {"active": 0, "peak": 0, "threads": set()}
+    original_parse = ast.parse
+    original_read = pathlib.Path.read_text
+    parsed, read = [], []
 
-    def probing_parse(*args, **kwargs):
-        with lock:
-            state["active"] += 1
-            state["peak"] = max(state["peak"], state["active"])
-            state["threads"].add(threading.get_ident())
-        try:
-            time.sleep(0.002)  # drops the GIL: an unserialized parse overlaps
-            return original(*args, **kwargs)
-        finally:
-            with lock:
-                state["active"] -= 1
+    def counting_parse(source, *args, **kwargs):
+        parsed.append(kwargs.get("filename"))
+        return original_parse(source, *args, **kwargs)
 
-    monkeypatch.setattr(ast, "parse", probing_parse)
+    def counting_read(path, *args, **kwargs):
+        if path.suffix == ".py":
+            read.append(str(path))
+        return original_read(path, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(pathlib.Path, "read_text", counting_read)
     files = {
         f"src/repro/netsim/m{i}.py": BAD if i % 3 == 0 else CLEAN
-        for i in range(16)
+        for i in range(6)
     }
     config = make_project(tmp_path, files)
-    first = rows(run_lint(config, jobs=8, use_cache=False))
-    for _ in range(4):
-        assert rows(run_lint(config, jobs=8, use_cache=False)) == first
-    assert state["peak"] == 1
-    assert len(state["threads"]) > 1
-
-
-def test_jobs_cli_flag(tmp_path, capsys):
-    config = make_project(tmp_path, {"src/repro/a.py": CLEAN})
-    code = main(
-        [
-            "lint",
-            str(config.src),
-            "--root",
-            str(config.root),
-            "--jobs",
-            "2",
-            "--no-cache",
-        ]
-    )
-    assert code == 0
-    assert "lint: clean" in capsys.readouterr().out
+    cold = run_lint(config)
+    assert cold.cache_misses == 6
+    expected = sorted(str(config.root / rel) for rel in files)
+    assert sorted(parsed) == expected
+    assert sorted(read) == expected
+    parsed.clear()
+    run_lint(config)
+    assert parsed == []  # warm: everything replays from the cache
 
 
 # --------------------------------------------------------------------- CLI
@@ -244,8 +210,6 @@ def test_sarif_findings_have_locations(tmp_path, capsys):
             "--format",
             "sarif",
             "--no-cache",
-            "--baseline",
-            str(tmp_path / "none.json"),
         ]
     )
     assert code == 1

@@ -3,12 +3,13 @@
 The centrepiece is a scheduler-shaped class with a real discipline:
 ``self._jobs`` is written under ``self._lock`` everywhere except one
 unlocked read, and one method blocks while holding the lock.  Both must
-be reported at the exact file:line.
+be reported at the exact file:line (the stall by the one held-lock
+blocking rule, ``lock-held-blocking``).
 """
 
 import textwrap
 
-from repro.lint import Baseline, LintConfig, lint_paths
+from repro.lint import LintConfig, lint_paths
 
 # A deliberately broken class: line numbers below are load-bearing.
 BROKEN_SCHEDULER = """\
@@ -47,7 +48,7 @@ def make_project(tmp_path, files):
 
 
 def run_lint(config):
-    return lint_paths(config=config, baseline=Baseline())
+    return lint_paths(config=config)
 
 
 def findings_for(report, rule):
@@ -70,7 +71,7 @@ def test_broken_fixture_reports_both_violations_with_location(tmp_path):
     assert "has_job" in unlocked.message
     assert "self._lock" in unlocked.message
 
-    (blocking,) = findings_for(report, "blocking-under-lock")
+    (blocking,) = findings_for(report, "lock-held-blocking")
     assert blocking.path.endswith("service/broken.py")
     assert blocking.line == BLOCKING_CALL_LINE
     assert "time.sleep" in blocking.message
@@ -88,14 +89,12 @@ def test_broken_fixture_gates_cli_exit_code(tmp_path, capsys):
             str(config.src),
             "--root",
             str(config.root),
-            "--baseline",
-            str(tmp_path / "no-baseline.json"),
         ]
     )
     out = capsys.readouterr().out
     assert code == 1
     assert "lock-discipline" in out
-    assert "blocking-under-lock" in out
+    assert "lock-held-blocking" in out
     assert f"broken.py:{UNLOCKED_READ_LINE}" in out
 
 
@@ -160,7 +159,7 @@ def test_disciplined_class_and_thread_safe_attrs_clean(tmp_path):
     report = run_lint(config)
     assert not findings_for(report, "lock-discipline")
     # Condition.wait releases the held lock — sanctioned, not blocking.
-    assert not findings_for(report, "blocking-under-lock")
+    assert not findings_for(report, "lock-held-blocking")
 
 
 def test_lock_discipline_only_in_concurrency_dirs(tmp_path):
@@ -171,10 +170,14 @@ def test_lock_discipline_only_in_concurrency_dirs(tmp_path):
     )
     report = run_lint(config)
     assert not findings_for(report, "lock-discipline")
-    assert not findings_for(report, "blocking-under-lock")
+    # A stall under a lock is a stall anywhere: the held-lock blocking
+    # rule is whole-program, not scoped to the concurrency dirs.
+    (blocking,) = findings_for(report, "lock-held-blocking")
+    assert blocking.path == "src/repro/netsim/broken.py"
+    assert blocking.line == BLOCKING_CALL_LINE
 
 
-# ------------------------------------------------------ blocking-under-lock
+# ------------------------------------------------ blocking under the lock
 
 
 def test_thread_join_under_lock_flagged(tmp_path):
@@ -197,7 +200,7 @@ def test_thread_join_under_lock_flagged(tmp_path):
             """,
         },
     )
-    (finding,) = findings_for(run_lint(config), "blocking-under-lock")
+    (finding,) = findings_for(run_lint(config), "lock-held-blocking")
     assert finding.line == 12
     assert "join" in finding.message
 
@@ -225,7 +228,31 @@ def test_blocking_outside_lock_ok(tmp_path):
             """,
         },
     )
-    assert not findings_for(run_lint(config), "blocking-under-lock")
+    assert not findings_for(run_lint(config), "lock-held-blocking")
+
+
+def test_executor_result_under_lock_flagged(tmp_path):
+    config = make_project(
+        tmp_path,
+        {
+            "src/repro/exec/batch.py": """
+                import threading
+
+
+                class Batch:
+                    def __init__(self, executor):
+                        self._lock = threading.Lock()
+                        self._executor = executor
+
+                    def collect(self):
+                        with self._lock:
+                            return self._executor.result()
+            """,
+        },
+    )
+    (finding,) = findings_for(run_lint(config), "lock-held-blocking")
+    assert finding.line == 11
+    assert "_executor.result()" in finding.message
 
 
 # ------------------------------------------------------------ sqlite-thread

@@ -1,4 +1,4 @@
-"""Engine-level lint tests: suppressions, baseline workflow, reporters,
+"""Engine-level lint tests: suppressions (the only waiver), reporters,
 CLI exit codes — and the acceptance check that the repo at HEAD is clean.
 """
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
-    Baseline,
     Finding,
     LintConfig,
     find_repo_root,
@@ -36,7 +35,7 @@ def make_project(tmp_path, files):
 
 
 def run_lint(config, **kwargs):
-    return lint_paths(config=config, baseline=Baseline(), **kwargs)
+    return lint_paths(config=config, **kwargs)
 
 
 # ------------------------------------------------------------ suppressions
@@ -109,89 +108,96 @@ def test_suppression_for_other_rule_does_not_apply(tmp_path):
         },
     )
     report = run_lint(config)
-    assert [f.rule for f in report.findings] == ["wall-clock"]
+    # The finding stays active, and the mismatched waiver is dead.
+    assert [f.rule for f in report.findings] == [
+        "unused-suppression",
+        "wall-clock",
+    ]
 
 
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_grandfathers_then_catches_new_findings(tmp_path):
-    config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD_NETSIM})
-    first = run_lint(config)
-    assert len(first.findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.findings).save(baseline_path)
-
-    # Same violation, now grandfathered: gate passes.
-    second = lint_paths(config=config, baseline=Baseline.load(baseline_path))
-    assert not second.findings
-    assert len(second.baselined) == 1
-
-    # A *new* violation on top of the baselined one fails again.
-    (config.src / "netsim" / "b.py").write_text(
-        "import random\nX = random.random()\n"
+def test_unused_suppression_is_a_finding(tmp_path):
+    """A waiver whose finding is gone (fixed code, or a site the
+    analysis stopped seeing) must not rot silently: it gates."""
+    config = make_project(
+        tmp_path,
+        {
+            "src/repro/netsim/a.py": """
+                def stamp(clock):
+                    return clock()  # lint: disable=wall-clock -- nothing left to waive
+            """,
+        },
     )
-    third = lint_paths(config=config, baseline=Baseline.load(baseline_path))
-    assert [f.rule for f in third.findings] == ["unseeded-random"]
-    assert len(third.baselined) == 1
+    report = run_lint(config)
+    assert [(f.rule, f.path, f.line) for f in report.findings] == [
+        ("unused-suppression", "src/repro/netsim/a.py", 2)
+    ]
+    assert "wall-clock" in report.findings[0].message
+    assert not report.ok
 
 
-def test_baseline_matching_is_count_aware(tmp_path):
+def test_partly_used_suppression_reports_only_dead_rule(tmp_path):
     config = make_project(
         tmp_path,
         {
             "src/repro/netsim/a.py": """
                 import time
 
-                def one():
-                    return time.time()
+                def stamp():
+                    return time.time()  # lint: disable=wall-clock,set-iteration -- fixture clock
             """,
         },
     )
     report = run_lint(config)
-    baseline = Baseline.from_findings(report.findings)
+    assert [f.rule for f in report.suppressed] == ["wall-clock"]
+    (unused,) = report.findings
+    assert (unused.rule, unused.line) == ("unused-suppression", 4)
+    assert "disable=set-iteration'" in unused.message
 
-    # Duplicate the identical line: one occurrence is absorbed by the
-    # baseline entry (count=1), the second is new.
-    (config.src / "netsim" / "a.py").write_text(
-        "import time\n\ndef one():\n    return time.time()\n\n"
-        "def two():\n    return time.time()\n"
+
+def test_suppression_of_rule_not_run_is_not_unused(tmp_path):
+    """A ``--rules`` subset cannot tell a dead waiver from one whose
+    rule simply did not run, so it reports neither."""
+    files = {
+        "src/repro/netsim/a.py": """
+            import time
+
+            def stamp():
+                return time.time()  # lint: disable=wall-clock -- fixture clock
+        """,
+    }
+    config = make_project(tmp_path, files)
+    subset = LintConfig.for_root(config.root, enabled_rules=("set-iteration",))
+    assert run_lint(subset).ok
+
+
+def test_project_rule_suppression_unchecked_on_partial_run(tmp_path):
+    """Linting one file builds a partial graph: a whole-program finding
+    can vanish with the modules left out, so its waiver is not dead."""
+    config = make_project(
+        tmp_path,
+        {
+            "src/repro/chain.py": """
+                import threading
+
+                from repro.io import slow
+
+                LOCK = threading.Lock()
+
+                def entry():
+                    with LOCK:
+                        slow()  # lint: disable=lock-held-blocking -- bounded
+            """,
+            "src/repro/io.py": """
+                import time
+
+                def slow():
+                    time.sleep(0.5)
+            """,
+        },
     )
-    again = lint_paths(config=config, baseline=baseline)
-    assert len(again.findings) == 1
-    assert len(again.baselined) == 1
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD_NETSIM})
-    baseline = Baseline.from_findings(run_lint(config).findings)
-
-    # Shift the violation down three lines; identity (rule, path,
-    # snippet) still matches.
-    (config.src / "netsim" / "a.py").write_text(
-        "import time\n\n\n\n\ndef stamp():\n    return time.time()\n"
-    )
-    report = lint_paths(config=config, baseline=baseline)
-    assert not report.findings
-    assert len(report.baselined) == 1
-
-
-def test_baseline_roundtrip(tmp_path):
-    findings = [
-        Finding("wall-clock", "netsim/a.py", 4, "msg", "return time.time()"),
-        Finding("wall-clock", "netsim/a.py", 9, "msg", "return time.time()"),
-    ]
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).save(path)
-    data = json.loads(path.read_text())
-    assert data["version"] == 1
-    assert data["findings"][0]["count"] == 2
-    assert len(Baseline.load(path)) == 2
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert len(Baseline.load(tmp_path / "nope.json")) == 0
+    assert run_lint(config).ok
+    partial = lint_paths(paths=[config.src / "chain.py"], config=config)
+    assert partial.ok and not partial.suppressed
 
 
 # --------------------------------------------------------------- reporters
@@ -244,33 +250,38 @@ def test_unknown_format_raises(sample_finding):
 # -------------------------------------------------------------------- CLI
 
 
-def lint_cli(config, *extra, baseline=None):
+def lint_cli(config, *extra):
     argv = ["lint", str(config.src), "--root", str(config.root)]
-    if baseline is not None:
-        argv += ["--baseline", str(baseline)]
     argv += list(extra)
     return main(argv)
 
 
 def test_cli_exit_one_on_findings_zero_when_clean(tmp_path, capsys):
     config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD_NETSIM})
-    assert lint_cli(config, baseline=tmp_path / "none.json") == 1
+    assert lint_cli(config) == 1
     out, err = capsys.readouterr()
     assert "wall-clock" in out
     assert "suppress with" in err
 
     (config.src / "netsim" / "a.py").write_text("X = 1\n")
-    assert lint_cli(config, baseline=tmp_path / "none.json") == 0
+    assert lint_cli(config) == 0
     out, _ = capsys.readouterr()
     assert "lint: clean" in out
 
 
-def test_cli_write_baseline_then_gate_passes(tmp_path, capsys):
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    """Inline suppressions are the only waiver and the pass is serial:
+    the old baseline and thread-pool options no longer parse."""
     config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD_NETSIM})
-    baseline = tmp_path / "baseline.json"
-    assert lint_cli(config, "--write-baseline", baseline=baseline) == 0
-    assert "wrote 1 finding(s)" in capsys.readouterr().out
-    assert lint_cli(config, baseline=baseline) == 0
+    for extra in (
+        ["--baseline", str(tmp_path / "b.json")],
+        ["--write-baseline"],
+        ["--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            lint_cli(config, *extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_stats_prints_per_rule_counts(tmp_path, capsys):
@@ -288,25 +299,18 @@ def test_cli_stats_prints_per_rule_counts(tmp_path, capsys):
             """,
         },
     )
-    code = lint_cli(config, "--stats", baseline=tmp_path / "none.json")
+    code = lint_cli(config, "--stats")
     out = capsys.readouterr().out
     assert code == 1
     assert "unseeded-random" in out
-    assert "totals: 1 active, 1 suppressed, 0 baselined" in out
+    assert "totals: 1 active, 1 suppressed" in out
+    assert "baselined" not in out
 
 
 def test_cli_rules_filter_and_unknown_rule(tmp_path, capsys):
     config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD_NETSIM})
     # Filtered to an unrelated rule: the wall-clock violation is unseen.
-    assert (
-        lint_cli(
-            config,
-            "--rules",
-            "set-iteration",
-            baseline=tmp_path / "none.json",
-        )
-        == 0
-    )
+    assert lint_cli(config, "--rules", "set-iteration") == 0
     capsys.readouterr()
     assert lint_cli(config, "--rules", "no-such-rule") == 2
     assert "unknown rule id" in capsys.readouterr().err
@@ -323,7 +327,6 @@ def test_cli_list_rules(capsys):
         "environ-read",
         "lock-discipline",
         "sqlite-thread",
-        "blocking-under-lock",
         "stack-profile-fields",
         "cca-hook-surface",
         "cli-doc-coverage",
@@ -332,12 +335,14 @@ def test_cli_list_rules(capsys):
         "taint-identity",
     ):
         assert rule_id in out
+    # One rule per held-lock stall: lock-held-blocking covers it.
+    assert "blocking-under-lock" not in out
 
 
 def test_cli_github_format(tmp_path, capsys):
     config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD_NETSIM})
     code = lint_cli(
-        config, "--format", "github", baseline=tmp_path / "none.json"
+        config, "--format", "github"
     )
     out = capsys.readouterr().out
     assert code == 1
@@ -348,7 +353,7 @@ def test_parse_error_gates(tmp_path, capsys):
     config = make_project(
         tmp_path, {"src/repro/netsim/a.py": "def broken(:\n"}
     )
-    assert lint_cli(config, baseline=tmp_path / "none.json") == 1
+    assert lint_cli(config) == 1
     assert "parse-error" in capsys.readouterr().out
 
 
@@ -364,8 +369,10 @@ def test_repo_at_head_is_clean():
         report.findings + report.parse_errors, "text"
     )
     # Every inline suppression in the tree carries a justification and
-    # is actually used (dead suppressions would rot silently).
-    assert all(f.rule != "suppression-justification" for f in report.findings)
+    # is actually used (a dead one is an active unused-suppression).
+    assert {"suppression-justification", "unused-suppression"}.isdisjoint(
+        f.rule for f in report.findings
+    )
 
 
 def test_repo_lint_runs_fast_enough():

@@ -13,7 +13,7 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.lint import Baseline, LintConfig, lint_paths
+from repro.lint import LintConfig, lint_paths
 from repro.lint.engine import build_project_graph
 from repro.lint.graph import (
     build_graph,
@@ -41,8 +41,9 @@ def graph_for(config):
 
 def summarize(tmp_path, body, rel="mod.py"):
     path = tmp_path / rel
-    path.write_text(textwrap.dedent(body).lstrip("\n"))
-    module = parse_module(path, rel, rel)
+    text = textwrap.dedent(body).lstrip("\n")
+    path.write_text(text)
+    module = parse_module(path, rel, rel, text)
     assert module is not None
     return extract_summary(module)
 
@@ -316,7 +317,7 @@ def test_graph_survives_summary_roundtrip(tmp_path):
     reproduce the same graph (what a warm run does)."""
     config = LintConfig.for_root(FIXTURE_ROOT)
     report = lint_paths(
-        config=config, baseline=Baseline(), use_cache=False, keep_graph=True
+        config=config, use_cache=False, keep_graph=True
     )
     direct = report.graph.to_json()
     summaries = [

@@ -8,7 +8,9 @@ findings → suppressions.
 
 import textwrap
 
-from repro.lint import Baseline, LintConfig, lint_paths
+import pytest
+
+from repro.lint import LintConfig, lint_paths
 
 CYCLE = "lock-order-cycle"
 BLOCKING = "lock-held-blocking"
@@ -24,7 +26,7 @@ def make_project(tmp_path, files):
 
 
 def run_lint(config):
-    return lint_paths(config=config, baseline=Baseline(), use_cache=False)
+    return lint_paths(config=config, use_cache=False)
 
 
 def by_rule(report, rule):
@@ -287,8 +289,8 @@ def test_condition_alias_shares_lock_no_false_cycle(tmp_path):
 
 
 def test_blocking_through_call_chain(tmp_path):
-    """The per-method rule sees `with lock: helper()` as fine; only the
-    whole-program pass can see helper() sleeps."""
+    """`with lock: helper()` looks fine in the locking function; only
+    the whole-program pass can see helper() sleeps."""
     config = make_project(
         tmp_path,
         {
@@ -317,6 +319,77 @@ def test_blocking_through_call_chain(tmp_path):
     assert f.path == "src/repro/chain.py"
     assert "time.sleep" in f.message
     assert "repro.io.slow" in f.message  # witness chain names the callee
+
+
+UNION_STORES = """
+    import sqlite3
+    from typing import Optional, Union
+
+
+    class MemoryStore:
+        def record(self, row):
+            return row
+
+
+    class DiskStore:
+        def __init__(self, path):
+            self._conn = sqlite3.connect(path)
+
+        def record(self, row):
+            self._conn.execute("insert", row)
+            self._conn.commit()
+
+
+    def open_store(path) -> {annotation}:
+        return DiskStore(path) if path else MemoryStore()
+"""
+
+UNION_SCHEDULER = """
+    import threading
+
+    from repro.stores import open_store
+
+
+    class Scheduler:
+        def __init__(self, path):
+            self._lock = threading.Lock()
+            self._path = path
+
+        def submit(self, row):
+            with self._lock:
+                self._journal(row)
+
+        def _journal(self, row):
+            with open_store(self._path) as store:
+                store.record(row)
+"""
+
+
+@pytest.mark.parametrize(
+    "annotation",
+    [
+        "Union[MemoryStore, DiskStore]",
+        "Optional[DiskStore]",
+        "MemoryStore | DiskStore",
+    ],
+)
+def test_union_returning_factory_resolves_every_member(tmp_path, annotation):
+    """A factory annotated with a Union types its result as *each*
+    member: the journal commit through the second member, made while
+    the scheduler lock is held, must be seen."""
+    config = make_project(
+        tmp_path,
+        {
+            "src/repro/stores.py": UNION_STORES.replace(
+                "{annotation}", annotation
+            ),
+            "src/repro/sched.py": UNION_SCHEDULER,
+        },
+    )
+    (found,) = by_rule(run_lint(config), BLOCKING)
+    assert (found.path, found.line) == ("src/repro/sched.py", 13)
+    assert "sqlite commit" in found.message
+    assert "repro.stores.DiskStore.record" in found.message
 
 
 def test_sqlite_commit_under_lock_via_with_conn(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintConfig, lint_paths
+from repro.lint import LintConfig, lint_paths
 
 
 def make_project(tmp_path, files):
@@ -25,7 +25,7 @@ def make_project(tmp_path, files):
 
 
 def run_lint(config, **kwargs):
-    return lint_paths(config=config, baseline=Baseline(), **kwargs)
+    return lint_paths(config=config, **kwargs)
 
 
 def findings_for(report, rule):
