@@ -57,21 +57,18 @@ def bench_cache():
 
 @pytest.fixture(scope="session")
 def bench_executor(bench_cache):
-    """A shared :class:`repro.exec.Executor`, or ``None`` when serial.
-
-    ``None`` keeps the historical single-process code path byte-for-byte
-    when ``QUICBENCH_JOBS`` is unset or 1.
-    """
-    if _JOBS <= 1:
-        return None
+    """The :class:`repro.exec.Executor` every bench campaign runs on:
+    ``QUICBENCH_JOBS`` workers (default 1) over :func:`bench_cache`."""
     from repro.exec import Executor
 
     OUTPUT_DIR.mkdir(exist_ok=True)
-    return Executor(
+    executor = Executor(
         jobs=_JOBS,
         cache=bench_cache,
         manifest_path=OUTPUT_DIR / "run_manifest.jsonl",
     )
+    yield executor
+    executor.close()
 
 
 @pytest.fixture(scope="session")

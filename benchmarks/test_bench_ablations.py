@@ -21,7 +21,7 @@ from repro.harness.conformance import gather_trials, reference_trials
 from repro.harness.runner import Impl, reference_impl
 
 
-def test_ablation_clustering_and_outliers(benchmark, bench_config, bench_cache, save_artifact):
+def test_ablation_clustering_and_outliers(benchmark, bench_config, bench_executor, save_artifact):
     condition = scenarios.shallow_buffer()
 
     def run():
@@ -29,9 +29,9 @@ def test_ablation_clustering_and_outliers(benchmark, bench_config, bench_cache, 
         for stack in ("quicgo", "quiche", "neqo"):
             test = gather_trials(
                 Impl(stack, "cubic"), reference_impl("cubic"), condition,
-                bench_config, cache=bench_cache,
+                bench_config, executor=bench_executor,
             )
-            ref = reference_trials("cubic", condition, bench_config, cache=bench_cache)
+            ref = reference_trials("cubic", condition, bench_config, executor=bench_executor)
             clustered = conformance(
                 build_envelope(test), build_envelope(ref)
             )
@@ -65,7 +65,7 @@ def test_ablation_clustering_and_outliers(benchmark, bench_config, bench_cache, 
     assert by_stack["quiche"][2] >= by_stack["quiche"][1]
 
 
-def test_ablation_sampling_period(benchmark, bench_cache, save_artifact):
+def test_ablation_sampling_period(benchmark, bench_executor, save_artifact):
     """Paper §3.1: sampling more often than every 10 RTTs does not
     substantially change the PE."""
     condition = scenarios.shallow_buffer()
@@ -79,9 +79,9 @@ def test_ablation_sampling_period(benchmark, bench_cache, save_artifact):
             )
             test = gather_trials(
                 Impl("quicgo", "cubic"), reference_impl("cubic"), condition,
-                cfg, cache=bench_cache,
+                cfg, executor=bench_executor,
             )
-            ref = reference_trials("cubic", condition, cfg, cache=bench_cache)
+            ref = reference_trials("cubic", condition, cfg, executor=bench_executor)
             value = conformance(build_envelope(test), build_envelope(ref))
             rows.append([rtts, round(value, 2)])
         return rows
@@ -97,7 +97,7 @@ def test_ablation_sampling_period(benchmark, bench_cache, save_artifact):
     assert max(values) - min(values) < 0.45
 
 
-def test_ablation_area_vs_point_overlap(benchmark, bench_config, bench_cache, save_artifact):
+def test_ablation_area_vs_point_overlap(benchmark, bench_config, bench_executor, save_artifact):
     """Area-based overlap ignores point density; the paper weighs overlap
     by points for exactly that reason."""
     condition = scenarios.shallow_buffer()
@@ -105,9 +105,9 @@ def test_ablation_area_vs_point_overlap(benchmark, bench_config, bench_cache, sa
     def run():
         test = gather_trials(
             Impl("quiche", "cubic"), reference_impl("cubic"), condition,
-            bench_config, cache=bench_cache,
+            bench_config, executor=bench_executor,
         )
-        ref = reference_trials("cubic", condition, bench_config, cache=bench_cache)
+        ref = reference_trials("cubic", condition, bench_config, executor=bench_executor)
         t_pe = build_envelope(test, EnvelopeConfig(single_hull=True))
         r_pe = build_envelope(ref, EnvelopeConfig(single_hull=True))
         point_based = conformance(t_pe, r_pe)

@@ -1,7 +1,7 @@
 """repro.exec: parallel campaigns reproduce serial numbers bit-for-bit.
 
-Runs the same cold-cache conformance heatmap twice — once serially, once
-through ``Executor(jobs=4)`` — asserts every cell is numerically
+Runs the same cold-cache conformance heatmap twice — once through
+``Executor(jobs=1)``, once through ``Executor(jobs=4)`` — asserts every cell is numerically
 identical, and records both wall-clocks plus the executor telemetry.
 
 The wall-clocks are reported, not asserted: on a single-core box the
@@ -31,7 +31,8 @@ CONDITION = scenarios.shallow_buffer()
 def test_exec_parallel_matches_serial(benchmark, save_artifact):
     t0 = time.perf_counter()
     serial = conformance_heatmap(
-        CONDITION, EXEC_CONFIG, ccas=CCAS, stacks=STACKS, cache=ResultCache()
+        CONDITION, EXEC_CONFIG, ccas=CCAS, stacks=STACKS,
+        executor=Executor(cache=ResultCache()),
     )
     serial_wall = time.perf_counter() - t0
 

@@ -15,15 +15,15 @@ from repro.harness.conformance import gather_trials, reference_trials
 from repro.harness.runner import Impl, reference_impl
 
 
-def test_fig1_single_hull_vs_clustered(benchmark, bench_config, bench_cache, save_artifact):
+def test_fig1_single_hull_vs_clustered(benchmark, bench_config, bench_executor, save_artifact):
     condition = scenarios.shallow_buffer()
 
     def run():
         test_trials = gather_trials(
             Impl("quiche", "cubic"), reference_impl("cubic"), condition,
-            bench_config, cache=bench_cache,
+            bench_config, executor=bench_executor,
         )
-        ref_trials = reference_trials("cubic", condition, bench_config, cache=bench_cache)
+        ref_trials = reference_trials("cubic", condition, bench_config, executor=bench_executor)
         clustered = conformance(
             build_envelope(test_trials, EnvelopeConfig()),
             build_envelope(ref_trials, EnvelopeConfig()),

@@ -16,14 +16,14 @@ from repro.harness import reporting, scenarios
 from repro.harness.conformance import reference_trials
 
 
-def _reference_envelope(cca, bench_config, bench_cache):
+def _reference_envelope(cca, bench_config, bench_executor):
     condition = scenarios.shallow_buffer()
-    trials = reference_trials(cca, condition, bench_config, cache=bench_cache)
+    trials = reference_trials(cca, condition, bench_config, executor=bench_executor)
     return build_envelope(trials, EnvelopeConfig())
 
 
-def test_fig2_bbr_two_clusters(benchmark, bench_config, bench_cache, save_artifact):
-    pe = run_once(benchmark, lambda: _reference_envelope("bbr", bench_config, bench_cache))
+def test_fig2_bbr_two_clusters(benchmark, bench_config, bench_executor, save_artifact):
+    pe = run_once(benchmark, lambda: _reference_envelope("bbr", bench_config, bench_executor))
     plot = reporting.format_envelope_ascii(
         pe.hulls, pe.all_points,
         title=f"Fig 2: kernel BBR envelope, k={pe.k} (paper: 2 clusters, ProbeBW+ProbeRTT)",
@@ -34,11 +34,11 @@ def test_fig2_bbr_two_clusters(benchmark, bench_config, bench_cache, save_artifa
     assert pe.k >= 2 or (np.percentile(tputs, 5) < 0.5 * np.percentile(tputs, 95))
 
 
-def test_fig3_cubic_reno_clusters(benchmark, bench_config, bench_cache, save_artifact):
+def test_fig3_cubic_reno_clusters(benchmark, bench_config, bench_executor, save_artifact):
     def run():
         return (
-            _reference_envelope("cubic", bench_config, bench_cache),
-            _reference_envelope("reno", bench_config, bench_cache),
+            _reference_envelope("cubic", bench_config, bench_executor),
+            _reference_envelope("reno", bench_config, bench_executor),
         )
 
     cubic_pe, reno_pe = run_once(benchmark, run)
@@ -54,8 +54,8 @@ def test_fig3_cubic_reno_clusters(benchmark, bench_config, bench_cache, save_art
     assert reno_pe.retained_fraction() > 0.5
 
 
-def test_fig4_retention_curve(benchmark, bench_config, bench_cache, save_artifact):
-    pe = run_once(benchmark, lambda: _reference_envelope("cubic", bench_config, bench_cache))
+def test_fig4_retention_curve(benchmark, bench_config, bench_executor, save_artifact):
+    pe = run_once(benchmark, lambda: _reference_envelope("cubic", bench_config, bench_executor))
     curve = pe.retention_curve
     assert curve is not None
     rows = [[k + 1, round(float(r), 3)] for k, r in enumerate(curve)]

@@ -14,14 +14,13 @@ GAINS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 
 def test_fig5_cwnd_gain_sweep(
-    benchmark, bench_config, bench_cache, bench_executor, save_artifact
+    benchmark, bench_config, bench_executor, save_artifact
 ):
     points = run_once(
         benchmark,
         lambda: cwnd_gain_sweep(
             gains=GAINS,
             config=bench_config,
-            cache=bench_cache,
             executor=bench_executor,
         ),
     )

@@ -25,13 +25,13 @@ def _render(measurements, title):
 
 
 def test_fig6b_shallow_buffer(
-    benchmark, bench_config, bench_cache, bench_executor, save_artifact
+    benchmark, bench_config, bench_executor, save_artifact
 ):
     condition = scenarios.shallow_buffer()
 
     def run():
         return conformance_heatmap(
-            condition, bench_config, cache=bench_cache, executor=bench_executor
+            condition, bench_config, executor=bench_executor
         )
 
     measurements = run_once(benchmark, run)
@@ -49,12 +49,11 @@ def test_fig6b_shallow_buffer(
 
 
 def test_fig6a_deep_buffer(
-    benchmark, bench_config, bench_cache, bench_executor, save_artifact
+    benchmark, bench_config, bench_executor, save_artifact
 ):
     shallow = conformance_heatmap(
         scenarios.shallow_buffer(),
         bench_config,
-        cache=bench_cache,
         executor=bench_executor,
     )
 
@@ -62,7 +61,6 @@ def test_fig6a_deep_buffer(
         return conformance_heatmap(
             scenarios.deep_buffer(),
             bench_config,
-            cache=bench_cache,
             executor=bench_executor,
         )
 

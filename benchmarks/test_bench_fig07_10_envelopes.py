@@ -24,13 +24,13 @@ IMPLS = [
 BUFFERS = (0.5, 1.0, 3.0, 5.0)
 
 
-def test_fig7_to_10_buffer_sweep(benchmark, bench_config, bench_cache, save_artifact):
+def test_fig7_to_10_buffer_sweep(benchmark, bench_config, bench_executor, save_artifact):
     def run():
         results = {}
         for fig, stack, cca in IMPLS:
             for condition in scenarios.buffer_sweep():
                 results[(fig, stack, cca, condition.buffer_bdp)] = measure_conformance(
-                    stack, cca, condition, bench_config, cache=bench_cache
+                    stack, cca, condition, bench_config, executor=bench_executor
                 )
         return results
 

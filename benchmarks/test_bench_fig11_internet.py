@@ -21,11 +21,11 @@ WAN_CONFIG = ExperimentConfig(duration_s=40.0, trials=2)
 
 
 def test_fig11_internet_conformance(
-    benchmark, bench_config, bench_cache, bench_executor, save_artifact
+    benchmark, bench_config, bench_executor, save_artifact
 ):
     def run():
         return internet_heatmap(
-            WAN_CONFIG, ccas=("cubic",), cache=bench_cache, executor=bench_executor
+            WAN_CONFIG, ccas=("cubic",), executor=bench_executor
         )
 
     wan = run_once(benchmark, run)
@@ -33,7 +33,6 @@ def test_fig11_internet_conformance(
         scenarios.shallow_buffer(),
         bench_config,
         ccas=("cubic",),
-        cache=bench_cache,
         executor=bench_executor,
     )
 

@@ -13,7 +13,7 @@ from repro.harness.fairness import intra_cca_matrix
 
 
 def test_fig12_intra_cca_share_matrices(
-    benchmark, share_config, bench_cache, bench_executor, save_artifact
+    benchmark, share_config, bench_executor, save_artifact
 ):
     condition = scenarios.fairness_condition()  # 20 Mbps, 50 ms, 1 BDP
 
@@ -23,7 +23,6 @@ def test_fig12_intra_cca_share_matrices(
                 cca,
                 condition,
                 share_config,
-                cache=bench_cache,
                 executor=bench_executor,
             )
             for cca in ("cubic", "reno", "bbr")

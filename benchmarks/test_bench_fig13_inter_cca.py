@@ -20,7 +20,7 @@ CUBIC_STACKS = ["linux", "chromium", "msquic", "quiche", "quicgo", "xquic"]
 
 
 def test_fig13_inter_cca_matrices(
-    benchmark, share_config, bench_cache, bench_executor, save_artifact
+    benchmark, share_config, bench_executor, save_artifact
 ):
     def run():
         out = {}
@@ -35,7 +35,6 @@ def test_fig13_inter_cca_matrices(
                 share_config,
                 row_stacks=BBR_STACKS,
                 col_stacks=CUBIC_STACKS,
-                cache=bench_cache,
                 executor=bench_executor,
             )
         return out

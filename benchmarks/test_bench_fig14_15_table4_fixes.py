@@ -13,11 +13,11 @@ from repro.analysis.fixes import FIXES, cwnd_time_series, evaluate_all_fixes
 from repro.harness import reporting, scenarios
 
 
-def test_table4_fixes(benchmark, bench_config, bench_cache, save_artifact):
+def test_table4_fixes(benchmark, bench_config, bench_executor, save_artifact):
     condition = scenarios.shallow_buffer()
 
     def run():
-        return evaluate_all_fixes(condition, bench_config, cache=bench_cache)
+        return evaluate_all_fixes(condition, bench_config, executor=bench_executor)
 
     outcomes = run_once(benchmark, run)
 

@@ -19,15 +19,15 @@ from repro.stacks import registry
 from repro.viz.charts import envelope_figure, heatmap_figure, line_figure
 
 
-def test_svg_figures(benchmark, bench_config, bench_cache, save_artifact):
+def test_svg_figures(benchmark, bench_config, bench_executor, save_artifact):
     condition = scenarios.shallow_buffer()
     OUTPUT_DIR.mkdir(exist_ok=True)
 
     def run():
-        heat = conformance_heatmap(condition, bench_config, cache=bench_cache)
-        quiche = measure_conformance("quiche", "cubic", condition, bench_config, cache=bench_cache)
-        mvfst = measure_conformance("mvfst", "bbr", condition, bench_config, cache=bench_cache)
-        sweep = cwnd_gain_sweep(config=bench_config, cache=bench_cache)
+        heat = conformance_heatmap(condition, bench_config, executor=bench_executor)
+        quiche = measure_conformance("quiche", "cubic", condition, bench_config, executor=bench_executor)
+        mvfst = measure_conformance("mvfst", "bbr", condition, bench_config, executor=bench_executor)
+        sweep = cwnd_gain_sweep(config=bench_config, executor=bench_executor)
         return heat, quiche, mvfst, sweep
 
     heat, quiche, mvfst, sweep = run_once(benchmark, run)

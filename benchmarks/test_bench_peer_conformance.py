@@ -16,6 +16,7 @@ import time
 from conftest import emit_bench, run_once
 
 from repro.ccax.campaign import evaluate_peer_group
+from repro.exec import Executor
 from repro.harness import scenarios
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
@@ -34,7 +35,7 @@ def test_peer_conformance_campaign(benchmark):
             PEERS,
             condition,
             CONFIG,
-            cache=ResultCache(),
+            executor=Executor(cache=ResultCache()),
         )
         wall_s = time.perf_counter() - start
         # Packet count from one representative trial per peer (the

@@ -20,7 +20,7 @@ IMPLEMENTATIONS = [
 ]
 
 
-def test_kernel_milestone_regression(benchmark, bench_config, bench_cache, save_artifact):
+def test_kernel_milestone_regression(benchmark, bench_config, bench_executor, save_artifact):
     condition = scenarios.shallow_buffer()
 
     def run():
@@ -29,7 +29,7 @@ def test_kernel_milestone_regression(benchmark, bench_config, bench_cache, save_
             implementations=IMPLEMENTATIONS,
             condition=condition,
             config=bench_config,
-            cache=bench_cache,
+            executor=bench_executor,
         )
 
     rows_data = run_once(benchmark, run)

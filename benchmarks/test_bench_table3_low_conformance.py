@@ -23,12 +23,12 @@ PAPER_ROWS = {
 }
 
 
-def test_table3(benchmark, bench_config, bench_cache, save_artifact):
+def test_table3(benchmark, bench_config, bench_executor, save_artifact):
     condition = scenarios.shallow_buffer()
 
     def run():
         return {
-            key: measure_conformance(key[0], key[1], condition, bench_config, cache=bench_cache)
+            key: measure_conformance(key[0], key[1], condition, bench_config, executor=bench_executor)
             for key in PAPER_ROWS
         }
 

@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.exec import Executor  # noqa: E402
 from repro.harness.cache import ResultCache  # noqa: E402
 from repro.harness.matrix import run_matrix  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
@@ -107,7 +108,7 @@ def main() -> None:
                 conditions=spec.resolved_conditions(),
                 implementations=spec.implementations(),
                 config=spec.experiment_config(),
-                cache=ResultCache(),
+                executor=Executor(cache=ResultCache()),
                 store=direct_store,
                 store_run="direct",
             )

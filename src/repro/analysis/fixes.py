@@ -14,15 +14,17 @@ HyStart disabled* — expressed here as ``reference_variant="nohystart"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.conformance import ConformanceMeasurement, measure_conformance
+from repro.harness.conformance import Cell, ConformanceMeasurement, measure_cells
 from repro.harness.runner import Impl, reference_impl, run_pair, _trial_seed
 from repro.harness import scenarios
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.exec import Executor
 
 
 @dataclass(frozen=True)
@@ -125,44 +127,34 @@ def evaluate_fix(
     case: FixCase,
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
+    executor: Optional["Executor"] = None,
 ) -> FixOutcome:
-    """Measure one Table 4 row: default variant, then the fix/verification."""
+    """Measure one Table 4 row: default variant, then the fix/verification,
+    both cells' trials as one campaign on ``executor``."""
     condition = condition or scenarios.shallow_buffer()
-    before = measure_conformance(
-        case.stack, case.cca, condition, config, variant="default", cache=cache
-    )
-    after: Optional[ConformanceMeasurement] = None
+    cells = [Cell(case.stack, case.cca, condition)]
     if case.fixed_variant is not None:
-        after = measure_conformance(
-            case.stack,
-            case.cca,
-            condition,
-            config,
-            variant=case.fixed_variant,
-            cache=cache,
-        )
+        cells.append(Cell(case.stack, case.cca, condition, case.fixed_variant))
     elif case.reference_variant != "default":
         # Verification against a modified kernel reference.
-        after = measure_conformance(
-            case.stack,
-            case.cca,
-            condition,
-            config,
-            variant="default",
-            reference_variant=case.reference_variant,
-            cache=cache,
+        cells.append(
+            Cell(case.stack, case.cca, condition,
+                 reference_variant=case.reference_variant)
         )
-    return FixOutcome(case=case, before=before, after=after)
+    before, *after = measure_cells(
+        cells, config, executor,
+        campaign=f"fix:{case.stack}/{case.cca}@{condition.describe()}",
+    )
+    return FixOutcome(case=case, before=before, after=after[0] if after else None)
 
 
 def evaluate_all_fixes(
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
+    executor: Optional["Executor"] = None,
 ) -> List[FixOutcome]:
     """Measure every Table 4 fix case at one condition."""
-    return [evaluate_fix(case, condition, config, cache=cache) for case in FIXES]
+    return [evaluate_fix(case, condition, config, executor) for case in FIXES]
 
 
 def cwnd_time_series(

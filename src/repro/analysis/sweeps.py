@@ -104,35 +104,30 @@ def cwnd_gain_sweep(
     gains: Sequence[float] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
 ) -> List[SweepPoint]:
     """Reproduce Fig. 5 over the given cwnd-gain values.
 
-    With an ``executor`` every (gain, trial) simulation runs as one
-    parallel campaign first, then the points are evaluated from cache.
+    Every (gain, trial) simulation runs as one campaign on ``executor``
+    (default: a jobs=1 :class:`~repro.exec.Executor` over the
+    process-wide cache); the points are evaluated from the values it
+    returns — the reference trials first, then each gain's trials.
     """
-    condition = condition or scenarios.shallow_buffer()
-    if executor is not None:
-        from repro.exec.jobs import sweep_trial_jobs
+    from repro.exec import Executor, sweep_trial_jobs
 
-        executor.run(
-            sweep_trial_jobs(gains, condition, config),
-            campaign=f"sweep:cwnd-gain@{condition.describe()}",
-        )
-        cache = executor.cache
-    cache = cache or DEFAULT_CACHE
-    reference_trials = [
-        compute_gain_trial(2.0, condition, config, trial + 1000, cache)
-        for trial in range(config.trials)
-    ]
+    condition = condition or scenarios.shallow_buffer()
+    values = (executor or Executor()).run(
+        sweep_trial_jobs(gains, condition, config),
+        campaign=f"sweep:cwnd-gain@{condition.describe()}",
+    )
+    trials = config.trials
+    reference_trials = values[:trials]
     points: List[SweepPoint] = []
-    for gain in gains:
-        test_trials = [
-            compute_gain_trial(gain, condition, config, trial, cache)
-            for trial in range(config.trials)
-        ]
-        result = evaluate_conformance(test_trials, reference_trials, config.envelope)
+    for index, gain in enumerate(gains):
+        start = trials * (index + 1)
+        result = evaluate_conformance(
+            values[start:start + trials], reference_trials, config.envelope
+        )
         points.append(
             SweepPoint(
                 cwnd_gain=gain,

@@ -9,7 +9,7 @@ clustered against itself (:mod:`repro.core.peer`).
 Trial identity follows the harness discipline exactly — a peer trial
 *is* a pair trial of ``Impl(host, peer)`` against itself, so the seed
 and cache key come from :func:`repro.harness.runner.trial_identity`
-unchanged.  Serial runs, ``repro.exec`` pools and the campaign service
+unchanged.  In-process runs, ``repro.exec`` pools and the campaign service
 therefore dedupe against the same content-addressed keys, an identical
 resubmission is served entirely from cache, and peer trials even dedupe
 against ordinary harness trials of the same pair.
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.peer import PeerConformanceResult, evaluate_peer_conformance
-from repro.harness.cache import DEFAULT_CACHE, ResultCache
+from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl, sampled_points, trial_identity
 
@@ -124,38 +124,21 @@ def evaluate_peer_group(
     config: ExperimentConfig,
     host_stack: str = DEFAULT_HOST_STACK,
     cca_modules: Tuple[str, ...] = (),
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
 ) -> PeerConformanceResult:
-    """Gather every peer's trials and run the peer-conformance engine."""
-    trials_by_peer: Dict[str, List[np.ndarray]] = {}
-    if executor is not None:
-        jobs = peer_trial_jobs(
-            peers, condition, config, host_stack, tuple(cca_modules)
-        )
-        values = executor.run(
-            jobs, campaign=f"peers@{condition.describe()}"
-        )
-        per_peer = config.trials
-        for i, peer in enumerate(peers):
-            chunk = values[i * per_peer:(i + 1) * per_peer]
-            trials_by_peer[peer] = [
-                np.asarray(v) for v in chunk if v is not None
-            ]
-    else:
-        for peer in peers:
-            trials_by_peer[peer] = [
-                compute_peer_trial(
-                    host_stack,
-                    peer,
-                    condition,
-                    config,
-                    trial,
-                    cca_modules=tuple(cca_modules),
-                    cache=cache,
-                )
-                for trial in range(config.trials)
-            ]
+    """Run every peer's trials as one campaign on ``executor`` (default:
+    a jobs=1 :class:`~repro.exec.Executor` over the process-wide cache)
+    and evaluate the peer-conformance engine on the values it returns."""
+    from repro.exec import Executor
+
+    values = (executor or Executor()).run(
+        peer_trial_jobs(peers, condition, config, host_stack, tuple(cca_modules)),
+        campaign=f"peers@{condition.describe()}",
+    )
+    trials = config.trials
+    trials_by_peer: Dict[str, List[np.ndarray]] = {
+        peer: values[i * trials:(i + 1) * trials] for i, peer in enumerate(peers)
+    }
     return evaluate_peer_conformance(
         trials_by_peer,
         config.envelope,
@@ -214,15 +197,13 @@ def record_peer_result(
 def run_peer_conformance_campaign(
     spec: "CampaignSpec",
     store: Optional["ResultStore"],
-    executor: Optional["Executor"],
+    executor: "Executor",
 ) -> dict:
     """Run a ``"peer_conformance"`` campaign and record it.
 
-    Trials run through ``executor`` when given (the scheduler's path —
-    parallel, deduped, store-written-through) and serially through the
-    default cache otherwise; both paths call
-    :func:`compute_peer_trial`, so results are bit-identical at any job
-    count.
+    Each condition's trials run as one campaign on ``executor``; every
+    job calls :func:`compute_peer_trial`, so results are bit-identical
+    at any job count.
     """
     from repro.faults import inject
 
@@ -252,7 +233,6 @@ def run_peer_conformance_campaign(
             config,
             host_stack=host_stack,
             cca_modules=cca_modules,
-            cache=None if executor is None else executor.cache,
             executor=executor,
         )
         inject.fault_point(

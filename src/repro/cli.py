@@ -108,46 +108,37 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _executor(args):
-    """Build a repro.exec Executor from CLI flags, or None for pure serial."""
-    jobs = getattr(args, "jobs", 1)
-    progress = getattr(args, "progress", False)
-    manifest = getattr(args, "manifest", None)
-    store_path = getattr(args, "store", None)
-    if jobs <= 1 and not progress and not manifest and not store_path:
-        return None
+    """Build the repro.exec Executor a campaign command runs on."""
     from repro.exec import Executor, ProgressPrinter
 
     cache = None
     store = None
-    if store_path:
+    if args.store:
         from repro.store import StoreCache, open_store
 
-        store = open_store(store_path)
+        store = open_store(args.store)
         # Memory LRU over the warehouse: campaigns reuse any trial
         # the warehouse already holds and write new ones through.
         cache = StoreCache(store)
     return Executor(
-        jobs=jobs,
+        jobs=args.jobs,
         cache=cache,
-        progress=ProgressPrinter() if progress else None,
-        manifest_path=manifest,
+        progress=ProgressPrinter() if args.progress else None,
+        manifest_path=args.manifest,
         store=store,
-        store_run=getattr(args, "run", None),
+        store_run=args.run,
     )
 
 
 def _store_of(executor):
     """The warehouse an executor was built around, if any."""
-    if executor is not None and executor.store_sink is not None:
+    if executor.store_sink is not None:
         return executor.store_sink.store
     return None
 
 
 def _report_executor(executor) -> None:
-    if executor is None:
-        return
-    if getattr(executor, "telemetry", None) is not None:
-        print(executor.telemetry.summary())
+    print(executor.telemetry.summary())
     store = _store_of(executor)
     executor.close()
     if store is not None:

@@ -1,16 +1,18 @@
-"""repro.exec — parallel experiment-execution engine.
+"""repro.exec — the experiment-execution engine every campaign runs on.
 
-The harness's measurements all reduce to independent 2-flow trials; this
-package turns those implicit loops into an explicit job layer: build
-:class:`Job`/:class:`TrialJob` specs (``repro.exec.jobs``), run them on
-an :class:`Executor` with N worker processes, per-job timeouts and
-bounded retries (``repro.exec.executor``), and collect per-job telemetry
-plus a JSONL run manifest and an optional durable results-warehouse sink
+The harness's measurements all reduce to independent 2-flow trials, and
+every campaign runs them the same way: build :class:`Job`/:class:`TrialJob`
+specs (``repro.exec.jobs``), call ``values = executor.run(jobs)`` once on
+an :class:`Executor` — in-process or with N worker processes, per-job
+timeouts and bounded retries (``repro.exec.executor``) — and evaluate
+the returned values.  The executor also collects per-job telemetry plus
+a JSONL run manifest and an optional durable results-warehouse sink
 (``repro.exec.telemetry``; see :mod:`repro.store`).
 
-Seeds and cache keys come from the same derivations as the serial
-harness, so parallel campaigns are bit-identical to serial ones — an
-executor only changes *where* and *when* trials run.
+Jobs carry their seeds and cache keys, so a campaign is bit-identical at
+any job count — the job count only changes *where* and *when* trials
+run.  A harness entry point given no executor builds ``Executor()``:
+one in-process worker over the process-wide cache.
 
 Quick start::
 

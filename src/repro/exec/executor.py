@@ -5,8 +5,7 @@ returns their values in submission order.  Scheduling model:
 
 * Jobs whose cache key is already present in the campaign cache are
   satisfied immediately (status ``cached``) without touching the pool.
-* With ``jobs=1`` (the default) everything runs in-process, serially —
-  the exact code path the harness uses without an executor.
+* With ``jobs=1`` (the default) everything runs in-process, serially.
 * With ``jobs=N`` a pool of N ``multiprocessing`` workers (``spawn``
   start method, so everything crossing the boundary must pickle) pulls
   jobs from a queue.  Workers hold their own in-memory
@@ -19,9 +18,13 @@ returns their values in submission order.  Scheduling model:
   degrades gracefully to in-process serial execution of the remaining
   jobs and records ``mode="serial-fallback"``.
 
+Every harness campaign runs its trials through one ``run`` call and
+evaluates the values it returns; nothing re-reads them from the cache.
+
 Determinism: the executor never derives seeds or keys itself — jobs
-carry them, computed by the same helpers the serial harness uses — so a
-parallel campaign produces bit-identical arrays to a serial one.
+carry them, computed by :func:`repro.harness.runner.trial_identity` and
+its siblings — so a pool campaign produces bit-identical arrays to a
+``jobs=1`` one.
 """
 
 from __future__ import annotations
@@ -255,6 +258,9 @@ class Executor:
 
     def run(self, jobs: Sequence[Job], campaign: str = "campaign") -> List[np.ndarray]:
         """Execute ``jobs`` and return their values in submission order.
+
+        A key submitted more than once is computed once; every position
+        holding it gets the same value.
 
         Raises :class:`ExecutionError` if any job exhausts its retries;
         telemetry and the manifest are still written in that case.

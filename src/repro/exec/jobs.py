@@ -10,12 +10,14 @@ process boundary, so it must pickle under the ``spawn`` start method.
 :class:`TrialJob` is the canonical spec for the harness's primitive —
 one 2-flow trial (impl pair, network condition, experiment config, trial
 index, optional cross-traffic/netem) — and derives its seed and cache
-key from :func:`repro.harness.runner.trial_identity`, the same
-derivation the serial path uses.  That shared identity is what makes
-parallel campaigns bit-identical to serial ones.
+key from :func:`repro.harness.runner.trial_identity`.  That identity
+does not depend on where a job runs, which is what makes campaigns
+bit-identical at any job count.
 
 The builder functions at the bottom turn whole harness campaigns
-(conformance cells, fairness pairs, BBR gain sweeps) into job lists.
+(conformance cells, fairness pairs, BBR gain sweeps) into job lists;
+the harness entry points run each list with one ``Executor.run`` and
+evaluate the values by position.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class TrialJob:
     wan_netem: Optional[NetemConfig] = None
 
     def identity(self) -> Tuple[int, str]:
-        """(seed, cache key) — identical to the serial path's derivation."""
+        """(seed, cache key) from :func:`repro.harness.runner.trial_identity`."""
         return trial_identity(
             self.test,
             self.competitor,
@@ -106,8 +108,7 @@ def pair_trial_jobs(
     cross_traffic: Optional[CrossTrafficConfig] = None,
     wan_netem: Optional[NetemConfig] = None,
 ) -> List[Job]:
-    """One job per trial of a (test, competitor) pair — mirrors
-    :func:`repro.harness.conformance.gather_trials`."""
+    """One job per trial of a (test, competitor) pair, in trial order."""
     return [
         TrialJob(
             test, competitor, condition, config, trial, cross_traffic, wan_netem
@@ -126,8 +127,9 @@ def measurement_trial_jobs(
     cross_traffic: Optional[CrossTrafficConfig] = None,
     wan_netem: Optional[NetemConfig] = None,
 ) -> List[Job]:
-    """All trials behind one conformance cell: test-vs-reference plus the
-    reference-vs-reference runs defining the reference envelope."""
+    """All trials behind one conformance cell: the ``config.trials``
+    test-vs-reference runs, then as many reference-vs-reference runs
+    defining the reference envelope."""
     impl = Impl(stack, cca, variant)
     reference = Impl(registry.REFERENCE_STACK, cca, reference_variant)
     jobs = pair_trial_jobs(
@@ -161,27 +163,22 @@ def sweep_trial_jobs(
     condition: NetworkCondition,
     config: ExperimentConfig,
 ) -> List[Job]:
-    """All trials of the Fig. 5 cwnd-gain sweep (reference runs included)."""
+    """All trials of the Fig. 5 cwnd-gain sweep: the reference runs first,
+    then each gain's trials in order (a key repeated across gains is
+    computed once by :meth:`~repro.exec.Executor.run`)."""
     from repro.analysis.sweeps import compute_gain_trial, sweep_cache_key
 
-    jobs: List[Job] = []
-    seen = set()
     pairs = [(2.0, trial + 1000) for trial in range(config.trials)]
     pairs += [(gain, trial) for gain in gains for trial in range(config.trials)]
-    for gain, trial in pairs:
-        key = sweep_cache_key(gain, condition, config, trial)
-        if key in seen:
-            continue
-        seen.add(key)
-        jobs.append(
-            Job(
-                fn=compute_gain_trial,
-                args=(gain, condition, config, trial),
-                key=key,
-                label=f"bbr gain {gain:g} trial {trial} @ {condition.describe()}",
-            )
+    return [
+        Job(
+            fn=compute_gain_trial,
+            args=(gain, condition, config, trial),
+            key=sweep_cache_key(gain, condition, config, trial),
+            label=f"bbr gain {gain:g} trial {trial} @ {condition.describe()}",
         )
-    return jobs
+        for gain, trial in pairs
+    ]
 
 
 __all__ = [

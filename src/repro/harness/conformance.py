@@ -10,7 +10,9 @@ Conformance-T, Conf-old, Δ-throughput, Δ-delay).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -19,9 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store.warehouse import ResultStore
 
 from repro.core.conformance import ConformanceResult, evaluate_conformance
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.runner import Impl, reference_impl, sampled_points
+from repro.harness.runner import Impl, reference_impl
 from repro.netsim.crosstraffic import CrossTrafficConfig
 from repro.netsim.path import NetemConfig
 from repro.stacks import registry
@@ -58,46 +59,29 @@ def gather_trials(
     competitor: Impl,
     condition: NetworkCondition,
     config: ExperimentConfig,
-    cache: Optional[ResultCache] = None,
     cross_traffic: Optional[CrossTrafficConfig] = None,
     wan_netem: Optional[NetemConfig] = None,
     executor: Optional["Executor"] = None,
 ) -> List[np.ndarray]:
     """Sampled point clouds of the test flow, one per trial.
 
-    With an ``executor`` the trials are submitted as parallel jobs; the
-    seeds and cache keys are identical to the serial path, so the arrays
-    are bit-identical either way.
+    The trials run as one campaign on ``executor`` (default: a jobs=1
+    :class:`~repro.exec.Executor` over the process-wide cache); seeds and
+    cache keys do not depend on it, so the arrays are bit-identical at
+    any job count.
     """
-    if executor is not None:
-        from repro.exec.jobs import pair_trial_jobs
+    from repro.exec import Executor, pair_trial_jobs
 
-        return executor.run(
-            pair_trial_jobs(
-                test, competitor, condition, config, cross_traffic, wan_netem
-            ),
-            campaign=f"trials:{test}-vs-{competitor}@{condition.describe()}",
-        )
-    return [
-        sampled_points(
-            test,
-            competitor,
-            condition,
-            config,
-            trial,
-            cache=cache,
-            cross_traffic=cross_traffic,
-            wan_netem=wan_netem,
-        )
-        for trial in range(config.trials)
-    ]
+    return (executor or Executor()).run(
+        pair_trial_jobs(test, competitor, condition, config, cross_traffic, wan_netem),
+        campaign=f"trials:{test}-vs-{competitor}@{condition.describe()}",
+    )
 
 
 def reference_trials(
     cca: str,
     condition: NetworkCondition,
     config: ExperimentConfig,
-    cache: Optional[ResultCache] = None,
     cross_traffic: Optional[CrossTrafficConfig] = None,
     wan_netem: Optional[NetemConfig] = None,
     executor: Optional["Executor"] = None,
@@ -109,11 +93,92 @@ def reference_trials(
         ref,
         condition,
         config,
-        cache=cache,
         cross_traffic=cross_traffic,
         wan_netem=wan_netem,
         executor=executor,
     )
+
+
+class Cell(NamedTuple):
+    """One conformance cell: an implementation against a kernel reference
+    at one network condition."""
+
+    stack: str
+    cca: str
+    condition: NetworkCondition
+    variant: str = "default"
+    reference_variant: str = "default"
+
+
+def heatmap_cells(
+    condition: NetworkCondition,
+    ccas: Sequence[str],
+    stacks: Optional[Sequence[str]] = None,
+) -> List[Cell]:
+    """A heatmap's cells: every stack (default: every QUIC stack) with
+    every one of ``ccas`` it supports."""
+    names = (
+        list(stacks)
+        if stacks is not None
+        else [p.name for p in registry.quic_stacks()]
+    )
+    return [
+        Cell(name, cca, condition)
+        for name in names
+        for cca in ccas
+        if registry.get_stack(name).supports(cca)
+    ]
+
+
+def measure_cells(
+    cells: Sequence[Cell],
+    config: ExperimentConfig,
+    executor: Optional["Executor"] = None,
+    campaign: str = "conformance",
+    cross_traffic: Optional[CrossTrafficConfig] = None,
+    wan_netem: Optional[NetemConfig] = None,
+    progress: Optional[Callable[[str], None]] = None,
+) -> List[ConformanceMeasurement]:
+    """Measure every cell from one campaign of trials.
+
+    Every cell's test-vs-reference and reference-vs-reference trials run
+    as one ``executor.run`` (default: a jobs=1
+    :class:`~repro.exec.Executor` over the process-wide cache), which
+    computes a trial shared between cells once.  Each cell is then
+    evaluated from its slice of the returned values.  ``progress`` is
+    called with ``"<stack>/<cca> @ <condition>"`` before each cell is
+    evaluated.
+    """
+    from repro.exec import Executor, measurement_trial_jobs
+
+    jobs = []
+    for cell in cells:
+        jobs += measurement_trial_jobs(
+            cell.stack, cell.cca, cell.condition, config, cell.variant,
+            cell.reference_variant, cross_traffic, wan_netem,
+        )
+    values = (executor or Executor()).run(jobs, campaign=campaign)
+    trials = config.trials
+    measurements = []
+    for index, cell in enumerate(cells):
+        if progress is not None:
+            progress(f"{cell.stack}/{cell.cca} @ {cell.condition.describe()}")
+        start = 2 * trials * index
+        # Called through this module's global, once per cell: perfbench's
+        # ``analysis.evaluate`` span (and its cell count) wraps it here.
+        result = evaluate_conformance(
+            values[start:start + trials],
+            values[start + trials:start + 2 * trials],
+            config.envelope,
+        )
+        measurements.append(
+            ConformanceMeasurement(
+                impl=Impl(cell.stack, cell.cca, cell.variant),
+                condition=cell.condition,
+                result=result,
+            )
+        )
+    return measurements
 
 
 def measure_conformance(
@@ -122,7 +187,6 @@ def measure_conformance(
     condition: NetworkCondition,
     config: ExperimentConfig = ExperimentConfig(),
     variant: str = "default",
-    cache: Optional[ResultCache] = None,
     reference_variant: str = "default",
     executor: Optional["Executor"] = None,
     store: Optional["ResultStore"] = None,
@@ -132,35 +196,19 @@ def measure_conformance(
 
     ``reference_variant`` selects a non-default kernel reference, e.g.
     ``"nohystart"`` for the paper's Table 4 comparison of xquic CUBIC
-    against TCP CUBIC with HyStart disabled.
-
-    With an ``executor``, the test and reference trials of the cell are
-    first run as one parallel campaign (into the executor's cache); the
-    evaluation then replays them from cache, so the measurement is
-    numerically identical to the serial one.
+    against TCP CUBIC with HyStart disabled.  The cell's trials run as
+    one campaign on ``executor`` (see :func:`measure_cells`).
 
     With a ``store`` the finished measurement is recorded (at full
     precision) into the results warehouse under the run named
     ``store_run`` (default ``"conformance"``), ready for later
     ``repro.store`` queries and diffs.
     """
-    if executor is not None:
-        from repro.exec.jobs import measurement_trial_jobs
-
-        executor.run(
-            measurement_trial_jobs(
-                stack, cca, condition, config, variant, reference_variant
-            ),
-            campaign=f"conformance:{stack}/{cca}@{condition.describe()}",
-        )
-        cache = executor.cache
-    impl = Impl(stack, cca, variant)
-    reference = Impl(registry.REFERENCE_STACK, cca, reference_variant)
-    test_trials = gather_trials(impl, reference, condition, config, cache=cache)
-    ref_trials = gather_trials(reference, reference, condition, config, cache=cache)
-    result = evaluate_conformance(test_trials, ref_trials, config.envelope)
-    measurement = ConformanceMeasurement(
-        impl=impl, condition=condition, result=result
+    [measurement] = measure_cells(
+        [Cell(stack, cca, condition, variant, reference_variant)],
+        config,
+        executor,
+        campaign=f"conformance:{stack}/{cca}@{condition.describe()}",
     )
     if store is not None:
         store.record_measurement(
@@ -174,45 +222,27 @@ def conformance_heatmap(
     config: ExperimentConfig = ExperimentConfig(),
     ccas: Sequence[str] = registry.CCAS,
     stacks: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
     store: Optional["ResultStore"] = None,
     store_run: Optional[str] = None,
 ) -> Dict[Tuple[str, str], ConformanceMeasurement]:
     """One full heatmap (paper Fig. 6): every stack x CCA at a condition.
 
-    With an ``executor``, every trial of every cell is submitted as one
-    parallel campaign up front; the cells are then evaluated from the
-    shared cache.  Results are numerically identical to the serial run.
-
-    With a ``store`` every cell is recorded into the warehouse under one
-    run (default ``heatmap:<condition>``), so the heatmap can later be
-    re-rendered, queried, or diffed without recomputation.
+    Every trial of every cell runs as one campaign on ``executor`` (see
+    :func:`measure_cells`).  With a ``store`` every cell is recorded into
+    the warehouse under one run (default ``heatmap:<condition>``), so the
+    heatmap can later be re-rendered, queried, or diffed without
+    recomputation.
     """
-    measurements: Dict[Tuple[str, str], ConformanceMeasurement] = {}
-    stack_names = (
-        list(stacks)
-        if stacks is not None
-        else [p.name for p in registry.quic_stacks()]
+    cells = heatmap_cells(condition, ccas, stacks)
+    measurements = measure_cells(
+        cells, config, executor, campaign=f"heatmap:{condition.describe()}"
     )
-    cells = [
-        (stack_name, cca)
-        for stack_name in stack_names
-        for cca in ccas
-        if registry.get_stack(stack_name).supports(cca)
-    ]
-    if executor is not None:
-        from repro.exec.jobs import measurement_trial_jobs
-
-        jobs = []
-        for stack_name, cca in cells:
-            jobs += measurement_trial_jobs(stack_name, cca, condition, config)
-        executor.run(jobs, campaign=f"heatmap:{condition.describe()}")
-        cache = executor.cache
-    run_name = store_run or f"heatmap:{condition.describe()}"
-    for stack_name, cca in cells:
-        measurements[(stack_name, cca)] = measure_conformance(
-            stack_name, cca, condition, config, cache=cache,
-            store=store, store_run=run_name,
-        )
-    return measurements
+    if store is not None:
+        run = store.ensure_run(store_run or f"heatmap:{condition.describe()}")
+        for measurement in measurements:
+            store.record_measurement(run, measurement)
+    return {
+        (cell.stack, cell.cca): measurement
+        for cell, measurement in zip(cells, measurements)
+    }

@@ -55,9 +55,8 @@ def compute_share_array(
 ) -> np.ndarray:
     """Per-trial shares T_first / (T_first + T_second), cached.
 
-    Module-level (picklable) so a fairness pair can run as one
-    ``repro.exec`` job; the serial path and the job layer share this
-    exact function, keeping parallel matrices bit-identical.
+    Module-level (picklable) so a fairness pair runs as one
+    ``repro.exec`` job, in-process or in a pool worker.
     """
     cache = cache or DEFAULT_CACHE
     key = share_cache_key(first, second, condition, config)
@@ -126,36 +125,31 @@ def intra_cca_matrix(
     config: ExperimentConfig = ExperimentConfig(),
     include_reference: bool = True,
     stacks: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
 ) -> FairnessMatrix:
     """Pairwise shares between all implementations of one CCA (Fig. 12).
 
-    With an ``executor`` every pair runs as one parallel job up front;
-    the matrix is then filled from the shared cache.
+    Every pair is one job of a single campaign on ``executor`` (default:
+    a jobs=1 :class:`~repro.exec.Executor` over the process-wide cache).
     """
+    from repro.exec import Executor, share_job
+
     impls = _implementations(cca, include_reference, stacks)
     labels = [_impl_label(i) for i in impls]
     n = len(impls)
-    if executor is not None:
-        from repro.exec.jobs import share_job
-
-        jobs = [
-            share_job(a, impls[j], condition, config)
-            for i, a in enumerate(impls)
-            for j in range(i + 1, n)
-        ]
-        executor.run(jobs, campaign=f"fairness:{cca}@{condition.describe()}")
-        cache = executor.cache
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = (executor or Executor()).run(
+        [share_job(impls[i], impls[j], condition, config) for i, j in pairs],
+        campaign=f"fairness:{cca}@{condition.describe()}",
+    )
     shares = np.full((n, n), np.nan)
-    for i, a in enumerate(impls):
-        shares[i, i] = 0.5
-        for j in range(i + 1, n):
-            # One experiment yields both directions, exactly as the paper
-            # computes T_x/(T_x+T_y) and T_y/(T_x+T_y) from a single run.
-            share = bandwidth_share(a, impls[j], condition, config, cache=cache)
-            shares[i, j] = share
-            shares[j, i] = 1.0 - share
+    np.fill_diagonal(shares, 0.5)
+    for (i, j), trial_shares in zip(pairs, values):
+        # One experiment yields both directions, exactly as the paper
+        # computes T_x/(T_x+T_y) and T_y/(T_x+T_y) from a single run.
+        share = float(np.mean(trial_shares))
+        shares[i, j] = share
+        shares[j, i] = 1.0 - share
     return FairnessMatrix(rows=labels, cols=labels, shares=shares)
 
 
@@ -167,27 +161,21 @@ def inter_cca_matrix(
     include_reference: bool = True,
     row_stacks: Optional[Sequence[str]] = None,
     col_stacks: Optional[Sequence[str]] = None,
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
 ) -> FairnessMatrix:
-    """Shares of every ``row_cca`` impl vs every ``col_cca`` impl (Fig. 13)."""
+    """Shares of every ``row_cca`` impl vs every ``col_cca`` impl (Fig. 13),
+    every pair one job of a single campaign on ``executor``."""
+    from repro.exec import Executor, share_job
+
     rows = _implementations(row_cca, include_reference, row_stacks)
     cols = _implementations(col_cca, include_reference, col_stacks)
-    if executor is not None:
-        from repro.exec.jobs import share_job
-
-        jobs = [
-            share_job(a, b, condition, config) for a in rows for b in cols
-        ]
-        executor.run(
-            jobs,
-            campaign=f"intercca:{row_cca}x{col_cca}@{condition.describe()}",
-        )
-        cache = executor.cache
-    shares = np.full((len(rows), len(cols)), np.nan)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            shares[i, j] = bandwidth_share(a, b, condition, config, cache=cache)
+    values = (executor or Executor()).run(
+        [share_job(a, b, condition, config) for a in rows for b in cols],
+        campaign=f"intercca:{row_cca}x{col_cca}@{condition.describe()}",
+    )
+    shares = np.array(
+        [float(np.mean(trial_shares)) for trial_shares in values]
+    ).reshape(len(rows), len(cols))
     return FairnessMatrix(
         rows=[_impl_label(i) for i in rows],
         cols=[_impl_label(i) for i in cols],

@@ -19,11 +19,10 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.exec import Executor
 
-from repro.core.conformance import evaluate_conformance
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.conformance import ConformanceMeasurement, gather_trials
-from repro.harness.runner import Impl, reference_impl
+from repro.harness.conformance import (
+    Cell, ConformanceMeasurement, heatmap_cells, measure_cells,
+)
 from repro.netsim.crosstraffic import CrossTrafficConfig
 from repro.netsim.path import NetemConfig
 from repro.stacks import registry
@@ -57,81 +56,38 @@ def measure_conformance_internet(
     cca: str,
     config: ExperimentConfig = ExperimentConfig(),
     variant: str = "default",
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
 ) -> ConformanceMeasurement:
     """One Fig. 11 cell: conformance over the synthetic WAN."""
-    condition = internet_condition()
-    impl = Impl(stack, cca, variant)
-    reference = reference_impl(cca)
-    if executor is not None:
-        from repro.exec.jobs import measurement_trial_jobs
-
-        executor.run(
-            measurement_trial_jobs(
-                stack,
-                cca,
-                condition,
-                config,
-                variant,
-                cross_traffic=wan_cross_traffic(),
-                wan_netem=wan_netem(),
-            ),
-            campaign=f"internet:{stack}/{cca}",
-        )
-        cache = executor.cache
-    kwargs = dict(
-        cache=cache,
+    [measurement] = measure_cells(
+        [Cell(stack, cca, internet_condition(), variant)],
+        config,
+        executor,
+        campaign=f"internet:{stack}/{cca}",
         cross_traffic=wan_cross_traffic(),
         wan_netem=wan_netem(),
     )
-    test_trials = gather_trials(impl, reference, condition, config, **kwargs)
-    ref_trials = gather_trials(reference, reference, condition, config, **kwargs)
-    result = evaluate_conformance(test_trials, ref_trials, config.envelope)
-    return ConformanceMeasurement(impl=impl, condition=condition, result=result)
+    return measurement
 
 
 def internet_heatmap(
     config: ExperimentConfig = ExperimentConfig(),
     stacks: Optional[Sequence[str]] = None,
     ccas: Sequence[str] = registry.CCAS,
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
 ) -> Dict[Tuple[str, str], ConformanceMeasurement]:
-    """The full Fig. 11 heatmap over the synthetic WAN.
-
-    With an ``executor`` every cell's trials run as one parallel
-    campaign first; evaluation then replays from the shared cache.
-    """
-    measurements: Dict[Tuple[str, str], ConformanceMeasurement] = {}
-    names = (
-        list(stacks)
-        if stacks is not None
-        else [p.name for p in registry.quic_stacks()]
+    """The full Fig. 11 heatmap over the synthetic WAN, every cell's
+    trials run as one campaign on ``executor``."""
+    cells = heatmap_cells(internet_condition(), ccas, stacks)
+    measurements = measure_cells(
+        cells,
+        config,
+        executor,
+        campaign="internet-heatmap",
+        cross_traffic=wan_cross_traffic(),
+        wan_netem=wan_netem(),
     )
-    cells = [
-        (name, cca)
-        for name in names
-        for cca in ccas
-        if registry.get_stack(name).supports(cca)
-    ]
-    if executor is not None:
-        from repro.exec.jobs import measurement_trial_jobs
-
-        jobs = []
-        for name, cca in cells:
-            jobs += measurement_trial_jobs(
-                name,
-                cca,
-                internet_condition(),
-                config,
-                cross_traffic=wan_cross_traffic(),
-                wan_netem=wan_netem(),
-            )
-        executor.run(jobs, campaign="internet-heatmap")
-        cache = executor.cache
-    for name, cca in cells:
-        measurements[(name, cca)] = measure_conformance_internet(
-            name, cca, config, cache=cache
-        )
-    return measurements
+    return {
+        (cell.stack, cell.cca): measurement
+        for cell, measurement in zip(cells, measurements)
+    }

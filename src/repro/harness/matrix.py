@@ -17,9 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store.warehouse import ResultStore
 
 from repro.harness import scenarios
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.conformance import ConformanceMeasurement, measure_conformance
+from repro.harness.conformance import Cell, ConformanceMeasurement, measure_cells
 from repro.harness.reporting import to_csv
 from repro.stacks import registry
 
@@ -103,7 +102,6 @@ def run_matrix(
     conditions: Optional[Sequence[NetworkCondition]] = None,
     implementations: Optional[Sequence[Tuple[str, str]]] = None,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional["Executor"] = None,
     store: Optional["ResultStore"] = None,
@@ -113,12 +111,12 @@ def run_matrix(
 
     Defaults to the paper's 16-condition matrix over all 22
     implementations — at the bench protocol that is several hours of
-    simulation, so pass a narrowed set (or a persistent cache, or the
-    ``quick_experiment_config``) for interactive use.  An ``executor``
-    runs every trial of the sweep as one parallel campaign first; the
-    cells are then evaluated from the shared cache, with results
-    numerically identical to the serial sweep.  A ``store`` records the
-    finished dataset into the results warehouse under ``store_run``.
+    simulation, so pass a narrowed set (or a store-backed executor, or
+    the ``quick_experiment_config``) for interactive use.  Every trial
+    of the sweep runs as one campaign on ``executor`` (see
+    :func:`~repro.harness.conformance.measure_cells`); ``progress`` is
+    told each cell as it is evaluated.  A ``store`` records the finished
+    dataset into the results warehouse under ``store_run``.
     """
     if conditions is None:
         conditions = scenarios.full_matrix()
@@ -126,24 +124,16 @@ def run_matrix(
         implementations = [
             (profile.name, cca) for profile, cca in registry.iter_implementations()
         ]
-    if executor is not None:
-        from repro.exec.jobs import measurement_trial_jobs
-
-        jobs = []
-        for condition in conditions:
-            for stack, cca in implementations:
-                jobs += measurement_trial_jobs(stack, cca, condition, config)
-        executor.run(jobs, campaign="matrix")
-        cache = executor.cache
-    measurements: List[ConformanceMeasurement] = []
-    for condition in conditions:
-        for stack, cca in implementations:
-            if progress is not None:
-                progress(f"{stack}/{cca} @ {condition.describe()}")
-            measurements.append(
-                measure_conformance(stack, cca, condition, config, cache=cache)
-            )
-    result = MatrixResult(measurements=measurements)
+    cells = [
+        Cell(stack, cca, condition)
+        for condition in conditions
+        for stack, cca in implementations
+    ]
+    result = MatrixResult(
+        measurements=measure_cells(
+            cells, config, executor, campaign="matrix", progress=progress
+        )
+    )
     if store is not None:
         result.save_store(store, run=store_run)
     return result

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.conformance import measure_conformance
+from repro.harness.conformance import Cell, measure_cells
 from repro.harness import scenarios
 from repro.stacks import registry
 
@@ -96,7 +95,6 @@ def regression_matrix(
     implementations: Optional[Sequence[Tuple[str, str]]] = None,
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
     executor: Optional["Executor"] = None,
     store: Optional["ResultStore"] = None,
     run_prefix: str = REGRESSION_RUN_PREFIX,
@@ -108,6 +106,10 @@ def regression_matrix(
     ``repro.store.diff_runs`` between two milestone runs reports exactly
     the verdict flips :func:`flipped_verdicts` computes in memory — and
     future releases can be diffed without re-running anything.
+
+    Every (implementation, milestone) cell's trials run as one campaign
+    on ``executor`` (see :func:`~repro.harness.conformance.measure_cells`),
+    so ``--jobs N`` starts one worker pool for the whole matrix.
     """
     condition = condition or scenarios.shallow_buffer()
     if implementations is None:
@@ -120,19 +122,22 @@ def regression_matrix(
             milestone_runs[milestone.name] = store.ensure_run(
                 milestone_run_name(milestone, run_prefix), note=milestone.note
             )
+    cells = [
+        Cell(stack, cca, condition, reference_variant=milestone.variant_for(cca))
+        for stack, cca in implementations
+        for milestone in milestones
+    ]
+    measurements = iter(
+        measure_cells(
+            cells, config, executor,
+            campaign=f"{run_prefix}@{condition.describe()}",
+        )
+    )
     rows: List[RegressionRow] = []
     for stack, cca in implementations:
         values: Dict[str, float] = {}
         for milestone in milestones:
-            measurement = measure_conformance(
-                stack,
-                cca,
-                condition,
-                config,
-                cache=cache,
-                reference_variant=milestone.variant_for(cca),
-                executor=executor,
-            )
+            measurement = next(measurements)
             values[milestone.name] = measurement.conformance
             if store is not None:
                 store.record_measurement(milestone_runs[milestone.name], measurement)

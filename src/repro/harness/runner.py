@@ -105,10 +105,10 @@ def trial_identity(
 ) -> Tuple[int, str]:
     """The (seed, cache key) pair identifying one trial.
 
-    This is the single source of truth for trial identity: the serial
-    path (:func:`sampled_points`) and the parallel job layer
-    (``repro.exec``) both derive seeds and cache keys here, which is what
-    makes parallel results bit-identical to serial ones.
+    This is the single source of truth for trial identity:
+    :func:`sampled_points` and the job layer (``repro.exec``) both derive
+    seeds and cache keys here, which is what makes results bit-identical
+    at any job count.
     """
     seed = _trial_seed(config.seed, test, competitor, condition.physical_key(), trial)
     key = cache_key(

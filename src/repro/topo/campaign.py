@@ -7,7 +7,7 @@ Trial identity follows the harness discipline exactly: the seed and
 cache key both derive from the topology's canonical fingerprint plus
 the measurement protocol, through the same
 :func:`repro.harness.cache.cache_key` machinery the conformance
-pipeline uses — so serial runs, ``repro.exec`` pools and the campaign
+pipeline uses — so in-process runs, ``repro.exec`` pools and the campaign
 service all dedupe against the same content-addressed trial keys, and
 an identical resubmission is served entirely from cache.
 """
@@ -107,9 +107,8 @@ def compute_topology_matrix(
     """One trial's windowed per-flow throughput matrix, cached.
 
     Module-level and argument-picklable (the topology travels as its
-    canonical dict) so one trial is one ``repro.exec`` job; the serial
-    path calls this exact function, keeping parallel campaigns
-    bit-identical to serial ones.
+    canonical dict) so one trial is one ``repro.exec`` job, in-process or
+    in a pool worker.
     """
     cache = cache or DEFAULT_CACHE
     spec = parse_topology_spec(spec_doc)
@@ -194,14 +193,13 @@ def aggregate_trials(
 def run_topology_campaign(
     spec: "CampaignSpec",
     store: Optional["ResultStore"],
-    executor: Optional["Executor"],
+    executor: "Executor",
 ) -> dict:
     """Run every topology of a ``"topology"`` campaign and record it.
 
-    Trials run through ``executor`` when given (the scheduler's path —
-    parallel, deduped, store-written-through) and serially through the
-    default cache otherwise; either way the values come from
-    :func:`compute_topology_matrix`, so results are bit-identical.
+    Every trial of every topology runs as one campaign on ``executor``;
+    the values come from :func:`compute_topology_matrix`, so results are
+    bit-identical at any job count.
     Per-flow rows land under ``variant=<flow label>`` with the topology
     name as the condition; one aggregate row per topology carries Jain's
     index, convergence time and bottleneck utilization.
@@ -217,12 +215,7 @@ def run_topology_campaign(
         spans.append((topo, len(jobs), len(jobs) + len(topo_jobs)))
         jobs.extend(topo_jobs)
 
-    if executor is not None:
-        values = executor.run(jobs, campaign=spec.run_name())
-    else:
-        values = [
-            job.fn(*job.args, cache=DEFAULT_CACHE, **job.kwargs) for job in jobs
-        ]
+    values = executor.run(jobs, campaign=spec.run_name())
 
     run = None
     if store is not None:
@@ -235,7 +228,7 @@ def run_topology_campaign(
     cells = 0
     results: List[dict] = []
     for topo, start, end in spans:
-        matrices = [np.asarray(v) for v in values[start:end] if v is not None]
+        matrices = values[start:end]
         if not matrices:
             continue
         summary = aggregate_trials(matrices)

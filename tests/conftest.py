@@ -54,6 +54,14 @@ def fresh_cache():
 
 
 @pytest.fixture
+def fresh_executor(fresh_cache):
+    """A jobs=1 executor over the test's isolated cache."""
+    from repro.exec import Executor
+
+    return Executor(cache=fresh_cache)
+
+
+@pytest.fixture
 def quick_config():
     """Short protocol for integration tests (seconds, not minutes)."""
     return ExperimentConfig(duration_s=12.0, trials=2)

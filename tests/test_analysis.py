@@ -34,19 +34,19 @@ def test_fix_loc_matches_table4():
     assert by_key[("xquic", "cubic")].loc is None
 
 
-def test_evaluate_fix_produces_before_and_after(fresh_cache):
+def test_evaluate_fix_produces_before_and_after(fresh_executor):
     case = next(f for f in FIXES if f.stack == "quiche")
-    outcome = evaluate_fix(case, CONDITION, QUICK, cache=fresh_cache)
+    outcome = evaluate_fix(case, CONDITION, QUICK, executor=fresh_executor)
     assert outcome.before is not None and outcome.after is not None
     row = outcome.row()
     assert "conf_before" in row and "conf_after" in row
 
 
-def test_xquic_cubic_verification_uses_nohystart_reference(fresh_cache):
+def test_xquic_cubic_verification_uses_nohystart_reference(fresh_executor):
     case = next(f for f in FIXES if f.stack == "xquic" and f.cca == "cubic")
     assert case.fixed_variant is None
     assert case.reference_variant == "nohystart"
-    outcome = evaluate_fix(case, CONDITION, QUICK, cache=fresh_cache)
+    outcome = evaluate_fix(case, CONDITION, QUICK, executor=fresh_executor)
     assert outcome.after is not None  # verification run, not a fix
 
 
@@ -57,9 +57,9 @@ def test_cwnd_time_series_shape():
     assert (np.diff(series[:, 0]) >= 0).all()
 
 
-def test_cwnd_gain_sweep_structure(fresh_cache):
+def test_cwnd_gain_sweep_structure(fresh_executor):
     points = cwnd_gain_sweep(
-        gains=(1.5, 2.0, 3.0), condition=CONDITION, config=QUICK, cache=fresh_cache
+        gains=(1.5, 2.0, 3.0), condition=CONDITION, config=QUICK, executor=fresh_executor
     )
     assert [p.cwnd_gain for p in points] == [1.5, 2.0, 3.0]
     for p in points:

@@ -17,6 +17,7 @@ from repro.ccax.campaign import (
     peer_trial_jobs,
     record_peer_result,
 )
+from repro.exec import Executor
 from repro.harness import scenarios
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
@@ -136,7 +137,7 @@ class TestCampaign:
     def test_serial_campaign_records_share_matrix_rows(self, tmp_path):
         spec = parse_campaign_spec(peer_payload())
         with ResultStore(str(tmp_path / "store.db")) as store:
-            summary = execute_campaign(spec, store, None)
+            summary = execute_campaign(spec, store, Executor())
             rows = list(store.query(run="peer-test"))
         assert summary["runs"] == ["peer-test"]
         # 3 peers: 6 off-diagonal pair cells + 3 aggregate cells.
@@ -164,7 +165,7 @@ class TestCampaign:
         payload = peer_payload(duration_s=4.5, run="peer-cached")
         spec = parse_campaign_spec(payload)
         with ResultStore(str(tmp_path / "first.db")) as store:
-            first = execute_campaign(spec, store, None)
+            first = execute_campaign(spec, store, Executor())
 
         # Every simulation from here on is a bug: the identical spec
         # must be served entirely by content-addressed cache keys.
@@ -174,13 +175,11 @@ class TestCampaign:
         monkeypatch.setattr("repro.harness.runner.run_pair", boom)
         respec = parse_campaign_spec(payload)
         with ResultStore(str(tmp_path / "second.db")) as store:
-            second = execute_campaign(respec, store, None)
+            second = execute_campaign(respec, store, Executor())
         assert second["peer_conformance"] == first["peer_conformance"]
 
     def test_bit_identical_across_job_counts(self, tmp_path):
         spec = parse_campaign_spec(peer_payload(peers=["bbr3", "gcc"]))
-        from repro.exec import Executor
-
         summaries = []
         for jobs in (1, 3):
             cache = ResultCache()
@@ -195,27 +194,21 @@ class TestCampaign:
 
 
 class TestEvaluateAndRecord:
-    def test_evaluate_peer_group_serial_matches_executor_path(self):
+    def test_evaluate_peer_group_jobs1_equals_jobs2(self):
         condition = scenarios.shallow_buffer()
         config = ExperimentConfig(duration_s=4.0, trials=2)
-        serial = evaluate_peer_group(
-            ["bbr3", "gcc"],
-            condition,
-            config,
-            cache=ResultCache(),
-        )
-        from repro.exec import Executor
-
-        executor = Executor(jobs=1, cache=ResultCache())
-        try:
-            pooled = evaluate_peer_group(
-                ["bbr3", "gcc"], condition, config, executor=executor
-            )
-        finally:
-            executor.close()
-        assert np.array_equal(serial.matrix, pooled.matrix)
-        assert np.array_equal(serial.labels, pooled.labels)
-        assert serial.summary() == pooled.summary()
+        results = []
+        for jobs in (1, 2):
+            with Executor(jobs=jobs, cache=ResultCache()) as executor:
+                results.append(
+                    evaluate_peer_group(
+                        ["bbr3", "gcc"], condition, config, executor=executor
+                    )
+                )
+        one, two = results
+        assert np.array_equal(one.matrix, two.matrix)
+        assert np.array_equal(one.labels, two.labels)
+        assert one.summary() == two.summary()
 
     def test_compute_peer_trial_caches(self):
         condition = scenarios.shallow_buffer()
@@ -238,7 +231,7 @@ class TestEvaluateAndRecord:
             ["bbr3", "gcc"],
             condition,
             config,
-            cache=ResultCache(),
+            executor=Executor(cache=ResultCache()),
         )
         with ResultStore(str(tmp_path / "store.db")) as store:
             run = store.ensure_run("rec")

@@ -147,7 +147,9 @@ class TestSerialExecutor:
 class TestPoolExecutor:
     def test_parallel_trials_identical_to_serial(self):
         test, ref = Impl("quicgo", "reno"), Impl("linux", "reno")
-        serial = gather_trials(test, ref, COND, QUICK, cache=ResultCache())
+        serial = gather_trials(
+            test, ref, COND, QUICK, executor=Executor(cache=ResultCache())
+        )
         ex = Executor(jobs=2, cache=ResultCache())
         parallel = gather_trials(test, ref, COND, QUICK, executor=ex)
         assert ex.last_mode.startswith("pool-spawn")

@@ -32,13 +32,13 @@ def test_regression_row_verdicts():
     assert flipped_verdicts([row, stable]) == [row]
 
 
-def test_regression_matrix_runs(fresh_cache):
+def test_regression_matrix_runs(fresh_executor):
     rows = regression_matrix(
         milestones=MILESTONES,
         implementations=[("quicgo", "cubic"), ("xquic", "cubic")],
         condition=CONDITION,
         config=QUICK,
-        cache=fresh_cache,
+        executor=fresh_executor,
     )
     assert len(rows) == 2
     for row in rows:
@@ -47,13 +47,38 @@ def test_regression_matrix_runs(fresh_cache):
             assert 0 <= value <= 1
 
 
-def test_custom_milestone_variant_routing(fresh_cache):
+def test_custom_milestone_variant_routing(fresh_executor):
     milestone = KernelMilestone("only-nohystart", {"cubic": "nohystart"})
     rows = regression_matrix(
         milestones=[milestone],
         implementations=[("xquic", "cubic")],
         condition=CONDITION,
         config=QUICK,
-        cache=fresh_cache,
+        executor=fresh_executor,
     )
     assert "only-nohystart" in rows[0].conformance
+
+
+def test_regression_matrix_is_one_campaign(tmp_path):
+    # Every (implementation, milestone) cell's trials go into one
+    # Executor.run, so a --jobs N run starts one worker pool, not one
+    # per cell.
+    import json
+
+    from repro.exec import Executor
+    from repro.harness.cache import ResultCache
+
+    manifest = tmp_path / "manifest.jsonl"
+    with Executor(cache=ResultCache(), manifest_path=manifest) as executor:
+        regression_matrix(
+            milestones=MILESTONES,
+            implementations=[("quicgo", "cubic"), ("xquic", "cubic")],
+            condition=CONDITION,
+            config=ExperimentConfig(duration_s=3.0, trials=2),
+            executor=executor,
+        )
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    starts = [r for r in records if r["event"] == "campaign_start"]
+    assert len(starts) == 1
+    # 2 impls x 2 milestones x (2 test + 2 reference trials).
+    assert starts[0]["jobs"] == 16

@@ -93,13 +93,13 @@ def test_aggressive_impl_takes_more(fresh_cache):
     assert share > 0.6  # quiche's rollback makes it strongly aggressive
 
 
-def test_intra_cca_matrix_structure(fresh_cache):
+def test_intra_cca_matrix_structure(fresh_executor):
     matrix = intra_cca_matrix(
         "cubic",
         CONDITION,
         QUICK,
         stacks=["linux", "quicgo", "quiche"],
-        cache=fresh_cache,
+        executor=fresh_executor,
     )
     assert matrix.rows == ["linux-cubic", "quicgo-cubic", "quiche-cubic"]
     assert matrix.shares.shape == (3, 3)
@@ -117,7 +117,7 @@ def test_unfair_rows_detection():
     assert matrix.unfair_rows() == ["a"]
 
 
-def test_inter_cca_matrix_structure(fresh_cache):
+def test_inter_cca_matrix_structure(fresh_executor):
     matrix = inter_cca_matrix(
         "bbr",
         "cubic",
@@ -125,7 +125,7 @@ def test_inter_cca_matrix_structure(fresh_cache):
         QUICK,
         row_stacks=["linux"],
         col_stacks=["linux", "quicgo"],
-        cache=fresh_cache,
+        executor=fresh_executor,
     )
     assert matrix.rows == ["linux-bbr"]
     assert matrix.cols == ["linux-cubic", "quicgo-cubic"]

@@ -86,7 +86,7 @@ class TestPcap:
 
 
 class TestMatrix:
-    def test_small_matrix(self, fresh_cache):
+    def test_small_matrix(self, fresh_executor):
         conditions = [
             NetworkCondition(bandwidth_mbps=10, rtt_ms=20, buffer_bdp=1),
             NetworkCondition(bandwidth_mbps=10, rtt_ms=20, buffer_bdp=3),
@@ -96,7 +96,7 @@ class TestMatrix:
             conditions=conditions,
             implementations=[("quicgo", "cubic"), ("quicgo", "reno")],
             config=QUICK,
-            cache=fresh_cache,
+            executor=fresh_executor,
             progress=seen.append,
         )
         assert len(result.measurements) == 4
@@ -104,12 +104,12 @@ class TestMatrix:
         rows = result.rows()
         assert len(rows) == 4 and len(rows[0]) == len(CSV_HEADERS)
 
-    def test_csv_export(self, tmp_path, fresh_cache):
+    def test_csv_export(self, tmp_path, fresh_executor):
         result = run_matrix(
             conditions=[CONDITION],
             implementations=[("quicgo", "reno")],
             config=QUICK,
-            cache=fresh_cache,
+            executor=fresh_executor,
         )
         path = tmp_path / "matrix.csv"
         result.save_csv(str(path))
@@ -117,12 +117,12 @@ class TestMatrix:
         assert lines[0].split(",")[:3] == ["stack", "cca", "variant"]
         assert len(lines) == 2
 
-    def test_cell_lookup_and_worst(self, fresh_cache):
+    def test_cell_lookup_and_worst(self, fresh_executor):
         result = run_matrix(
             conditions=[CONDITION],
             implementations=[("quicgo", "reno"), ("neqo", "cubic")],
             config=QUICK,
-            cache=fresh_cache,
+            executor=fresh_executor,
         )
         cell = result.cell("quicgo", "reno", CONDITION)
         assert cell is not None and cell.impl.stack == "quicgo"

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.exec import Executor
 from repro.harness.cache import ResultCache
 from repro.harness.matrix import run_matrix
 from repro.service import ServiceApp, ServiceClient, ServiceError
@@ -83,7 +84,7 @@ def test_e2e_metrics_bit_identical_and_second_submission_cached(
             conditions=spec.resolved_conditions(),
             implementations=spec.implementations(),
             config=spec.experiment_config(),
-            cache=ResultCache(),
+            executor=Executor(cache=ResultCache()),
             store=direct_store,
             store_run="direct",
         )

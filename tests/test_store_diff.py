@@ -9,6 +9,7 @@ stored metric values must equal the in-memory ones bit-for-bit.
 import numpy as np
 import pytest
 
+from repro.exec import Executor
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.conformance import measure_conformance
@@ -117,7 +118,7 @@ class TestRegressionAcceptance:
             implementations=impls,
             condition=COND,
             config=QUICK,
-            cache=ResultCache(),
+            executor=Executor(cache=ResultCache()),
             store=store,
         )
         flips_memory = {(r.stack, r.cca) for r in flipped_verdicts(rows)}
@@ -133,10 +134,9 @@ class TestRegressionAcceptance:
         assert diff.compared == len(impls)
 
     def test_stored_metrics_bit_identical_to_memory(self, store):
-        cache = ResultCache()
         run = store.ensure_run("one-off")
         measurement = measure_conformance(
-            "quicgo", "reno", COND, QUICK, cache=cache,
+            "quicgo", "reno", COND, QUICK, executor=Executor(cache=ResultCache()),
             store=store, store_run="one-off",
         )
         table = {
@@ -158,7 +158,7 @@ class TestRegressionAcceptance:
             implementations=impls,
             condition=COND,
             config=QUICK,
-            cache=ResultCache(),
+            executor=Executor(cache=ResultCache()),
             store=store,
         )
         rebuilt = regression_matrix_from_store(store, MILESTONES)
@@ -175,7 +175,9 @@ class TestRegressionAcceptance:
         from repro.store import StoreCache
 
         test, ref = Impl("quicgo", "reno"), Impl("linux", "reno")
-        trials = gather_trials(test, ref, COND, QUICK, cache=ResultCache())
+        trials = gather_trials(
+            test, ref, COND, QUICK, executor=Executor(cache=ResultCache())
+        )
         keys = [
             trial_identity(test, ref, COND, QUICK, t)[1]
             for t in range(QUICK.trials)

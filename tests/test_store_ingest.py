@@ -75,14 +75,14 @@ class TestManifestIngest:
 
 class TestMeasurementIngest:
     def test_live_measurements_land_under_run(
-        self, store, small_condition, fresh_cache
+        self, store, small_condition, fresh_executor
     ):
         from repro.harness.config import ExperimentConfig
         from repro.harness.conformance import measure_conformance
 
         quick = ExperimentConfig(duration_s=4.0, trials=1)
         measurement = measure_conformance(
-            "quicgo", "reno", small_condition, quick, cache=fresh_cache
+            "quicgo", "reno", small_condition, quick, executor=fresh_executor
         )
         report = ingest_measurements(store, "imported", [measurement])
         assert report.measurements == 1

@@ -101,9 +101,10 @@ class TestCampaignThroughStore:
         assert store.counts()["trials"] == trials_before
         assert statuses and all(s == "cached" for s in statuses)
 
-    def test_serial_path_equals_executor_path(self, store):
+    def test_run_without_store_equals_stored_run(self, store):
         spec = parse_campaign_spec(payload())
-        direct = execute_campaign(spec, None, None)
+        with Executor(cache=ResultCache()) as executor:
+            direct = execute_campaign(spec, None, executor)
         via_store = run_campaign(spec, store)
         assert direct["topologies"] == via_store["topologies"]
 
