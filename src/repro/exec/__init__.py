@@ -5,8 +5,12 @@ every campaign runs them the same way: build :class:`Job`/:class:`TrialJob`
 specs (``repro.exec.jobs``), call ``values = executor.run(jobs)`` once on
 an :class:`Executor` — in-process or with N worker processes, per-job
 timeouts and bounded retries (``repro.exec.executor``) — and evaluate
-the returned values.  The executor also collects per-job telemetry plus
-a JSONL run manifest and an optional durable results-warehouse sink
+the returned values.  The N workers are started once per process, not
+once per campaign: a pool whose run ended clean waits in an idle list
+for the next run of the same shape (``repro.exec.pool``), and
+:func:`close_pools` shuts the idle pools down (it also runs at exit).
+The executor also collects per-job telemetry plus a JSONL run manifest
+and an optional durable results-warehouse sink
 (``repro.exec.telemetry``; see :mod:`repro.store`).
 
 Jobs carry their seeds and cache keys, so a campaign is bit-identical at
@@ -33,6 +37,7 @@ from repro.exec.jobs import (
     share_job,
     sweep_trial_jobs,
 )
+from repro.exec.pool import close_pools
 from repro.exec.telemetry import (
     CampaignTelemetry,
     JobRecord,
@@ -44,6 +49,7 @@ from repro.exec.telemetry import (
 __all__ = [
     "Executor",
     "ExecutionError",
+    "close_pools",
     "Job",
     "TrialJob",
     "pair_trial_jobs",

@@ -8,9 +8,13 @@ returns their values in submission order.  Scheduling model:
 * With ``jobs=1`` (the default) everything runs in-process, serially.
 * With ``jobs=N`` a pool of N ``multiprocessing`` workers (``spawn``
   start method, so everything crossing the boundary must pickle) pulls
-  jobs from a queue.  Workers hold their own in-memory
-  :class:`~repro.harness.cache.ResultCache`; computed values are shipped
-  back and inserted into the parent cache.
+  jobs from a queue.  The pool is warm: it is spawned on the first pool
+  run and shared by every later run of the same ``(start_method, jobs)``
+  in the process (see :mod:`repro.exec.pool`); a run that timed out or
+  quarantined a job shuts its pool down instead.  Workers hold their own
+  in-memory :class:`~repro.harness.cache.ResultCache`, fresh for every
+  run; computed values are shipped back and inserted into the parent
+  cache.
 * Each job attempt has an optional wall-clock ``timeout_s``; a timed-out
   or crashed worker is terminated and replaced, and the job is retried
   with exponential backoff up to ``retries`` extra attempts.
@@ -29,7 +33,6 @@ its siblings — so a pool campaign produces bit-identical arrays to a
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import time
@@ -45,6 +48,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.harness.cache import DEFAULT_CACHE, ResultCache
 from repro.exec.jobs import Job
+from repro.exec.pool import checkin, checkout
 from repro.exec.telemetry import (
     STATUS_CACHED,
     STATUS_CRASHED,
@@ -73,56 +77,6 @@ class ExecutionError(RuntimeError):
 
 class _PoolBroken(Exception):
     """Internal: the worker pool cannot start or keeps dying."""
-
-
-def _worker_main(task_q, result_q, fault_plan: Optional[FaultPlan] = None):
-    """Worker loop: pull (index, job, attempt) tasks until the None sentinel.
-
-    Runs in a spawned child process; must only touch picklable state.
-    The parent's fault plan (if any) crosses the spawn boundary as data
-    and is activated locally, so worker-side injection seams fire on the
-    same deterministic schedule in every worker generation.
-    """
-    if fault_plan is not None:
-        inject.activate(fault_plan)
-    inject.fault_point("exec.worker.start")
-    cache = ResultCache()
-    pid = os.getpid()
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        index, job, attempt = task
-        result_q.put(("start", pid, index, attempt))
-        start = time.perf_counter()
-        hits0, misses0 = cache.hits, cache.misses
-        try:
-            inject.fault_point("exec.worker.trial", index=index, attempt=attempt)
-            value = np.asarray(job.fn(*job.args, cache=cache, **job.kwargs))
-        except BaseException as exc:  # report *any* job failure to the parent
-            result_q.put(
-                (
-                    "err",
-                    pid,
-                    index,
-                    attempt,
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - start,
-                )
-            )
-        else:
-            result_q.put(
-                (
-                    "ok",
-                    pid,
-                    index,
-                    attempt,
-                    value,
-                    time.perf_counter() - start,
-                    cache.hits - hits0,
-                    cache.misses - misses0,
-                )
-            )
 
 
 class _Progress:
@@ -168,9 +122,10 @@ class Executor:
         ``quarantined`` record instead of burning respawn budget on
         every remaining retry.  ``None`` disables quarantine.
     fault_plan:
-        Optional :class:`repro.faults.plan.FaultPlan` shipped to every
-        spawned worker (the parent process activates plans separately
-        via :func:`repro.faults.inject.activate`).
+        Optional :class:`repro.faults.plan.FaultPlan` shipped with every
+        task and activated afresh in each worker for each run (the
+        parent process activates plans separately via
+        :func:`repro.faults.inject.activate`).
     start_method:
         ``multiprocessing`` start method; ``spawn`` is the portable,
         deterministic default.
@@ -391,33 +346,24 @@ class Executor:
 
     def _run_pool(self, joblist, indices, values, records, state) -> None:
         try:
-            ctx = multiprocessing.get_context(self.start_method)
+            pool = checkout(self.start_method, self.jobs)
         except ValueError as exc:
             raise _PoolBroken(f"unknown start method: {exc}")
-
-        try:
-            task_q = ctx.Queue()
-            result_q = ctx.Queue()
         except OSError as exc:
             raise _PoolBroken(f"cannot create queues: {exc}")
-
-        worker_args = (task_q, result_q, self.fault_plan)
-        procs: Dict[int, multiprocessing.process.BaseProcess] = {}
+        pool.run_id += 1
+        run_id, task_q, result_q, procs = (
+            pool.run_id, pool.task_q, pool.result_q, pool.procs
+        )
         respawn_budget = len(indices) * (self.retries + 1)
 
         def spawn(count: int) -> int:
-            started = 0
-            for _ in range(count):
-                try:
-                    proc = ctx.Process(
-                        target=_worker_main, args=worker_args, daemon=True
-                    )
-                    proc.start()
-                except OSError:
-                    break
-                procs[proc.pid] = proc
-                started += 1
+            started = pool.spawn(count, self.fault_plan)
+            self.telemetry.worker_spawns += started
             return started
+
+        def submit(i: int) -> None:
+            task_q.put((run_id, self.fault_plan, i, joblist[i], attempts[i]))
 
         attempts: Dict[int, int] = {i: 0 for i in indices}
         crashes: Dict[int, int] = {i: 0 for i in indices}
@@ -427,12 +373,19 @@ class Executor:
         started: Set[Tuple[int, int]] = set()  # (idx, att) that reported in
         stall_budget = len(indices) * (self.retries + 1)
         last_activity = time.monotonic()
+        # A pool goes back to the idle list only if this run ends clean:
+        # nothing in flight, no worker terminated for a timeout, no job
+        # quarantined, no exception.
+        reusable = True
 
         for i in indices:
             attempts[i] += 1
-            task_q.put((i, joblist[i], attempts[i]))
+            submit(i)
 
-        if spawn(min(self.jobs, len(indices))) == 0:
+        # A warm pool is already staffed; a new one starts empty.
+        spawn(min(self.jobs, len(indices)) - len(procs))
+        if not procs:
+            pool.shutdown()
             raise _PoolBroken("no worker process could start")
 
         def fail_attempt(i: int, errmsg: str, final_status: str, wall: float) -> None:
@@ -460,13 +413,15 @@ class Executor:
                     elif due <= now:
                         requeue.remove((due, i))
                         attempts[i] += 1
-                        task_q.put((i, joblist[i], attempts[i]))
+                        submit(i)
                         last_activity = now
 
                 try:
                     msg = result_q.get(timeout=0.05)
                 except queue.Empty:
                     msg = None
+                if msg is not None and msg[1] != run_id:
+                    msg = None  # left over from an earlier run on this pool
                 if msg is not None and msg[0] == "start":
                     # Injection seam: drop a worker's "start" report, as if
                     # it died before the message flushed.  Exercises the
@@ -479,11 +434,11 @@ class Executor:
                     last_activity = time.monotonic()
                     kind = msg[0]
                     if kind == "start":
-                        _, pid, i, att = msg
+                        _, _, pid, i, att = msg
                         running[pid] = (i, att, time.monotonic())
                         started.add((i, att))
                     elif kind == "ok":
-                        _, pid, i, att, value, wall, hits, misses = msg
+                        _, _, pid, i, att, value, wall, hits, misses = msg
                         running.pop(pid, None)
                         if i not in resolved:
                             record = records[i]
@@ -499,7 +454,7 @@ class Executor:
                             resolved.add(i)
                             state.emit(record)
                     elif kind == "err":
-                        _, pid, i, att, errmsg, wall = msg
+                        _, _, pid, i, att, errmsg, wall = msg
                         running.pop(pid, None)
                         if i not in resolved and att == attempts[i]:
                             fail_attempt(i, errmsg, STATUS_FAILED, wall)
@@ -510,6 +465,7 @@ class Executor:
                     for pid, (i, att, t0) in list(running.items()):
                         if now - t0 > self.timeout_s:
                             running.pop(pid, None)
+                            reusable = False
                             proc = procs.pop(pid, None)
                             if proc is not None:
                                 proc.terminate()
@@ -538,6 +494,7 @@ class Executor:
                                     # Poison job: it keeps taking workers
                                     # down with it.  Quarantine instead of
                                     # burning the respawn budget retrying.
+                                    reusable = False
                                     record = records[i]
                                     record.error = (
                                         f"quarantined after {crashes[i]} worker "
@@ -583,36 +540,15 @@ class Executor:
                         if stall_budget <= 0:
                             raise _PoolBroken("jobs vanish without starting")
                         stall_budget -= 1
-                        task_q.put((i, joblist[i], attempts[i]))
+                        submit(i)
                     last_activity = time.monotonic()
-        finally:
-            self._shutdown(task_q, result_q, procs)
-
-    @staticmethod
-    def _shutdown(task_q, result_q, procs) -> None:
-        # Drain stale tasks so idle workers see the sentinels promptly.
-        while True:
-            try:
-                task_q.get_nowait()
-            except (queue.Empty, OSError):
-                break
-        for _ in procs:
-            try:
-                task_q.put(None)
-            except (ValueError, OSError):
-                break
-        deadline = time.monotonic() + 2.0
-        for proc in procs.values():
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(0.5)
-        for q in (task_q, result_q):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (ValueError, OSError):
-                pass
+        except BaseException:
+            pool.shutdown()
+            raise
+        if reusable and not running:
+            checkin(pool)
+        else:
+            pool.shutdown()
 
 
 __all__ = ["Executor", "ExecutionError"]

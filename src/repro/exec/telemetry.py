@@ -86,6 +86,8 @@ class CampaignTelemetry:
     job_wall_s: float = 0.0
     worker_hits: int = 0
     worker_misses: int = 0
+    #: Worker processes this executor started; a warm pool adds none.
+    worker_spawns: int = 0
     mode: str = ""
 
     def absorb(self, records: List[JobRecord], wall_s: float, mode: str) -> None:

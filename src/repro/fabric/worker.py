@@ -2,9 +2,9 @@
 
 A worker is a separate process (``repro fabric worker``), optionally on
 a different machine, that pulls campaign leases from the coordinator
-and runs them through the same :class:`repro.exec.Executor` +
-:class:`repro.store.StoreCache` pipeline the single-process scheduler
-uses — so results are bit-identical by construction.
+and runs them through :func:`repro.service.scheduler.run_campaign`, the
+same function the single-process scheduler uses — so results are
+bit-identical by construction.
 
 Two store modes:
 
@@ -38,11 +38,13 @@ import threading
 from pathlib import Path
 from typing import Callable, List, Optional
 
+from repro.exec import close_pools
 from repro.exec.telemetry import default_clock
 from repro.faults import inject
 from repro.faults.retry import RetryPolicy, default_sleep
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.specs import execute_campaign, parse_campaign_spec
+from repro.service.scheduler import run_campaign
+from repro.service.specs import parse_campaign_spec
 
 
 class _LeaseLost(Exception):
@@ -297,6 +299,8 @@ class FabricWorker:
                 break
             if max_tasks is not None and handled >= max_tasks:
                 break
+        # No more leases: stop the warm executor workers they ran on.
+        close_pools()
         if self.drained:
             # Hand the registry slot back so the supervisor's roll can
             # proceed; best-effort — an unreachable coordinator just
@@ -427,9 +431,6 @@ class FabricWorker:
     # ------------------------------------------------------------- execute
 
     def _execute(self, lease: dict, progress):
-        from repro.exec import Executor
-        from repro.store import StoreCache, open_store
-
         spec = parse_campaign_spec(lease["spec"])
         if self.store_path is not None:
             store_file, bundle_runs = self.store_path, None
@@ -441,28 +442,13 @@ class FabricWorker:
             scratch.mkdir(parents=True, exist_ok=True)
             store_file = str(scratch / f"{lease['campaign']}.db")
             bundle_runs = spec.run_names()
-        with open_store(store_file) as store:
-            cache = StoreCache(store)
-            with Executor(
-                jobs=self.jobs,
-                cache=cache,
-                progress=progress,
-                store=store,
-                store_run=spec.run_name(),
-            ) as executor:
-                summary = execute_campaign(spec, store, executor)
-                telemetry = executor.telemetry
-                summary["exec"] = {
-                    "jobs": telemetry.jobs,
-                    "ok": telemetry.ok,
-                    "cached": telemetry.cached,
-                    "wall_s": round(telemetry.wall_s, 4),
-                    "mode": telemetry.mode,
-                }
-            bundle = None
-            if bundle_runs is not None:
-                from repro.fabric.wire import export_bundle
+        summary = run_campaign(spec, store_file, self.jobs, progress)
+        bundle = None
+        if bundle_runs is not None:
+            from repro.fabric.wire import export_bundle
+            from repro.store import open_store
 
+            with open_store(store_file) as store:
                 names = [n for n in bundle_runs if store.has_run(n)]
                 bundle = export_bundle(store, names)
         summary["worker"] = self.name

@@ -17,8 +17,8 @@ Injected failures are *real* exception types carrying an
 exactly the ones real faults would take.
 
 Executor workers run in spawned processes with their own module globals;
-:class:`~repro.exec.Executor` ships the plan across the boundary and the
-worker bootstrap activates it locally.
+:class:`~repro.exec.Executor` ships the plan with every task and a worker
+activates it locally for each run it serves (see :mod:`repro.exec.pool`).
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.exec import Executor, close_pools
 from repro.exec.telemetry import default_clock
 from repro.faults import inject
 from repro.faults.breaker import BreakerOpen, get_breaker
@@ -117,6 +118,47 @@ class CampaignJob:
         }
 
 
+def run_campaign(
+    spec: CampaignSpec,
+    store_path: str,
+    jobs: int = 1,
+    progress=None,
+) -> dict:
+    """Run one service or fabric campaign against the warehouse at ``store_path``.
+
+    The scheduler and the fabric worker both call this, so a campaign's
+    executor is built and reported in one place.
+
+    A fresh store connection and store-backed cache per campaign:
+    trials the warehouse already holds are served without simulation
+    (whole-campaign dedup), and computed trials write through to the
+    warehouse as they complete, so an interrupted campaign loses nothing
+    it finished.  ``jobs > 1`` runs the trials on the process's warm
+    worker pool.  Returns :func:`execute_campaign`'s summary plus the
+    executor telemetry under ``"exec"``.
+    """
+    from repro.store import StoreCache, open_store
+
+    with open_store(store_path) as store:
+        with Executor(
+            jobs=jobs,
+            cache=StoreCache(store),
+            progress=progress,
+            store=store,
+            store_run=spec.run_name(),
+        ) as executor:
+            summary = execute_campaign(spec, store, executor)
+    telemetry = executor.telemetry
+    summary["exec"] = {
+        "jobs": telemetry.jobs,
+        "ok": telemetry.ok,
+        "cached": telemetry.cached,
+        "wall_s": round(telemetry.wall_s, 4),
+        "mode": telemetry.mode,
+    }
+    return summary
+
+
 class Scheduler:
     """Priority queue + worker pool turning campaign specs into results.
 
@@ -132,7 +174,9 @@ class Scheduler:
         the drain/resume tests and a paused service use this.
     exec_jobs:
         Worker *processes* each campaign's :class:`~repro.exec.Executor`
-        may use for its trials (per-campaign concurrency limit).
+        may use for its trials (per-campaign concurrency limit).  They
+        are spawned by the first campaign and reused by the next ones;
+        :meth:`shutdown` stops them.
     max_pending:
         Bounded-queue capacity; beyond it :meth:`submit` raises
         :class:`QueueFull`.
@@ -447,9 +491,6 @@ class Scheduler:
                 self._finish(job, DONE, None)
 
     def _run_campaign(self, job: CampaignJob) -> dict:
-        from repro.exec import Executor
-        from repro.store import StoreCache, open_store
-
         def progress(record, done, total):
             with self._lock:
                 job.done, job.total = done, total
@@ -469,30 +510,7 @@ class Scheduler:
             if job.cancel_event.is_set():
                 raise _Cancelled()
 
-        # A fresh store connection and store-backed cache per campaign:
-        # trials the warehouse already holds are served without
-        # simulation (the service's whole-campaign dedup), and computed
-        # trials write through to the warehouse as they complete, so an
-        # interrupted campaign loses nothing it finished.
-        with open_store(self.store_path) as store:
-            cache = StoreCache(store)
-            with Executor(
-                jobs=self.exec_jobs,
-                cache=cache,
-                progress=progress,
-                store=store,
-                store_run=job.spec.run_name(),
-            ) as executor:
-                summary = execute_campaign(job.spec, store, executor)
-                telemetry = executor.telemetry
-                summary["exec"] = {
-                    "jobs": telemetry.jobs,
-                    "ok": telemetry.ok,
-                    "cached": telemetry.cached,
-                    "wall_s": round(telemetry.wall_s, 4),
-                    "mode": telemetry.mode,
-                }
-        return summary
+        return run_campaign(job.spec, self.store_path, self.exec_jobs, progress)
 
     def _finish(self, job: CampaignJob, state: str, error: Optional[str]) -> None:
         with self._lock:
@@ -522,6 +540,10 @@ class Scheduler:
             self._queue.put((sentinel_priority, next(self._seq), None))
         for thread in self._workers:
             thread.join(timeout)
+        # The campaigns' warm worker pools are idle now; a campaign still
+        # running past ``timeout`` checks its pool in later, and the
+        # exit hook closes that one.
+        close_pools()
         # Wake any long-pollers so they observe the final state.
         with self._events_cond:
             self._events_cond.notify_all()
@@ -529,6 +551,7 @@ class Scheduler:
 
 __all__ = [
     "Scheduler",
+    "run_campaign",
     "CampaignJob",
     "QueueFull",
     "PENDING",

@@ -62,6 +62,16 @@ def fresh_executor(fresh_cache):
 
 
 @pytest.fixture
+def idle_pools():
+    """Start and end with no warm worker pool; yields the idle-pool list."""
+    from repro.exec import close_pools, pool
+
+    close_pools()
+    yield pool._IDLE
+    close_pools()
+
+
+@pytest.fixture
 def quick_config():
     """Short protocol for integration tests (seconds, not minutes)."""
     return ExperimentConfig(duration_s=12.0, trials=2)

@@ -6,6 +6,7 @@ coordinate across worker processes through counter files.
 """
 
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -216,6 +217,84 @@ class TestPoolExecutor:
             values = ex.run([Job(fn=_double, args=(x,), key=f"f{x}") for x in range(3)])
         assert [v[0] for v in values] == [0.0, 2.0, 4.0]
         assert ex.last_mode == "serial-fallback"
+
+
+class TestWarmPool:
+    """Worker processes start once per process and serve many runs."""
+
+    def test_runs_share_one_pool_and_match_serial(self, idle_pools):
+        first = pair_trial_jobs(
+            Impl("quicgo", "reno"), Impl("linux", "reno"), COND, QUICK
+        )
+        second = pair_trial_jobs(
+            Impl("quiche", "cubic"), Impl("linux", "cubic"), COND, QUICK
+        )
+        serial = Executor(cache=ResultCache())
+        expected = [serial.run(first), serial.run(second), serial.run(first)]
+        ex = Executor(jobs=2, cache=ResultCache())
+        other = Executor(jobs=2, cache=ResultCache())
+        got = [ex.run(first), ex.run(second), other.run(first)]
+        assert ex.last_mode == other.last_mode == "pool-spawnx2"
+        # Two workers for three runs on two executors, not two per run.
+        assert ex.telemetry.worker_spawns == 2
+        assert other.telemetry.worker_spawns == 0
+        for want, have in zip(expected, got):
+            for a, b in zip(want, have):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [pool.key for pool in idle_pools] == [("spawn", 2)]
+
+    def test_timed_out_run_shuts_its_pool_down(self, idle_pools):
+        ex = Executor(jobs=2, cache=ResultCache(), timeout_s=0.5, retries=0)
+        ex.run([Job(fn=_double, args=(1,), key="warm")])
+        assert [pool.key for pool in idle_pools] == [("spawn", 2)]
+        with pytest.raises(ExecutionError):
+            ex.run([Job(fn=_sleepy, args=(60.0,), key="slow")])
+        assert ex.last_records[0].status == "timeout"
+        assert idle_pools == []
+        assert multiprocessing.active_children() == []
+
+    def test_stale_result_of_an_earlier_run_is_ignored(self, idle_pools):
+        ex = Executor(jobs=2, cache=ResultCache())
+        ex.run([Job(fn=_double, args=(1,), key="first")])
+        (pool,) = idle_pools
+        # A late "ok" for index 0 from the finished run, as a worker still
+        # busy with a duplicate attempt would send it.
+        pool.result_q.put(
+            ("ok", pool.run_id, -1, 0, 1, np.array([-1.0]), 0.0, 0, 0)
+        )
+        (value,) = ex.run([Job(fn=_sleepy, args=(0.2,), key="second")])
+        assert value[0] == 0.0
+        assert ex.last_records[0].attempts == 1
+        assert ex.telemetry.worker_spawns == 1
+
+    def test_service_stop_leaves_no_worker_process(self, tmp_path, idle_pools):
+        from repro.service import ServiceApp, ServiceClient
+
+        app = ServiceApp(str(tmp_path / "store.db"), exec_jobs=2)
+        app.start()
+        try:
+            client = ServiceClient(app.url, timeout_s=30.0)
+            accepted = client.submit(
+                {
+                    "kind": "conformance",
+                    "stacks": ["quiche"],
+                    "ccas": ["cubic"],
+                    "conditions": [
+                        {"bandwidth_mbps": 2, "rtt_ms": 20, "buffer_bdp": 1}
+                    ],
+                    "duration_s": 3,
+                    "trials": 1,
+                    "run": "warm-pool",
+                }
+            )
+            final = client.wait(accepted["id"], timeout_s=120)
+            assert final["state"] == "done"
+            assert [pool.key for pool in idle_pools] == [("spawn", 2)]
+            assert multiprocessing.active_children()
+        finally:
+            app.stop()
+        assert idle_pools == []
+        assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------ job specs

@@ -7,12 +7,14 @@ health — not merely that the fault fired.
 """
 
 import json
+import queue
 import sqlite3
 
 import numpy as np
 import pytest
 
 from repro.exec import ExecutionError, Executor, Job
+from repro.exec.pool import _worker_main
 from repro.exec.telemetry import STATUS_QUARANTINED, StoreSink
 from repro.faults import inject
 from repro.faults.breaker import BreakerOpen, get_breaker, reset_breakers
@@ -184,6 +186,13 @@ def _ok(x, cache=None):
     return np.array([float(x)])
 
 
+def _cache_probe(cache=None):
+    """1.0 if this worker's cache already held the probe entry, else 0.0."""
+    hit = cache.get("probe") is not None
+    cache.put("probe", np.zeros(1))
+    return np.array([float(hit)])
+
+
 class TestExecutorFaults:
     def test_serial_retry_uses_injected_sleep(self, tmp_path):
         sleeps = []
@@ -230,6 +239,22 @@ class TestExecutorFaults:
         assert record.status == STATUS_QUARANTINED
         assert "quarantined after 2 worker crashes" in record.error
 
+    def test_quarantining_run_shuts_its_pool_down(self, idle_pools):
+        plan = FaultPlan(
+            "poison", (rule(FAULT_WORKER_CRASH, "exec.worker.trial"),)
+        )
+        ex = Executor(
+            jobs=2,
+            cache=ResultCache(),
+            retry=RetryPolicy(max_attempts=6, backoff_s=0.01),
+            poison_crashes=2,
+            fault_plan=plan,
+        )
+        with pytest.raises(ExecutionError):
+            ex.run([Job(fn=_ok, args=(1,), key="poison")])
+        assert ex.last_records[0].status == STATUS_QUARANTINED
+        assert idle_pools == []
+
     def test_worker_crash_under_quarantine_threshold_still_retries(self):
         # First-attempt-only crash: the retry succeeds before the poison
         # threshold, proving quarantine never fires on transient crashes.
@@ -248,6 +273,61 @@ class TestExecutorFaults:
         assert value[0] == 5.0
         assert ex.last_records[0].status == "ok"
         assert ex.last_records[0].retried
+
+    def test_first_attempt_crash_recovers_in_each_run_on_a_warm_pool(
+        self, idle_pools
+    ):
+        plan = FaultPlan(
+            "once",
+            (rule(FAULT_WORKER_CRASH, "exec.worker.trial", when={"attempt": 1}),),
+        )
+        ex = Executor(
+            jobs=2,
+            cache=ResultCache(),
+            retry=RetryPolicy(max_attempts=4, backoff_s=0.01),
+            poison_crashes=3,
+            fault_plan=plan,
+        )
+        for n in (1, 2):
+            (value,) = ex.run([Job(fn=_ok, args=(n,), key=f"transient-{n}")])
+            assert value[0] == float(n)
+            record = ex.last_records[0]
+            assert record.status == "ok" and record.retried
+            assert record.attempts == 2
+            # The crash was recovered, so the pool stays warm.
+            assert [pool.key for pool in idle_pools] == [("spawn", 2)]
+        # One worker for the first one-job run, then one replacement per
+        # crash: the second run started no worker of its own.
+        assert ex.telemetry.worker_spawns == 3
+
+    def test_worker_starts_each_run_with_fresh_plan_and_cache(self):
+        # The worker loop, in-process, fed tasks of three runs.  A new run
+        # id re-activates that run's plan (occurrence counters from zero)
+        # and starts an empty cache; a run without a plan deactivates the
+        # old one.  The plan fails the first trial of each activation.
+        plan = FaultPlan(
+            "first", (rule(FAULT_STORE_LOCKED, "exec.worker.trial", hits=(1,)),)
+        )
+        tasks, results = queue.Queue(), queue.Queue()
+        probe = Job(fn=_cache_probe, key="probe")
+        for run, run_plan in ((1, plan), (1, plan), (2, plan), (2, plan),
+                              (3, None), (3, None)):
+            tasks.put((run, run_plan, 0, probe, 1))
+        tasks.put(None)
+        _worker_main(tasks, results, 1, plan)
+        outcomes = []
+        while not results.empty():
+            msg = results.get()
+            if msg[0] == "ok":
+                outcomes.append((msg[1], "ok", float(msg[5][0])))
+            elif msg[0] == "err":
+                outcomes.append((msg[1], "err"))
+        assert outcomes == [
+            (1, "err"), (1, "ok", 0.0),
+            (2, "err"), (2, "ok", 0.0),
+            (3, "ok", 0.0), (3, "ok", 1.0),
+        ]
+        assert inject.active() is None
 
 
 # --------------------------------------------------------------- service
