@@ -22,10 +22,12 @@ INTER = [
 ]
 
 
-def test_transitivity(benchmark, share_config, bench_cache, save_artifact):
+def test_transitivity(benchmark, share_config, bench_executor, save_artifact):
     def run():
-        intra = analyze(INTRA, scenarios.fairness_condition(), share_config, cache=bench_cache)
-        inter = analyze(INTER, scenarios.inter_cca_deep(), share_config, cache=bench_cache)
+        intra = analyze(INTRA, scenarios.fairness_condition(), share_config,
+                        executor=bench_executor)
+        inter = analyze(INTER, scenarios.inter_cca_deep(), share_config,
+                        executor=bench_executor)
         return intra, inter
 
     intra, inter = run_once(benchmark, run)

@@ -14,7 +14,7 @@ HyStart disabled* — expressed here as ``reference_variant="nohystart"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,29 +123,50 @@ class FixOutcome:
         return out
 
 
+def _fix_cells(case: FixCase, condition: NetworkCondition) -> List[Cell]:
+    """One Table 4 row's cells: the default variant, then the fix or the
+    verification against a modified kernel reference (if any)."""
+    cells = [Cell(case.stack, case.cca, condition)]
+    if case.fixed_variant is not None:
+        cells.append(Cell(case.stack, case.cca, condition, case.fixed_variant))
+    elif case.reference_variant != "default":
+        cells.append(
+            Cell(case.stack, case.cca, condition,
+                 reference_variant=case.reference_variant)
+        )
+    return cells
+
+
+def _evaluate(
+    cases: Sequence[FixCase],
+    condition: Optional[NetworkCondition],
+    config: ExperimentConfig,
+    executor: Optional["Executor"],
+) -> List[FixOutcome]:
+    """Every case's cells as one campaign on ``executor``, sliced back
+    by position into before/after outcomes."""
+    condition = condition or scenarios.shallow_buffer()
+    per_case = [_fix_cells(case, condition) for case in cases]
+    measurements = iter(measure_cells(
+        sum(per_case, []), config, executor,
+        campaign=f"fixes@{condition.describe()}",
+    ))
+    return [
+        FixOutcome(case, next(measurements),
+                   next(measurements) if len(cells) > 1 else None)
+        for case, cells in zip(cases, per_case)
+    ]
+
+
 def evaluate_fix(
     case: FixCase,
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
     executor: Optional["Executor"] = None,
 ) -> FixOutcome:
-    """Measure one Table 4 row: default variant, then the fix/verification,
-    both cells' trials as one campaign on ``executor``."""
-    condition = condition or scenarios.shallow_buffer()
-    cells = [Cell(case.stack, case.cca, condition)]
-    if case.fixed_variant is not None:
-        cells.append(Cell(case.stack, case.cca, condition, case.fixed_variant))
-    elif case.reference_variant != "default":
-        # Verification against a modified kernel reference.
-        cells.append(
-            Cell(case.stack, case.cca, condition,
-                 reference_variant=case.reference_variant)
-        )
-    before, *after = measure_cells(
-        cells, config, executor,
-        campaign=f"fix:{case.stack}/{case.cca}@{condition.describe()}",
-    )
-    return FixOutcome(case=case, before=before, after=after[0] if after else None)
+    """Measure one Table 4 row: default variant, then the fix/verification."""
+    [outcome] = _evaluate([case], condition, config, executor)
+    return outcome
 
 
 def evaluate_all_fixes(
@@ -153,8 +174,8 @@ def evaluate_all_fixes(
     config: ExperimentConfig = ExperimentConfig(),
     executor: Optional["Executor"] = None,
 ) -> List[FixOutcome]:
-    """Measure every Table 4 fix case at one condition."""
-    return [evaluate_fix(case, condition, config, executor) for case in FIXES]
+    """Measure every Table 4 fix case at one condition, as one campaign."""
+    return _evaluate(FIXES, condition, config, executor)
 
 
 def cwnd_time_series(

@@ -18,6 +18,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.exec import Executor
+    from repro.store.warehouse import ResultStore
 
 from repro.cca.bbr import BBR, BBRConfig
 from repro.core.conformance import evaluate_conformance
@@ -138,3 +139,28 @@ def cwnd_gain_sweep(
             )
         )
     return points
+
+
+def save_sweep_store(
+    store: "ResultStore",
+    run: str,
+    points: Sequence[SweepPoint],
+    condition: NetworkCondition,
+) -> None:
+    """Record one measurement per gain: modified kernel BBR
+    (``linux-mod``/``bbr``, variant ``cwnd_gain=<gain>``) at ``condition``."""
+    run_info = store.ensure_run(run, note="Fig. 5 cwnd-gain sweep")
+    for point in points:
+        store.record_metrics(
+            run_info,
+            stack="linux-mod",
+            cca="bbr",
+            variant=f"cwnd_gain={point.cwnd_gain:g}",
+            condition=condition,
+            metrics={
+                "conf": point.conformance,
+                "conf_t": point.conformance_t,
+                "delta_tput_mbps": point.delta_throughput_mbps,
+                "delta_delay_ms": point.delta_delay_ms,
+            },
+        )

@@ -13,15 +13,16 @@ the violating triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.fairness import bandwidth_share
 from repro.harness.runner import Impl
 from repro.harness import scenarios
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.exec import Executor
 
 
 @dataclass
@@ -41,18 +42,29 @@ def beats_matrix(
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
     threshold: float = 0.5,
-    cache: Optional[ResultCache] = None,
+    executor: Optional["Executor"] = None,
 ) -> np.ndarray:
-    """Pairwise beats relation from bandwidth shares."""
+    """Pairwise beats relation from bandwidth shares.
+
+    Each unordered pair is simulated once, as one job of a single
+    campaign on ``executor``; one run yields both directions
+    (``share(b, a) = 1 - share(a, b)``), so with ``threshold >= 0.5``
+    no pair beats the other both ways.
+    """
+    from repro.exec import Executor, share_job
+
     condition = condition or scenarios.fairness_condition()
     n = len(impls)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = (executor or Executor()).run(
+        [share_job(impls[i], impls[j], condition, config) for i, j in pairs],
+        campaign=f"transitivity@{condition.describe()}",
+    )
     beats = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(impls):
-        for j, b in enumerate(impls):
-            if i == j:
-                continue
-            share = bandwidth_share(a, b, condition, config, cache=cache)
-            beats[i, j] = share > threshold
+    for (i, j), trial_shares in zip(pairs, values):
+        share = float(np.mean(trial_shares))
+        beats[i, j] = share > threshold
+        beats[j, i] = 1.0 - share > threshold
     return beats
 
 
@@ -79,10 +91,10 @@ def analyze(
     impls: Sequence[Impl],
     condition: Optional[NetworkCondition] = None,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
+    executor: Optional["Executor"] = None,
 ) -> TransitivityReport:
     """Beats matrix plus its transitivity violations for a set of implementations."""
-    beats = beats_matrix(impls, condition, config, cache=cache)
+    beats = beats_matrix(impls, condition, config, executor=executor)
     return TransitivityReport(
         impls=list(impls),
         beats=beats,

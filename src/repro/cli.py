@@ -11,12 +11,16 @@ Subcommands mirror the paper's experiments:
 * ``quicbench fixes`` — Table 4 before/after fix verification.
 * ``quicbench sweep`` — the Fig. 5 cwnd-gain sweep.
 
-Campaign-style subcommands (heatmap, fairness, intercca, sweep, matrix,
-regression) accept ``--jobs N`` to run their trials on N worker
-processes via ``repro.exec`` (results are identical to serial),
-``--progress`` for per-job progress lines, ``--manifest PATH`` for a
-JSONL run log, and ``--store PATH`` to persist trials and metrics into
-the ``repro.store`` results warehouse (``--run`` names the stored run).
+Every campaign subcommand (heatmap, matrix, regression, fairness,
+intercca, sweep, fixes, topo run/matrix, cca peer-matrix) turns its
+flags into a campaign spec (``repro.service.specs``) and runs it through
+``repro.service.scheduler.run_campaign`` — the same front door the
+campaign service and the fabric workers use.  All but ``fixes`` accept
+``--jobs N`` to run their trials on N worker processes (results are
+identical to serial), ``--progress`` for per-job progress lines,
+``--manifest PATH`` for a JSONL run log, and ``--store PATH`` to
+persist trials and metrics into the ``repro.store`` results warehouse
+(``--run`` names the stored run).
 
 The warehouse itself is driven by ``quicbench store``:
 
@@ -59,8 +63,8 @@ from typing import List, Optional
 
 from repro.harness import reporting
 from repro.harness.config import ExperimentConfig, NetworkCondition
-from repro.harness.conformance import conformance_heatmap, measure_conformance
-from repro.harness.fairness import inter_cca_matrix, intra_cca_matrix
+from repro.harness.conformance import measure_conformance
+from repro.service.specs import SpecError
 from repro.stacks import registry
 
 
@@ -107,70 +111,52 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _executor(args):
-    """Build the repro.exec Executor a campaign command runs on."""
-    from repro.exec import Executor, ProgressPrinter
+def _run_spec(args, payload: dict):
+    """Run one campaign command through the campaign front door.
 
-    cache = None
-    store = None
-    if args.store:
-        from repro.store import StoreCache, open_store
+    Adds the protocol flags and ``--run`` to ``payload``, validates it
+    into a spec, runs it with :func:`repro.service.scheduler.run_campaign`
+    on the command's executor flags, and prints the executor report
+    (plus the warehouse totals with ``--store``).  Returns the spec and
+    the campaign summary; an invalid spec raises :class:`SpecError`.
+    """
+    from repro.exec import ProgressPrinter
+    from repro.service.scheduler import run_campaign
+    from repro.service.specs import parse_campaign_spec
 
-        store = open_store(args.store)
-        # Memory LRU over the warehouse: campaigns reuse any trial
-        # the warehouse already holds and write new ones through.
-        cache = StoreCache(store)
-    return Executor(
-        jobs=args.jobs,
-        cache=cache,
-        progress=ProgressPrinter() if args.progress else None,
-        manifest_path=args.manifest,
-        store=store,
-        store_run=args.run,
+    for flag, key in (("duration", "duration_s"), ("trials", "trials"),
+                      ("seed", "seed")):
+        if getattr(args, flag) is not None:
+            payload[key] = getattr(args, flag)
+    if getattr(args, "run", None):
+        payload["run"] = args.run
+    spec = parse_campaign_spec(payload)
+    store = getattr(args, "store", None)
+    summary = run_campaign(
+        spec,
+        store,
+        getattr(args, "jobs", 1),
+        ProgressPrinter() if getattr(args, "progress", False) else None,
+        getattr(args, "manifest", None),
     )
+    print(summary["exec"]["text"])
+    if store:
+        from repro.store import open_store
 
-
-def _store_of(executor):
-    """The warehouse an executor was built around, if any."""
-    if executor.store_sink is not None:
-        return executor.store_sink.store
-    return None
-
-
-def _report_executor(executor) -> None:
-    print(executor.telemetry.summary())
-    store = _store_of(executor)
-    executor.close()
-    if store is not None:
-        counts = store.counts()
+        with open_store(store) as warehouse:
+            counts = warehouse.counts()
         print(
             f"store: {counts['trials']} trials, {counts['measurements']} "
             f"measurements across {counts['runs']} runs"
         )
-        store.close()
+    return spec, summary
 
 
-def _record_share_matrix(store, run_name, matrix, condition) -> None:
-    """Persist a fairness/inter-CCA share matrix: one measurement per pair.
-
-    The row label is stored in the ``stack`` column and the column label
-    in ``cca`` — a share cell's subject is the (row, col) pairing, not a
-    single implementation.
-    """
-    if store is None:
-        return
-    import numpy as np
-
-    run = store.ensure_run(run_name, note="bandwidth-share matrix")
-    for i, row in enumerate(matrix.rows):
-        for j, col in enumerate(matrix.cols):
-            value = float(matrix.shares[i, j])
-            if np.isnan(value):
-                continue
-            store.record_metrics(
-                run, stack=row, cca=col, metrics={"share": value},
-                condition=condition,
-            )
+def _condition_payload(args) -> List[dict]:
+    return [
+        {"bandwidth_mbps": args.bandwidth, "rtt_ms": args.rtt,
+         "buffer_bdp": args.buffer}
+    ]
 
 
 def _condition(args) -> NetworkCondition:
@@ -180,19 +166,9 @@ def _condition(args) -> NetworkCondition:
 
 
 def _config(args) -> ExperimentConfig:
-    base = ExperimentConfig()
-    kwargs = {}
-    if args.duration is not None:
-        kwargs["duration_s"] = args.duration
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if not kwargs:
-        return base
-    from dataclasses import replace
-
-    return replace(base, **kwargs)
+    return ExperimentConfig().overridden(
+        duration_s=args.duration, trials=args.trials, seed=args.seed
+    )
 
 
 def cmd_stacks(args) -> int:
@@ -276,39 +252,33 @@ def cmd_conformance(args) -> int:
 def cmd_heatmap(args) -> int:
     """Fig 6-style conformance bars for every implementation."""
     condition = _condition(args)
-    executor = _executor(args)
-    measurements = conformance_heatmap(
-        condition,
-        _config(args),
-        executor=executor,
-        store=_store_of(executor),
-        store_run=args.run,
-    )
-    values = {key: m.conformance for key, m in measurements.items()}
+    _, summary = _run_spec(args, {
+        "kind": "conformance",
+        "conditions": _condition_payload(args),
+        "run": f"heatmap:{condition.describe()}",
+    })
+    values = {
+        (m.impl.stack, m.impl.cca): m.conformance
+        for m in summary["result"].measurements
+    }
     print(
         reporting.format_conformance_bars(
             values,
             title=f"Conformance at {condition.describe()} (paper Fig. 6)",
         )
     )
-    _report_executor(executor)
     return 0
 
 
 def cmd_fairness(args) -> int:
     """Fig 12-style intra-CCA bandwidth-share matrix."""
-    condition = NetworkCondition(
-        bandwidth_mbps=args.bandwidth, rtt_ms=args.rtt, buffer_bdp=args.buffer
-    )
-    executor = _executor(args)
-    matrix = intra_cca_matrix(args.cca, condition, _config(args), executor=executor)
-    _record_share_matrix(
-        _store_of(executor),
-        args.run or f"fairness:{args.cca}@{condition.describe()}",
-        matrix,
-        condition,
-    )
-    _report_executor(executor)
+    _, summary = _run_spec(args, {
+        "kind": "fairness",
+        "ccas": [args.cca],
+        "conditions": _condition_payload(args),
+        "run": f"fairness:{args.cca}@{_condition(args).describe()}",
+    })
+    matrix = summary["result"]
     print(
         reporting.format_heatmap(
             matrix.rows,
@@ -326,20 +296,13 @@ def cmd_fairness(args) -> int:
 
 def cmd_intercca(args) -> int:
     """Fig 13-style BBR x CUBIC interaction matrix."""
-    condition = NetworkCondition(
-        bandwidth_mbps=args.bandwidth, rtt_ms=args.rtt, buffer_bdp=args.buffer
-    )
-    executor = _executor(args)
-    matrix = inter_cca_matrix(
-        "bbr", "cubic", condition, _config(args), executor=executor
-    )
-    _record_share_matrix(
-        _store_of(executor),
-        args.run or f"intercca:bbr-cubic@{condition.describe()}",
-        matrix,
-        condition,
-    )
-    _report_executor(executor)
+    _, summary = _run_spec(args, {
+        "kind": "inter_cca",
+        "ccas": ["bbr", "cubic"],
+        "conditions": _condition_payload(args),
+        "run": f"intercca:bbr-cubic@{_condition(args).describe()}",
+    })
+    matrix = summary["result"]
     print(
         reporting.format_heatmap(
             matrix.rows,
@@ -353,24 +316,22 @@ def cmd_intercca(args) -> int:
 
 def cmd_fixes(args) -> int:
     """Table 4 fix verification (before/after conformance)."""
-    from repro.analysis.fixes import evaluate_all_fixes
-
-    outcomes = evaluate_all_fixes(_condition(args), _config(args))
+    _, summary = _run_spec(
+        args, {"kind": "fixes", "conditions": _condition_payload(args)}
+    )
     headers = [
         "stack", "cca", "conf", "conf-T", "dtput", "ddelay",
         "conf'", "conf-T'", "LoC", "remark",
     ]
-    rows = []
-    for outcome in outcomes:
-        r = outcome.row()
-        rows.append(
-            [
-                r["stack"], r["cca"], r["conf_before"], r["conf_t_before"],
-                r["dtput_before"], r["ddelay_before"],
-                r.get("conf_after", "-"), r.get("conf_t_after", "-"),
-                r["loc"] if r["loc"] is not None else "-", r["remark"],
-            ]
-        )
+    rows = [
+        [
+            r["stack"], r["cca"], r["conf_before"], r["conf_t_before"],
+            r["dtput_before"], r["ddelay_before"],
+            r.get("conf_after", "-"), r.get("conf_t_after", "-"),
+            r["loc"] if r["loc"] is not None else "-", r["remark"],
+        ]
+        for r in (outcome.row() for outcome in summary["result"])
+    ]
     print(reporting.format_table(headers, rows, title="Fix verification (paper Table 4)"))
     return 0
 
@@ -413,7 +374,6 @@ def cmd_regression(args) -> int:
         MILESTONES,
         REGRESSION_RUN_PREFIX,
         flipped_verdicts,
-        regression_matrix,
         regression_matrix_from_store,
     )
 
@@ -431,21 +391,17 @@ def cmd_regression(args) -> int:
             print("store holds no complete milestone runs", file=sys.stderr)
             return 1
     else:
-        impls = None
+        payload = {
+            "kind": "regression",
+            "conditions": _condition_payload(args),
+            "run": REGRESSION_RUN_PREFIX,
+        }
         if args.stack:
             profile = registry.get_stack(args.stack)
-            ccas = [args.cca] if args.cca else profile.available_ccas()
-            impls = [(args.stack, cca) for cca in ccas]
-        executor = _executor(args)
-        rows_data = regression_matrix(
-            implementations=impls,
-            condition=_condition(args),
-            config=_config(args),
-            executor=executor,
-            store=_store_of(executor),
-            run_prefix=args.run or REGRESSION_RUN_PREFIX,
-        )
-        _report_executor(executor)
+            payload["stacks"] = [args.stack]
+            payload["ccas"] = [args.cca] if args.cca else profile.available_ccas()
+        _, summary = _run_spec(args, payload)
+        rows_data = summary["result"]
     milestone_names = [m.name for m in MILESTONES]
     rows = [
         [r.stack, r.cca] + [round(r.conformance[m], 2) for m in milestone_names]
@@ -529,25 +485,21 @@ def cmd_qlog(args) -> int:
 
 def cmd_matrix(args) -> int:
     """Sweep implementations over conditions; export the dataset as CSV."""
-    from repro.harness.matrix import run_matrix
-    from repro.harness.scenarios import buffer_sweep
+    from repro.harness.scenarios import BUFFER_BDPS
 
-    conditions = buffer_sweep(bandwidth_mbps=args.bandwidth, rtt_ms=args.rtt)
-    implementations = None
+    [condition] = _condition_payload(args)
+    payload = {
+        "kind": "matrix",
+        "conditions": [{**condition, "buffer_bdp": b} for b in BUFFER_BDPS],
+        "run": "matrix",
+    }
     if args.stack:
-        profile = registry.get_stack(args.stack)
-        implementations = [(args.stack, cca) for cca in profile.available_ccas()]
-    executor = _executor(args)
-    result = run_matrix(
-        conditions=conditions,
-        implementations=implementations,
-        config=_config(args),
-        progress=lambda msg: print(f"  running {msg}", flush=True),
-        executor=executor,
-        store=_store_of(executor),
-        store_run=args.run or "matrix",
-    )
-    _report_executor(executor)
+        payload["stacks"] = [args.stack]
+        payload["ccas"] = registry.get_stack(args.stack).available_ccas()
+    _, summary = _run_spec(args, payload)
+    result = summary["result"]
+    for m in result.measurements:
+        print(f"  running {m.impl.stack}/{m.impl.cca} @ {m.condition.describe()}")
     result.save_csv(args.out)
     print(f"wrote {len(result.measurements)} measurements to {args.out}")
     worst = result.worst_cells(3)
@@ -561,33 +513,12 @@ def cmd_matrix(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Fig 5 cwnd-gain sweep for modified kernel BBR."""
-    from repro.analysis.sweeps import cwnd_gain_sweep
-
-    executor = _executor(args)
-    points = cwnd_gain_sweep(config=_config(args), executor=executor)
-    store = _store_of(executor)
-    if store is not None:
-        from repro.harness import scenarios
-
-        run = store.ensure_run(
-            args.run or "sweep:cwnd_gain", note="Fig. 5 cwnd-gain sweep"
-        )
-        for p in points:
-            store.record_metrics(
-                run,
-                stack="linux-mod",
-                cca="bbr",
-                variant=f"cwnd_gain={p.cwnd_gain:g}",
-                condition=scenarios.shallow_buffer(),
-                metrics={
-                    "conf": p.conformance,
-                    "conf_t": p.conformance_t,
-                    "delta_tput_mbps": p.delta_throughput_mbps,
-                    "delta_delay_ms": p.delta_delay_ms,
-                },
-            )
-    _report_executor(executor)
-    rows = [list(p.row().values()) for p in points]
+    _, summary = _run_spec(args, {
+        "kind": "sweep",
+        "conditions": _condition_payload(args),
+        "run": "sweep:cwnd_gain",
+    })
+    rows = [list(p.row().values()) for p in summary["result"]]
     print(
         reporting.format_table(
             ["cwnd_gain", "conf", "conf-T", "dtput", "ddelay"],
@@ -665,30 +596,17 @@ def cmd_topo_validate(args) -> int:
 
 def cmd_topo_run(args) -> int:
     """Run one topology campaign (files and/or builtin shapes)."""
-    from repro.service.specs import SpecError, execute_campaign, parse_campaign_spec
     from repro.topo.spec import TopoSpecError
 
     try:
         topologies = _topo_specs_from_args(args)
-        payload = {
-            "kind": "topology",
-            "topologies": [t.canonical() for t in topologies],
-        }
-        if args.duration is not None:
-            payload["duration_s"] = args.duration
-        if args.trials is not None:
-            payload["trials"] = args.trials
-        if args.seed is not None:
-            payload["seed"] = args.seed
-        if args.run:
-            payload["run"] = args.run
-        spec = parse_campaign_spec(payload)
-    except (TopoSpecError, SpecError, OSError) as exc:
+    except (TopoSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    executor = _executor(args)
-    result = execute_campaign(spec, _store_of(executor), executor)
-    _report_executor(executor)
+    spec, result = _run_spec(args, {
+        "kind": "topology",
+        "topologies": [t.canonical() for t in topologies],
+    })
     _print_topology_results(result)
     print(f"campaign {spec.fingerprint()}: {result['cells']} cells recorded")
     return 0
@@ -696,33 +614,17 @@ def cmd_topo_run(args) -> int:
 
 def cmd_topo_matrix(args) -> int:
     """Fairness matrix: every builtin shape x every requested CCA."""
-    from repro.service.specs import SpecError, execute_campaign, parse_campaign_spec
     from repro.topo import spec as topospec
 
     ccas = args.ccas or list(registry.CCAS)
-    topologies = []
-    for shape_name in sorted(topospec.SHAPES):
-        for cca in ccas:
-            topologies.append(topospec.SHAPES[shape_name](cca))
-    payload = {
+    spec, result = _run_spec(args, {
         "kind": "topology",
-        "topologies": [t.canonical() for t in topologies],
-        "run": args.run or "topo-matrix",
-    }
-    if args.duration is not None:
-        payload["duration_s"] = args.duration
-    if args.trials is not None:
-        payload["trials"] = args.trials
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    try:
-        spec = parse_campaign_spec(payload)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    executor = _executor(args)
-    result = execute_campaign(spec, _store_of(executor), executor)
-    _report_executor(executor)
+        "topologies": [
+            topospec.SHAPES[shape](cca).canonical()
+            for shape in sorted(topospec.SHAPES) for cca in ccas
+        ],
+        "run": "topo-matrix",
+    })
     rows = [
         [
             t["topology"],
@@ -799,39 +701,13 @@ def cmd_cca_describe(args) -> int:
 
 def cmd_cca_peer_matrix(args) -> int:
     """Reference-free peer-conformance matrix for a CCA peer group."""
-    from repro.service.specs import SpecError, execute_campaign, parse_campaign_spec
-
-    payload = {
+    spec, result = _run_spec(args, {
         "kind": "peer_conformance",
         "peers": list(args.peers),
-        "conditions": [
-            {
-                "bandwidth_mbps": args.bandwidth,
-                "rtt_ms": args.rtt,
-                "buffer_bdp": args.buffer,
-            }
-        ],
-    }
-    if args.host_stack:
-        payload["host_stack"] = args.host_stack
-    if args.modules:
-        payload["cca_modules"] = list(args.modules)
-    if args.duration is not None:
-        payload["duration_s"] = args.duration
-    if args.trials is not None:
-        payload["trials"] = args.trials
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if getattr(args, "run", None):
-        payload["run"] = args.run
-    try:
-        spec = parse_campaign_spec(payload)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    executor = _executor(args)
-    result = execute_campaign(spec, _store_of(executor), executor)
-    _report_executor(executor)
+        "host_stack": args.host_stack or "",
+        "cca_modules": list(args.modules),
+        "conditions": _condition_payload(args),
+    })
     for group in result["peer_conformance"]:
         peers = group["peers"]
         matrix_rows = [
@@ -1782,7 +1658,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass
@@ -120,6 +119,10 @@ def match_clusters(
     to reference cluster ``i`` (Hungarian algorithm on centroid
     distances).  Both inputs must have the same k.
     """
+    # Imported here, not at module level: SciPy's optimize package costs
+    # about half a second to import, and only this function needs it.
+    from scipy.optimize import linear_sum_assignment
+
     if reference_centroids.shape != other_centroids.shape:
         raise ValueError("centroid arrays must have identical shapes")
     cost = (

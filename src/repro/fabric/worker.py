@@ -443,6 +443,7 @@ class FabricWorker:
             store_file = str(scratch / f"{lease['campaign']}.db")
             bundle_runs = spec.run_names()
         summary = run_campaign(spec, store_file, self.jobs, progress)
+        summary.pop("result", None)  # only the JSON part travels
         bundle = None
         if bundle_runs is not None:
             from repro.fabric.wire import export_bundle

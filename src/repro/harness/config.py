@@ -15,7 +15,7 @@ leave run-to-run bimodality that the trial-intersection step punishes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.sampling import SamplingConfig
 from repro.core.envelope import EnvelopeConfig
@@ -100,6 +100,10 @@ class ExperimentConfig:
             raise ValueError("duration must be positive")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
+
+    def overridden(self, **overrides) -> "ExperimentConfig":
+        """This protocol with every override that is not None applied."""
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def paper_experiment_config() -> ExperimentConfig:

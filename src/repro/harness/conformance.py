@@ -223,25 +223,17 @@ def conformance_heatmap(
     ccas: Sequence[str] = registry.CCAS,
     stacks: Optional[Sequence[str]] = None,
     executor: Optional["Executor"] = None,
-    store: Optional["ResultStore"] = None,
-    store_run: Optional[str] = None,
 ) -> Dict[Tuple[str, str], ConformanceMeasurement]:
     """One full heatmap (paper Fig. 6): every stack x CCA at a condition.
 
     Every trial of every cell runs as one campaign on ``executor`` (see
-    :func:`measure_cells`).  With a ``store`` every cell is recorded into
-    the warehouse under one run (default ``heatmap:<condition>``), so the
-    heatmap can later be re-rendered, queried, or diffed without
-    recomputation.
+    :func:`measure_cells`).  To record a heatmap into the warehouse, run
+    it as a ``conformance`` campaign spec (``repro heatmap --store``).
     """
     cells = heatmap_cells(condition, ccas, stacks)
     measurements = measure_cells(
         cells, config, executor, campaign=f"heatmap:{condition.describe()}"
     )
-    if store is not None:
-        run = store.ensure_run(store_run or f"heatmap:{condition.describe()}")
-        for measurement in measurements:
-            store.record_measurement(run, measurement)
     return {
         (cell.stack, cell.cca): measurement
         for cell, measurement in zip(cells, measurements)

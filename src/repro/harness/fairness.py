@@ -17,6 +17,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.exec import Executor
+    from repro.store.warehouse import ResultStore
 
 from repro.harness.cache import DEFAULT_CACHE, ResultCache, cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
@@ -113,6 +114,25 @@ class FairnessMatrix:
             if others and float(np.median(others)) > threshold:
                 out.append(row)
         return out
+
+    def save_store(
+        self, store: "ResultStore", run: str, condition: NetworkCondition
+    ) -> None:
+        """Record one ``share`` measurement per (row, col) pair.
+
+        The row label is stored in the ``stack`` column and the column
+        label in ``cca``: a share cell's subject is the pairing, not a
+        single implementation.
+        """
+        run_info = store.ensure_run(run, note="bandwidth-share matrix")
+        for i, row in enumerate(self.rows):
+            for j, col in enumerate(self.cols):
+                value = float(self.shares[i, j])
+                if not np.isnan(value):
+                    store.record_metrics(
+                        run_info, stack=row, cca=col,
+                        metrics={"share": value}, condition=condition,
+                    )
 
 
 def _impl_label(impl: Impl) -> str:

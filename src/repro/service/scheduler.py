@@ -37,6 +37,7 @@ import queue
 import sqlite3
 import threading
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -120,30 +121,35 @@ class CampaignJob:
 
 def run_campaign(
     spec: CampaignSpec,
-    store_path: str,
+    store_path: Optional[str] = None,
     jobs: int = 1,
     progress=None,
+    manifest: Optional[str] = None,
 ) -> dict:
-    """Run one service or fabric campaign against the warehouse at ``store_path``.
+    """Run one campaign, recording into the warehouse at ``store_path``.
 
-    The scheduler and the fabric worker both call this, so a campaign's
+    The one front door of every campaign: the CLI's campaign commands,
+    the scheduler and the fabric worker all call this, so a campaign's
     executor is built and reported in one place.
 
     A fresh store connection and store-backed cache per campaign:
     trials the warehouse already holds are served without simulation
     (whole-campaign dedup), and computed trials write through to the
     warehouse as they complete, so an interrupted campaign loses nothing
-    it finished.  ``jobs > 1`` runs the trials on the process's warm
-    worker pool.  Returns :func:`execute_campaign`'s summary plus the
-    executor telemetry under ``"exec"``.
+    it finished.  With no ``store_path`` the trials use the process-wide
+    memory cache and nothing is recorded.  ``jobs > 1`` runs the trials
+    on the process's warm worker pool; ``manifest`` appends a JSONL run
+    log.  Returns :func:`execute_campaign`'s summary plus the executor
+    telemetry under ``"exec"`` (``"text"`` is its one-line report).
     """
     from repro.store import StoreCache, open_store
 
-    with open_store(store_path) as store:
+    with open_store(store_path) if store_path else nullcontext() as store:
         with Executor(
             jobs=jobs,
-            cache=StoreCache(store),
+            cache=StoreCache(store) if store_path else None,
             progress=progress,
+            manifest_path=manifest,
             store=store,
             store_run=spec.run_name(),
         ) as executor:
@@ -155,6 +161,7 @@ def run_campaign(
         "cached": telemetry.cached,
         "wall_s": round(telemetry.wall_s, 4),
         "mode": telemetry.mode,
+        "text": telemetry.summary(),
     }
     return summary
 
@@ -196,6 +203,11 @@ class Scheduler:
         max_pending: int = 64,
         clock: Callable[[], float] = default_clock,
     ):
+        # Campaigns evaluate envelopes, which need SciPy's optimizer:
+        # import it (about half a second) before the first campaign
+        # rather than inside it.  Executor workers never import it.
+        import scipy.optimize  # noqa: F401
+
         self.store_path = str(store_path)
         self.exec_jobs = max(1, int(exec_jobs))
         self.max_pending = max(0, int(max_pending))
@@ -510,7 +522,9 @@ class Scheduler:
             if job.cancel_event.is_set():
                 raise _Cancelled()
 
-        return run_campaign(job.spec, self.store_path, self.exec_jobs, progress)
+        summary = run_campaign(job.spec, self.store_path, self.exec_jobs, progress)
+        summary.pop("result", None)  # the journal keeps the JSON part
+        return summary
 
     def _finish(self, job: CampaignJob, state: str, error: Optional[str]) -> None:
         with self._lock:

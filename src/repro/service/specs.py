@@ -1,15 +1,15 @@
-"""Campaign specifications: the service's validated unit of work.
+"""Campaign specifications: the validated unit of work of every campaign.
 
 A *campaign spec* is the JSON document a client POSTs to
-``/campaigns``: which kind of experiment to run (``conformance``,
-``matrix``, ``regression``, ``topology`` or ``peer_conformance``), over
-which implementations and network conditions — or, for topology
-campaigns, over declarative :mod:`repro.topo` topology documents; for
-peer-conformance campaigns, over a ``peers`` CCA group resolved through
-the :mod:`repro.ccax` registry — under which measurement protocol.  Parsing is strict —
-every field is validated against :mod:`repro.harness.config` and the
-stack registry before the campaign is accepted, so a bad request fails
-at submit time with a useful message instead of hours into a queue.
+``/campaigns`` and the one every CLI campaign command builds from its
+flags: which kind of experiment to run (:data:`KIND_FIELDS` names the
+kinds and the fields each reads), over which implementations, network
+conditions, :mod:`repro.topo` topologies or :mod:`repro.ccax` CCA
+peers, under which measurement protocol.  Parsing is strict — every
+field is validated against :mod:`repro.harness.config` and the stack
+registry, and a field the kind does not read is rejected, so a bad
+request fails at submit time with a useful message instead of hours
+into a queue.
 
 Specs are value objects: :meth:`CampaignSpec.canonical` renders the
 fully-defaulted spec as a sorted-key JSON document, and
@@ -17,18 +17,17 @@ fully-defaulted spec as a sorted-key JSON document, and
 canonical form into the store's events table, which is what lets a
 restarted service reconstruct and resume pending campaigns bit-exactly.
 
-Execution is a thin dispatch onto the existing harness drivers
-(:func:`repro.harness.matrix.run_matrix`,
-:func:`repro.harness.regression.regression_matrix`), so a campaign run
-through the service records exactly the metrics a direct harness call
-records — the acceptance criterion the service tests pin down.
+Execution is a thin dispatch onto the harness drivers
+(:func:`execute_campaign`), so a campaign records exactly the metrics a
+direct harness call records, whether the CLI, the service or a fabric
+worker runs it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness import scenarios
@@ -45,25 +44,34 @@ class SpecError(ValueError):
     """A campaign spec failed validation (reported as HTTP 400)."""
 
 
+#: Fields every kind reads: the measurement protocol and the store run.
+_COMMON_FIELDS = {"kind", "duration_s", "trials", "seed", "run", "note"}
+
+#: The further fields each kind reads.  A non-empty field outside its
+#: kind's set would be silently ignored, so parsing rejects it.
+KIND_FIELDS = {
+    "conformance": {"stacks", "ccas", "conditions"},
+    "matrix": {"stacks", "ccas", "conditions"},
+    "regression": {"stacks", "ccas", "conditions"},
+    "topology": {"topologies"},
+    "peer_conformance": {"peers", "host_stack", "cca_modules", "conditions"},
+    "fairness": {"ccas", "conditions"},
+    "inter_cca": {"ccas", "conditions"},
+    "sweep": {"conditions"},
+    "fixes": {"conditions"},
+}
+
 #: Campaign kinds the service accepts.
-KINDS = ("conformance", "matrix", "regression", "topology", "peer_conformance")
+KINDS = tuple(KIND_FIELDS)
+
+#: Kinds that measure at exactly one condition.
+_ONE_CONDITION = ("regression", "fairness", "inter_cca", "sweep", "fixes")
+
+#: CCAs the share-matrix kinds name: one, or (row CCA, column CCA).
+_CCA_COUNT = {"fairness": 1, "inter_cca": 2}
 
 #: Fields a spec document may carry; anything else is a typo we reject.
-_ALLOWED_FIELDS = {
-    "kind",
-    "stacks",
-    "ccas",
-    "conditions",
-    "topologies",
-    "peers",
-    "host_stack",
-    "cca_modules",
-    "duration_s",
-    "trials",
-    "seed",
-    "run",
-    "note",
-}
+_ALLOWED_FIELDS = _COMMON_FIELDS.union(*KIND_FIELDS.values())
 
 
 @dataclass(frozen=True)
@@ -134,15 +142,9 @@ class CampaignSpec:
     # ----------------------------------------------------------- execution
 
     def experiment_config(self) -> ExperimentConfig:
-        base = ExperimentConfig()
-        overrides = {}
-        if self.duration_s is not None:
-            overrides["duration_s"] = self.duration_s
-        if self.trials is not None:
-            overrides["trials"] = self.trials
-        if self.seed is not None:
-            overrides["seed"] = self.seed
-        return replace(base, **overrides) if overrides else base
+        return ExperimentConfig().overridden(
+            duration_s=self.duration_s, trials=self.trials, seed=self.seed
+        )
 
     def implementations(self) -> List[Tuple[str, str]]:
         """(stack, cca) cells this campaign measures, in a stable order."""
@@ -169,6 +171,8 @@ class CampaignSpec:
             return list(self.conditions)
         if self.kind == "matrix":
             return scenarios.buffer_sweep()
+        if self.kind in _CCA_COUNT:
+            return [scenarios.fairness_condition()]
         return [scenarios.shallow_buffer()]
 
     def run_name(self) -> str:
@@ -209,6 +213,13 @@ def parse_campaign_spec(payload: Mapping) -> CampaignSpec:
         raise SpecError(
             f"spec.kind must be one of {', '.join(KINDS)}; got {kind!r}"
         )
+    for name in sorted(set(payload) - _COMMON_FIELDS - KIND_FIELDS[kind]):
+        if payload[name]:
+            users = [k for k in KINDS if name in KIND_FIELDS[k]]
+            raise SpecError(
+                f"spec.{name} is only valid for kind(s) {', '.join(users)}; "
+                f"for {kind!r} it must be empty"
+            )
 
     stacks = _string_list(payload, "stacks")
     for stack in stacks:
@@ -254,25 +265,21 @@ def parse_campaign_spec(payload: Mapping) -> CampaignSpec:
         except (TypeError, ValueError) as exc:
             raise SpecError(f"spec.conditions[{i}] is invalid: {exc}")
 
-    topologies = _parse_topologies(payload, kind)
-    if kind == "topology":
-        if stacks or ccas or conditions:
-            raise SpecError(
-                "topology campaigns take their stacks, CCAs and links "
-                "from each topology's flow entries; spec.stacks, "
-                "spec.ccas and spec.conditions must be empty"
-            )
-        if not topologies:
-            raise SpecError(
-                "topology campaigns need a non-empty spec.topologies list"
-            )
-
-    peers, host_stack, cca_modules = _parse_peer_fields(payload, kind)
-    if kind == "peer_conformance" and (stacks or ccas):
+    topologies = _parse_topologies(payload)
+    if kind == "topology" and not topologies:
         raise SpecError(
-            "peer_conformance campaigns name their CCAs in spec.peers "
-            "and their host in spec.host_stack; spec.stacks and "
-            "spec.ccas must be empty"
+            "topology campaigns need a non-empty spec.topologies list"
+        )
+    peers, host_stack, cca_modules = _parse_peer_fields(payload, kind)
+    if kind in _CCA_COUNT and len(ccas) != _CCA_COUNT[kind]:
+        raise SpecError(
+            f"{kind} campaigns name exactly {_CCA_COUNT[kind]} CCA(s) "
+            f"in spec.ccas; got {len(ccas)}"
+        )
+    if kind in _ONE_CONDITION and len(conditions) > 1:
+        raise SpecError(
+            f"{kind} campaigns run at one condition; "
+            f"spec.conditions has {len(conditions)}"
         )
 
     duration_s = _number(payload, "duration_s")
@@ -301,7 +308,7 @@ def parse_campaign_spec(payload: Mapping) -> CampaignSpec:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(str(exc))
-    if spec.kind != "topology" and not spec.implementations():
+    if "ccas" in KIND_FIELDS[kind] and not spec.implementations():
         raise SpecError(
             "spec selects no implementations: none of the requested "
             "stacks supports any of the requested CCAs"
@@ -309,14 +316,9 @@ def parse_campaign_spec(payload: Mapping) -> CampaignSpec:
     return spec
 
 
-def _parse_topologies(payload: Mapping, kind: str) -> Tuple["TopologySpec", ...]:
+def _parse_topologies(payload: Mapping) -> Tuple["TopologySpec", ...]:
     raw = payload.get("topologies", [])
-    if kind != "topology":
-        if raw:
-            raise SpecError(
-                f"spec.topologies is only valid for kind 'topology', "
-                f"not {kind!r}"
-            )
+    if not raw:
         return ()
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise SpecError("spec.topologies must be a list of topology objects")
@@ -344,21 +346,11 @@ def _parse_peer_fields(
     later in a worker — and so the peer names they register are
     available for validation immediately below.
     """
+    if kind != "peer_conformance":
+        return (), "", ()
     peers = _string_list(payload, "peers")
     host_stack = str(payload.get("host_stack", "") or "")
     cca_modules = _string_list(payload, "cca_modules")
-    if kind != "peer_conformance":
-        for field_name, value in (
-            ("peers", peers),
-            ("host_stack", host_stack),
-            ("cca_modules", cca_modules),
-        ):
-            if value:
-                raise SpecError(
-                    f"spec.{field_name} is only valid for kind "
-                    f"'peer_conformance', not {kind!r}"
-                )
-        return (), "", ()
     if not peers:
         raise SpecError(
             "peer_conformance campaigns need a non-empty spec.peers list"
@@ -423,14 +415,16 @@ def _number(payload: Mapping, field_name: str, integral: bool = False):
 
 def execute_campaign(
     spec: CampaignSpec,
-    store: "ResultStore",
+    store: Optional["ResultStore"],
     executor: "Executor",
 ) -> dict:
     """Run one campaign through the harness, recording into ``store``.
 
-    Returns a small summary dict (runs written, cells measured).  The
-    heavy lifting is the same driver a direct harness call uses, which
-    is what makes service results bit-identical to local ones.
+    Returns a summary dict: the runs written, the cells measured and the
+    data a report prints — as JSON for topology and peer kinds, as the
+    harness result object under ``"result"`` (dropped before the summary
+    is serialised) for the others.  The drivers are the ones a direct
+    harness call uses, so service results are bit-identical to local ones.
     """
     if spec.kind == "topology":
         from repro.topo.campaign import run_topology_campaign
@@ -441,32 +435,61 @@ def execute_campaign(
 
         return run_peer_conformance_campaign(spec, store, executor)
     config = spec.experiment_config()
-    implementations = spec.implementations()
+    condition = spec.resolved_conditions()[0]
+    run = spec.run_name()
     if spec.kind == "regression":
         from repro.harness.regression import regression_matrix
 
-        rows = regression_matrix(
-            implementations=implementations,
-            condition=spec.resolved_conditions()[0],
+        result = regression_matrix(
+            implementations=spec.implementations(),
+            condition=condition,
             config=config,
             executor=executor,
             store=store,
-            run_prefix=spec.run_name(),
+            run_prefix=run,
         )
-        cells = sum(len(row.conformance) for row in rows)
+        cells = sum(len(row.conformance) for row in result)
+    elif spec.kind in _CCA_COUNT:
+        from repro.harness.fairness import inter_cca_matrix, intra_cca_matrix
+
+        if spec.kind == "fairness":
+            result = intra_cca_matrix(
+                spec.ccas[0], condition, config, executor=executor
+            )
+        else:
+            result = inter_cca_matrix(
+                *spec.ccas, condition, config, executor=executor
+            )
+        if store is not None:
+            result.save_store(store, run, condition)
+        cells = result.shares.size
+    elif spec.kind == "sweep":
+        from repro.analysis.sweeps import cwnd_gain_sweep, save_sweep_store
+
+        result = cwnd_gain_sweep(
+            condition=condition, config=config, executor=executor
+        )
+        if store is not None:
+            save_sweep_store(store, run, result, condition)
+        cells = len(result)
+    elif spec.kind == "fixes":
+        from repro.analysis.fixes import evaluate_all_fixes
+
+        result = evaluate_all_fixes(condition, config, executor)
+        cells = sum(1 + (outcome.after is not None) for outcome in result)
     else:
         from repro.harness.matrix import run_matrix
 
         result = run_matrix(
             conditions=spec.resolved_conditions(),
-            implementations=implementations,
+            implementations=spec.implementations(),
             config=config,
             executor=executor,
             store=store,
-            store_run=spec.run_name(),
+            store_run=run,
         )
         cells = len(result.measurements)
-    return {"runs": spec.run_names(), "cells": cells}
+    return {"runs": spec.run_names(), "cells": cells, "result": result}
 
 
 __all__ = [

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.analysis.fixes import FIXES, UNFIXED, cwnd_time_series, evaluate_fix
+from repro.analysis.fixes import (
+    FIXES,
+    UNFIXED,
+    cwnd_time_series,
+    evaluate_all_fixes,
+    evaluate_fix,
+)
 from repro.analysis.sweeps import cwnd_gain_sweep
-from repro.analysis.transitivity import transitivity_violations
+from repro.analysis.transitivity import beats_matrix, transitivity_violations
+from repro.exec import Executor
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl
 
@@ -48,6 +55,50 @@ def test_xquic_cubic_verification_uses_nohystart_reference(fresh_executor):
     assert case.reference_variant == "nohystart"
     outcome = evaluate_fix(case, CONDITION, QUICK, executor=fresh_executor)
     assert outcome.after is not None  # verification run, not a fix
+
+
+class CountingExecutor(Executor):
+    """A jobs=1 executor that records the size of every ``run`` call."""
+
+    def __init__(self, cache):
+        super().__init__(cache=cache)
+        self.runs = []
+
+    def run(self, jobs, campaign="campaign"):
+        jobs = list(jobs)
+        self.runs.append(len(jobs))
+        return super().run(jobs, campaign=campaign)
+
+
+def test_all_fixes_run_as_one_campaign(fresh_cache):
+    tiny = ExperimentConfig(duration_s=3.0, trials=1)
+    executor = CountingExecutor(fresh_cache)
+    outcomes = evaluate_all_fixes(CONDITION, tiny, executor)
+    assert len(executor.runs) == 1
+    assert [o.case for o in outcomes] == FIXES
+    # Sliced by position, every row equals its own one-row campaign.
+    for outcome in outcomes:
+        alone = evaluate_fix(outcome.case, CONDITION, tiny, executor)
+        for got, want in ((outcome.before, alone.before),
+                          (outcome.after, alone.after)):
+            assert got.impl == want.impl
+            for metric in ("conformance", "conformance_t", "conformance_legacy",
+                           "delta_throughput_mbps", "delta_delay_ms"):
+                assert getattr(got.result, metric) == getattr(want.result, metric)
+
+
+def test_beats_is_never_true_both_ways(fresh_cache):
+    impls = [Impl("linux", "cubic"), Impl("quiche", "cubic"),
+             Impl("msquic", "cubic"), Impl("mvfst", "bbr")]
+    executor = CountingExecutor(fresh_cache)
+    beats = beats_matrix(
+        impls, CONDITION, ExperimentConfig(duration_s=3.0, trials=1),
+        executor=executor,
+    )
+    # One job per unordered pair, all in one campaign.
+    assert executor.runs == [len(impls) * (len(impls) - 1) // 2]
+    assert not (beats & beats.T).any()
+    assert not beats.diagonal().any()
 
 
 def test_cwnd_time_series_shape():
