@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 from repro.cca.bbr import BBR, BBRConfig
 from repro.core.conformance import evaluate_conformance
 from repro.core.sampling import sample_points
-from repro.harness.cache import DEFAULT_CACHE, ResultCache, cache_key
+from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness import scenarios
 from repro.netsim.network import Network
@@ -60,7 +60,7 @@ def sweep_cache_key(
     return cache_key(
         kind="bbr_gain_sweep",
         gain=cwnd_gain,
-        condition=(condition.bandwidth_mbps, condition.rtt_ms, condition.buffer_bdp),
+        condition=condition.physical_key(),
         duration=config.duration_s,
         trial=trial,
         seed=config.seed,
@@ -72,33 +72,27 @@ def compute_gain_trial(
     condition: NetworkCondition,
     config: ExperimentConfig,
     trial: int,
-    cache: Optional[ResultCache] = None,
 ) -> np.ndarray:
-    """One modified-BBR trial, cached.  Module-level (picklable) so the
-    sweep can run through ``repro.exec`` with identical seeds/keys."""
-    cache = cache or DEFAULT_CACHE
+    """One modified-BBR trial.  Module-level (picklable) so the sweep can
+    run through ``repro.exec`` with identical seeds/keys."""
     key = sweep_cache_key(cwnd_gain, condition, config, trial)
-
-    def compute() -> np.ndarray:
-        linux = registry.reference()
-        test_spec = linux.flow_spec("bbr", label=f"bbr-gain-{cwnd_gain}")
-        mss = test_spec.sender_config.mss
-        test_spec.cca_factory = lambda: BBR(mss, BBRConfig(cwnd_gain=cwnd_gain))
-        ref_spec = linux.flow_spec("bbr", label="bbr-ref")
-        seed = int(cache_key(kind="seed", base=key)[:8], 16)
-        network = Network(
-            condition.link_config(),
-            [test_spec, ref_spec],
-            seed=seed,
-            base_jitter_s=condition.jitter_s(),
-            start_spread_s=0.5,
-        )
-        results = network.run(config.duration_s)
-        return sample_points(
-            results[0].trace, base_rtt_s=condition.rtt_s, config=config.sampling
-        )
-
-    return cache.get_or_compute(key, compute)
+    linux = registry.reference()
+    test_spec = linux.flow_spec("bbr", label=f"bbr-gain-{cwnd_gain}")
+    mss = test_spec.sender_config.mss
+    test_spec.cca_factory = lambda: BBR(mss, BBRConfig(cwnd_gain=cwnd_gain))
+    ref_spec = linux.flow_spec("bbr", label="bbr-ref")
+    seed = int(cache_key(kind="seed", base=key)[:8], 16)
+    network = Network(
+        condition.link_config(),
+        [test_spec, ref_spec],
+        seed=seed,
+        base_jitter_s=condition.jitter_s(),
+        start_spread_s=0.5,
+    )
+    results = network.run(config.duration_s)
+    return sample_points(
+        results[0].trace, base_rtt_s=condition.rtt_s, config=config.sampling
+    )
 
 
 def cwnd_gain_sweep(

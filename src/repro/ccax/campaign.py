@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.peer import PeerConformanceResult, evaluate_peer_conformance
-from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl, sampled_points, trial_identity
 
@@ -71,9 +70,8 @@ def compute_peer_trial(
     config: ExperimentConfig,
     trial: int,
     cca_modules: Tuple[str, ...] = (),
-    cache: Optional[ResultCache] = None,
 ) -> np.ndarray:
-    """One self-competition trial's sampled point cloud, cached.
+    """One self-competition trial's sampled point cloud.
 
     Module-level and argument-picklable so one trial is one
     ``repro.exec`` job; loads any user CCA modules first so externally
@@ -84,7 +82,7 @@ def compute_peer_trial(
 
         registry.load_modules(cca_modules)
     impl = Impl(host_stack, peer)
-    return sampled_points(impl, impl, condition, config, trial, cache=cache)
+    return sampled_points(impl, impl, condition, config, trial)
 
 
 def peer_trial_jobs(

@@ -15,8 +15,10 @@ and an optional durable results-warehouse sink
 
 Jobs carry their seeds and cache keys, so a campaign is bit-identical at
 any job count — the job count only changes *where* and *when* trials
-run.  A harness entry point given no executor builds ``Executor()``:
-one in-process worker over the process-wide cache.
+run.  Only the executor reads and fills the result cache, in the parent
+process; job functions and pool workers only compute.  A harness entry
+point given no executor builds ``Executor()``: one in-process worker
+over the process-wide cache.
 
 Quick start::
 

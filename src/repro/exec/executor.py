@@ -11,19 +11,19 @@ returns their values in submission order.  Scheduling model:
   jobs from a queue.  The pool is warm: it is spawned on the first pool
   run and shared by every later run of the same ``(start_method, jobs)``
   in the process (see :mod:`repro.exec.pool`); a run that timed out or
-  quarantined a job shuts its pool down instead.  Workers hold their own
-  in-memory :class:`~repro.harness.cache.ResultCache`, fresh for every
-  run; computed values are shipped back and inserted into the parent
-  cache.
+  quarantined a job shuts its pool down instead.  Workers hold no
+  cache: they compute, ship the value back, and the parent inserts it
+  into the campaign cache.
 * Each job attempt has an optional wall-clock ``timeout_s``; a timed-out
   or crashed worker is terminated and replaced, and the job is retried
-  with exponential backoff up to ``retries`` extra attempts.
+  with the ``retry`` policy's backoff until its attempts run out.
 * If the pool cannot start at all (or keeps dying), the executor
   degrades gracefully to in-process serial execution of the remaining
   jobs and records ``mode="serial-fallback"``.
 
-Every harness campaign runs its trials through one ``run`` call and
-evaluates the values it returns; nothing re-reads them from the cache.
+Only the executor reads and fills the cache, once per key; job functions
+only compute.  Every harness campaign runs its trials through one
+``run`` call and evaluates the values it returns.
 
 Determinism: the executor never derives seeds or keys itself — jobs
 carry them, computed by :func:`repro.harness.runner.trial_identity` and
@@ -107,15 +107,12 @@ class Executor:
         Per-attempt wall-clock limit, enforced in pool mode by
         terminating the worker.  ``None`` disables.  (Serial mode cannot
         preempt a running job; timeouts apply between attempts only.)
-    retries:
-        Extra attempts after a failed/timed-out/crashed attempt.
-    backoff_s:
-        Base of the exponential retry backoff (``backoff_s * 2**(n-1)``).
     retry:
-        Optional :class:`repro.faults.retry.RetryPolicy` overriding
-        ``retries``/``backoff_s``; its injectable sleep/clock seams are
-        the only way retry pauses ever happen, so tests pass a fake pair
-        and retry paths run instantly.
+        :class:`repro.faults.retry.RetryPolicy` for failed, timed-out
+        and crashed attempts (default: 3 attempts, 0.05 s backoff base);
+        its injectable sleep/clock seams are the only way retry pauses
+        ever happen, so tests pass a fake pair and retry paths run
+        instantly.
     poison_crashes:
         Quarantine threshold: a job whose attempts *crash the worker*
         this many times is pulled from rotation with a typed
@@ -150,8 +147,6 @@ class Executor:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         timeout_s: Optional[float] = None,
-        retries: int = 2,
-        backoff_s: float = 0.05,
         retry: Optional[RetryPolicy] = None,
         poison_crashes: Optional[int] = 3,
         fault_plan: Optional[FaultPlan] = None,
@@ -165,14 +160,10 @@ class Executor:
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.timeout_s = timeout_s
         if retry is None:
-            retry = RetryPolicy(
-                max_attempts=max(0, int(retries)) + 1, backoff_s=backoff_s
-            )
+            retry = RetryPolicy(max_attempts=3, backoff_s=0.05)
         self.retry = retry
-        # Attempt bookkeeping below speaks in "extra attempts"; derive it
-        # from whichever policy won so there is one source of truth.
+        # Attempt bookkeeping below speaks in "extra attempts".
         self.retries = max(0, (retry.max_attempts or 1) - 1)
-        self.backoff_s = retry.backoff_s
         self.poison_crashes = poison_crashes
         self.fault_plan = fault_plan
         self.start_method = start_method
@@ -316,12 +307,9 @@ class Executor:
             job, record = joblist[i], records[i]
             while True:
                 record.attempts += 1
-                hits0, misses0 = self.cache.hits, self.cache.misses
                 start = time.perf_counter()
                 try:
-                    value = np.asarray(
-                        job.fn(*job.args, cache=self.cache, **job.kwargs)
-                    )
+                    value = np.asarray(job.fn(*job.args, **job.kwargs))
                 except Exception as exc:
                     record.wall_s += time.perf_counter() - start
                     record.error = f"{type(exc).__name__}: {exc}"
@@ -332,8 +320,6 @@ class Executor:
                     record.status = STATUS_FAILED
                 else:
                     record.wall_s += time.perf_counter() - start
-                    record.worker_hits += self.cache.hits - hits0
-                    record.worker_misses += self.cache.misses - misses0
                     record.error = None
                     record.status = STATUS_OK
                     values[i] = value
@@ -438,7 +424,7 @@ class Executor:
                         running[pid] = (i, att, time.monotonic())
                         started.add((i, att))
                     elif kind == "ok":
-                        _, _, pid, i, att, value, wall, hits, misses = msg
+                        _, _, pid, i, att, value, wall = msg
                         running.pop(pid, None)
                         if i not in resolved:
                             record = records[i]
@@ -446,8 +432,6 @@ class Executor:
                             record.error = None
                             record.attempts = max(record.attempts, att)
                             record.wall_s += wall
-                            record.worker_hits += hits
-                            record.worker_misses += misses
                             values[i] = value
                             if joblist[i].key:
                                 self.cache.put(joblist[i].key, value)

@@ -2,10 +2,10 @@
 
 A :class:`Job` is the executor's unit of work: a picklable module-level
 callable plus its arguments, a cache key identifying the result, and a
-human-readable label for telemetry.  Job functions must accept a
-``cache`` keyword (the worker-local :class:`~repro.harness.cache.ResultCache`)
-and return a numpy array; everything they receive and return crosses a
-process boundary, so it must pickle under the ``spawn`` start method.
+human-readable label for telemetry.  Job functions only compute and
+return a numpy array (the executor alone reads and fills the cache);
+everything they receive and return crosses a process boundary, so it
+must pickle under the ``spawn`` start method.
 
 :class:`TrialJob` is the canonical spec for the harness's primitive —
 one 2-flow trial (impl pair, network condition, experiment config, trial
@@ -37,7 +37,7 @@ class Job:
     """One schedulable unit of work.
 
     ``fn`` must be a module-level callable (picklable by qualified name)
-    with signature ``fn(*args, cache=..., **kwargs) -> np.ndarray``.
+    with signature ``fn(*args, **kwargs) -> np.ndarray``.
     ``key`` is the result's cache key; jobs whose key is already present
     in the campaign cache are satisfied without running.
     """

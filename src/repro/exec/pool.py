@@ -8,12 +8,13 @@ back into a process-wide idle list, and the next run with the same
 :func:`close_pools` shuts every idle pool down; it runs at interpreter
 exit and when the service scheduler or a fabric worker stops.
 
-Every task carries the id of the run that queued it.  A worker that sees
-a new run id starts a fresh :class:`~repro.harness.cache.ResultCache`
-and re-activates that run's fault plan (or deactivates the old one), so
-fault-occurrence counters and worker-cache hits behave exactly as they
-do in freshly spawned workers.  Every message a worker sends back
-carries the run id too, and the executor drops those of a finished run.
+Workers hold no cache: they run each job's function and send the value
+back, and the executor alone reads and fills the campaign cache.  Every
+task carries the id of the run that queued it.  A worker that sees a new
+run id re-activates that run's fault plan (or deactivates the old one),
+so fault-occurrence counters behave exactly as they do in freshly
+spawned workers.  Every message a worker sends back carries the run id
+too, and the executor drops those of a finished run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.faults import inject
 from repro.faults.plan import FaultPlan
-from repro.harness.cache import ResultCache
 
 
 def _worker_main(task_q, result_q, run_id: int, fault_plan: Optional[FaultPlan]):
@@ -45,14 +45,13 @@ def _worker_main(task_q, result_q, run_id: int, fault_plan: Optional[FaultPlan])
     worker generation and every run.
     """
 
-    def begin_run(plan: Optional[FaultPlan]) -> ResultCache:
+    def begin_run(plan: Optional[FaultPlan]) -> None:
         if plan is not None:
             inject.activate(plan)
         else:
             inject.deactivate()
-        return ResultCache()
 
-    cache = begin_run(fault_plan)
+    begin_run(fault_plan)
     inject.fault_point("exec.worker.start")
     pid = os.getpid()
     while True:
@@ -62,13 +61,12 @@ def _worker_main(task_q, result_q, run_id: int, fault_plan: Optional[FaultPlan])
         task_run, plan, index, job, attempt = task
         if task_run != run_id:
             run_id = task_run
-            cache = begin_run(plan)
+            begin_run(plan)
         result_q.put(("start", run_id, pid, index, attempt))
         start = time.perf_counter()
-        hits0, misses0 = cache.hits, cache.misses
         try:
             inject.fault_point("exec.worker.trial", index=index, attempt=attempt)
-            value = np.asarray(job.fn(*job.args, cache=cache, **job.kwargs))
+            value = np.asarray(job.fn(*job.args, **job.kwargs))
         except BaseException as exc:  # report *any* job failure to the parent
             result_q.put(
                 (
@@ -91,8 +89,6 @@ def _worker_main(task_q, result_q, run_id: int, fault_plan: Optional[FaultPlan])
                     attempt,
                     value,
                     time.perf_counter() - start,
-                    cache.hits - hits0,
-                    cache.misses - misses0,
                 )
             )
 

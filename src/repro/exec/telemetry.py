@@ -63,8 +63,6 @@ class JobRecord:
     status: str = "pending"
     attempts: int = 0
     wall_s: float = 0.0
-    worker_hits: int = 0
-    worker_misses: int = 0
     error: Optional[str] = None
     retried: bool = False
 
@@ -84,8 +82,6 @@ class CampaignTelemetry:
     retries: int = 0
     wall_s: float = 0.0
     job_wall_s: float = 0.0
-    worker_hits: int = 0
-    worker_misses: int = 0
     #: Worker processes this executor started; a warm pool adds none.
     worker_spawns: int = 0
     mode: str = ""
@@ -97,8 +93,6 @@ class CampaignTelemetry:
         for record in records:
             self.jobs += 1
             self.job_wall_s += record.wall_s
-            self.worker_hits += record.worker_hits
-            self.worker_misses += record.worker_misses
             self.retries += max(0, record.attempts - 1)
             if record.status == STATUS_CACHED:
                 self.cached += 1
@@ -116,11 +110,6 @@ class CampaignTelemetry:
         ]
         if self.retries:
             parts.append(f"{self.retries} retries")
-        if self.worker_hits or self.worker_misses:
-            parts.append(
-                f"worker cache {self.worker_hits} hits / "
-                f"{self.worker_misses} misses"
-            )
         if self.mode:
             parts.append(f"mode={self.mode}")
         return "exec: " + ", ".join(parts)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,14 +69,6 @@ class ResultCache:
         value = np.asarray(value)
         self._remember(key, value)
         return value
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        value = self.get(key)
-        if value is not None:
-            return value
-        return self.put(key, compute())
 
     def _remember(self, key: str, value: np.ndarray) -> None:
         self._memory[key] = value

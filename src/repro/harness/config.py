@@ -32,6 +32,9 @@ class NetworkCondition:
     label: str = ""
 
     def __post_init__(self):
+        # Seeds and keys hash these: 10 and 10.0 must be one experiment.
+        for name in ("bandwidth_mbps", "rtt_ms", "buffer_bdp"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.bandwidth_mbps <= 0:
             raise ValueError("bandwidth must be positive")
         if self.rtt_ms <= 0:
@@ -96,6 +99,8 @@ class ExperimentConfig:
     seed: int = 20231024  # the paper's first conference day
 
     def __post_init__(self):
+        # Hashed into seeds and keys, as NetworkCondition's fields are.
+        object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
         if self.trials < 1:

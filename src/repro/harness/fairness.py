@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.exec import Executor
     from repro.store.warehouse import ResultStore
 
-from repro.harness.cache import DEFAULT_CACHE, ResultCache, cache_key
+from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl, run_pair, _trial_seed
 from repro.stacks import registry
@@ -36,11 +36,7 @@ def share_cache_key(
         kind="bandwidth_share",
         first=first.key(),
         second=second.key(),
-        condition=(
-            condition.bandwidth_mbps,
-            condition.rtt_ms,
-            condition.buffer_bdp,
-        ),
+        condition=condition.physical_key(),
         duration=config.duration_s,
         trials=config.trials,
         seed=config.seed,
@@ -52,31 +48,24 @@ def compute_share_array(
     second: Impl,
     condition: NetworkCondition,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
 ) -> np.ndarray:
-    """Per-trial shares T_first / (T_first + T_second), cached.
+    """Per-trial shares T_first / (T_first + T_second).
 
     Module-level (picklable) so a fairness pair runs as one
     ``repro.exec`` job, in-process or in a pool worker.
     """
-    cache = cache or DEFAULT_CACHE
-    key = share_cache_key(first, second, condition, config)
-
-    def compute() -> np.ndarray:
-        shares = []
-        for trial in range(config.trials):
-            seed = _trial_seed(
-                config.seed, "fair", first, second, condition.physical_key(), trial
-            )
-            result = run_pair(
-                first, second, condition, duration_s=config.duration_s, seed=seed
-            )
-            t1, t2 = result.throughputs_mbps
-            total = t1 + t2
-            shares.append(0.5 if total <= 0 else t1 / total)
-        return np.array(shares)
-
-    return cache.get_or_compute(key, compute)
+    shares = []
+    for trial in range(config.trials):
+        seed = _trial_seed(
+            config.seed, "fair", first, second, condition.physical_key(), trial
+        )
+        result = run_pair(
+            first, second, condition, duration_s=config.duration_s, seed=seed
+        )
+        t1, t2 = result.throughputs_mbps
+        total = t1 + t2
+        shares.append(0.5 if total <= 0 else t1 / total)
+    return np.array(shares)
 
 
 def bandwidth_share(
@@ -84,10 +73,18 @@ def bandwidth_share(
     second: Impl,
     condition: NetworkCondition,
     config: ExperimentConfig = ExperimentConfig(),
-    cache: Optional[ResultCache] = None,
+    executor: Optional["Executor"] = None,
 ) -> float:
-    """Mean share T_first / (T_first + T_second) over the trials."""
-    return float(np.mean(compute_share_array(first, second, condition, config, cache)))
+    """Mean share T_first / (T_first + T_second) over the trials, run as
+    one :func:`~repro.exec.share_job` on ``executor`` (default: a jobs=1
+    :class:`~repro.exec.Executor` over the process-wide cache)."""
+    from repro.exec import Executor, share_job
+
+    (shares,) = (executor or Executor()).run(
+        [share_job(first, second, condition, config)],
+        campaign=f"share:{first}-vs-{second}@{condition.describe()}",
+    )
+    return float(np.mean(shares))
 
 
 @dataclass

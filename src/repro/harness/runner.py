@@ -3,7 +3,7 @@
 Every measurement in the paper reduces to the same primitive: run
 implementation A against implementation B through a shared bottleneck for
 T seconds, capture traces, and post-process.  :func:`run_pair` is that
-primitive; :func:`sampled_points` adds PE sampling and caching.
+primitive; :func:`sampled_points` adds PE sampling.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.sampling import sample_points
-from repro.harness.cache import DEFAULT_CACHE, ResultCache, cache_key
+from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.netsim.crosstraffic import CrossTrafficConfig
 from repro.netsim.network import FlowResult, Network
@@ -106,20 +106,16 @@ def trial_identity(
     """The (seed, cache key) pair identifying one trial.
 
     This is the single source of truth for trial identity:
-    :func:`sampled_points` and the job layer (``repro.exec``) both derive
-    seeds and cache keys here, which is what makes results bit-identical
-    at any job count.
+    :func:`sampled_points` derives its seed here and the job layer
+    (``repro.exec``) its cache key, which is what makes results
+    bit-identical at any job count.
     """
     seed = _trial_seed(config.seed, test, competitor, condition.physical_key(), trial)
     key = cache_key(
         kind="sampled_points",
         test=test.key(),
         competitor=competitor.key(),
-        condition=(
-            condition.bandwidth_mbps,
-            condition.rtt_ms,
-            condition.buffer_bdp,
-        ),
+        condition=condition.physical_key(),
         duration=config.duration_s,
         sampling=(
             config.sampling.sample_rtts,
@@ -138,33 +134,27 @@ def sampled_points(
     condition: NetworkCondition,
     config: ExperimentConfig,
     trial: int,
-    cache: Optional[ResultCache] = None,
     cross_traffic: Optional[CrossTrafficConfig] = None,
     wan_netem: Optional[NetemConfig] = None,
 ) -> np.ndarray:
-    """The test flow's (delay, throughput) cloud for one trial, cached."""
-    cache = cache or DEFAULT_CACHE
-    seed, key = trial_identity(
+    """The test flow's (delay, throughput) cloud for one trial."""
+    seed, _key = trial_identity(
         test, competitor, condition, config, trial, cross_traffic, wan_netem
     )
-
-    def compute() -> np.ndarray:
-        result = run_pair(
-            test,
-            competitor,
-            condition,
-            duration_s=config.duration_s,
-            seed=seed,
-            cross_traffic=cross_traffic,
-            wan_netem=wan_netem,
-        )
-        return sample_points(
-            result.first.trace,
-            base_rtt_s=condition.rtt_s,
-            config=config.sampling,
-        )
-
-    return cache.get_or_compute(key, compute)
+    result = run_pair(
+        test,
+        competitor,
+        condition,
+        duration_s=config.duration_s,
+        seed=seed,
+        cross_traffic=cross_traffic,
+        wan_netem=wan_netem,
+    )
+    return sample_points(
+        result.first.trace,
+        base_rtt_s=condition.rtt_s,
+        config=config.sampling,
+    )
 
 
 def reference_impl(cca: str) -> Impl:

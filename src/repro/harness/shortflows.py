@@ -14,11 +14,14 @@ This module provides both:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.harness.cache import DEFAULT_CACHE, ResultCache, cache_key
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.exec import Executor
+
+from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl, _trial_seed
 from repro.netsim.network import Network
@@ -96,59 +99,94 @@ def flow_completion_time(
     )
 
 
-def staggered_fairness(
+def staggered_cache_key(
     first: Impl,
     late: Impl,
     condition: NetworkCondition,
-    config: ExperimentConfig = ExperimentConfig(),
-    stagger_s: float = 5.0,
-    cache: Optional[ResultCache] = None,
-) -> float:
-    """Share the late flow obtains over the overlap period, averaged over
-    trials.  0.5 = the late-comer converges to a fair share."""
-    cache = cache or DEFAULT_CACHE
-    key = cache_key(
+    config: ExperimentConfig,
+    stagger_s: float,
+) -> str:
+    """Cache key of one staggered pair's per-trial share array."""
+    return cache_key(
         kind="staggered",
         first=first.key(),
         late=late.key(),
-        condition=(condition.bandwidth_mbps, condition.rtt_ms, condition.buffer_bdp),
+        condition=condition.physical_key(),
         duration=config.duration_s,
         trials=config.trials,
         stagger=stagger_s,
         seed=config.seed,
     )
 
-    def compute() -> np.ndarray:
-        shares = []
-        for trial in range(config.trials):
-            seed = _trial_seed(config.seed, "stagger", first, late, condition.physical_key(), trial)
-            spec_a = registry.get_stack(first.stack).flow_spec(
-                first.cca, first.variant, label="first"
-            )
-            spec_b = registry.get_stack(late.stack).flow_spec(
-                late.cca, late.variant, label="late", start_time=stagger_s
-            )
-            network = Network(
-                condition.link_config(),
-                [spec_a, spec_b],
-                seed=seed,
-                base_jitter_s=condition.jitter_s(),
-            )
-            results = network.run(config.duration_s)
-            # Shares over the overlap period only.
-            overlap_bytes = [
-                sum(
-                    r.payload_bytes
-                    for r in res.trace.records
-                    if r.arrival_time >= stagger_s
-                )
-                for res in results
-            ]
-            total = sum(overlap_bytes)
-            shares.append(0.5 if total == 0 else overlap_bytes[1] / total)
-        return np.array(shares)
 
-    return float(np.mean(cache.get_or_compute(key, compute)))
+def compute_staggered_shares(
+    first: Impl,
+    late: Impl,
+    condition: NetworkCondition,
+    config: ExperimentConfig,
+    stagger_s: float,
+) -> np.ndarray:
+    """Per-trial share of the late flow over the overlap period.
+
+    Module-level (picklable) so a staggered pair runs as one
+    ``repro.exec`` job, in-process or in a pool worker.
+    """
+    shares = []
+    for trial in range(config.trials):
+        seed = _trial_seed(config.seed, "stagger", first, late, condition.physical_key(), trial)
+        spec_a = registry.get_stack(first.stack).flow_spec(
+            first.cca, first.variant, label="first"
+        )
+        spec_b = registry.get_stack(late.stack).flow_spec(
+            late.cca, late.variant, label="late", start_time=stagger_s
+        )
+        network = Network(
+            condition.link_config(),
+            [spec_a, spec_b],
+            seed=seed,
+            base_jitter_s=condition.jitter_s(),
+        )
+        results = network.run(config.duration_s)
+        # Shares over the overlap period only.
+        overlap_bytes = [
+            sum(
+                r.payload_bytes
+                for r in res.trace.records
+                if r.arrival_time >= stagger_s
+            )
+            for res in results
+        ]
+        total = sum(overlap_bytes)
+        shares.append(0.5 if total == 0 else overlap_bytes[1] / total)
+    return np.array(shares)
+
+
+def staggered_fairness(
+    first: Impl,
+    late: Impl,
+    condition: NetworkCondition,
+    config: ExperimentConfig = ExperimentConfig(),
+    stagger_s: float = 5.0,
+    executor: Optional["Executor"] = None,
+) -> float:
+    """Share the late flow obtains over the overlap period, averaged over
+    trials.  0.5 = the late-comer converges to a fair share.
+
+    The trials run as one job on ``executor`` (default: a jobs=1
+    :class:`~repro.exec.Executor` over the process-wide cache).
+    """
+    from repro.exec import Executor, Job
+
+    job = Job(
+        fn=compute_staggered_shares,
+        args=(first, late, condition, config, stagger_s),
+        key=staggered_cache_key(first, late, condition, config, stagger_s),
+        label=f"stagger {late} after {first} @ {condition.describe()}",
+    )
+    (shares,) = (executor or Executor()).run(
+        [job], campaign=f"staggered:{first}-then-{late}@{condition.describe()}"
+    )
+    return float(np.mean(shares))
 
 
 def fct_sweep(

@@ -7,11 +7,11 @@ computed and *persists* every trial it computes, without any harness
 code changing — the cache keys are the warehouse's content-addressed
 trial identities already.
 
-The write path goes through the parent process only (workers of a
-``repro.exec`` pool carry plain worker-local caches; computed values are
-shipped back and inserted here), so a multi-worker campaign funnels its
-store writes through one connection while stray concurrent writers are
-still safe thanks to the store's WAL + retry discipline.
+Only the executor calls :meth:`StoreCache.get` and :meth:`StoreCache.put`,
+once per trial and in the parent process (pool workers hold no cache),
+so a multi-worker campaign funnels its store writes through one
+connection while stray concurrent writers are still safe thanks to the
+store's WAL + retry discipline.
 """
 
 from __future__ import annotations

@@ -276,7 +276,8 @@ class ResultStore:
 
         Re-recording into an existing run upserts measurements in place,
         which is what longitudinal re-measurement wants: one run per
-        (campaign, release), always holding the latest numbers.
+        (campaign, release), always holding the latest numbers.  A
+        non-empty ``note`` fills an existing run's empty note.
         """
 
         def insert(conn):
@@ -285,6 +286,11 @@ class ResultStore:
                 "VALUES (?, ?, ?, ?)",
                 (name, time.time(), note, json.dumps(dict(config or {}))),
             )
+            if note:
+                conn.execute(
+                    "UPDATE runs SET note = ? WHERE name = ? AND note = ''",
+                    (note, name),
+                )
 
         self._write(insert)
         return self.run(name)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.harness.cache import DEFAULT_CACHE, ResultCache, cache_key
+from repro.harness.cache import cache_key
 from repro.harness.runner import _trial_seed
 from repro.topo import metrics
 from repro.topo.compile import TopoNetwork
@@ -102,24 +102,18 @@ def compute_topology_matrix(
     base_seed: int,
     trial: int,
     window_s: float = WINDOW_S,
-    cache: Optional[ResultCache] = None,
 ) -> np.ndarray:
-    """One trial's windowed per-flow throughput matrix, cached.
+    """One trial's windowed per-flow throughput matrix.
 
     Module-level and argument-picklable (the topology travels as its
     canonical dict) so one trial is one ``repro.exec`` job, in-process or
     in a pool worker.
     """
-    cache = cache or DEFAULT_CACHE
     spec = parse_topology_spec(spec_doc)
-    seed, key = topo_trial_identity(spec, duration_s, base_seed, trial, window_s)
-
-    def compute() -> np.ndarray:
-        network = TopoNetwork(spec, seed=seed, base_jitter_s=base_jitter_s(spec))
-        network.run(duration_s)
-        return metrics.throughput_matrix(network.traces, duration_s, window_s)
-
-    return cache.get_or_compute(key, compute)
+    seed, _key = topo_trial_identity(spec, duration_s, base_seed, trial, window_s)
+    network = TopoNetwork(spec, seed=seed, base_jitter_s=base_jitter_s(spec))
+    network.run(duration_s)
+    return metrics.throughput_matrix(network.traces, duration_s, window_s)
 
 
 def topology_trial_jobs(

@@ -211,17 +211,21 @@ class TestEvaluateAndRecord:
         assert one.summary() == two.summary()
 
     def test_compute_peer_trial_caches(self):
+        # The job function only computes; the executor caches its value
+        # under the job's key, so a resubmission is served without it.
         condition = scenarios.shallow_buffer()
         config = ExperimentConfig(duration_s=4.0, trials=1)
         cache = ResultCache()
-        first = compute_peer_trial(
-            "linux", "gcc", condition, config, 0, cache=cache
+        executor = Executor(cache=cache)
+        jobs = peer_trial_jobs(["gcc"], condition, config, "linux")
+        (first,) = executor.run(jobs)
+        assert np.array_equal(
+            first, compute_peer_trial("linux", "gcc", condition, config, 0)
         )
         hits_before = cache.hits
-        again = compute_peer_trial(
-            "linux", "gcc", condition, config, 0, cache=cache
-        )
+        (again,) = executor.run(jobs)
         assert cache.hits == hits_before + 1
+        assert [r.status for r in executor.last_records] == ["cached"]
         assert np.array_equal(first, again)
 
     def test_record_peer_result_cell_count(self, tmp_path):

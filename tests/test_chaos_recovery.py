@@ -44,7 +44,7 @@ def _deterministic_payload(x: float) -> np.ndarray:
     return np.sin(np.arange(64, dtype=np.float64) * x)
 
 
-def _sigkill_once_then(marker: str, x: float, cache=None) -> np.ndarray:
+def _sigkill_once_then(marker: str, x: float) -> np.ndarray:
     """SIGKILL our own process the first time; compute normally after."""
     path = Path(marker)
     if not path.exists():
@@ -54,7 +54,7 @@ def _sigkill_once_then(marker: str, x: float, cache=None) -> np.ndarray:
     return _deterministic_payload(x)
 
 
-def _compute(x: float, cache=None) -> np.ndarray:
+def _compute(x: float) -> np.ndarray:
     return _deterministic_payload(x)
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.exec import ExecutionError, Executor, Job, TrialJob, pair_trial_jobs
 from repro.exec.telemetry import JobRecord, ProgressPrinter
+from repro.faults.retry import RetryPolicy
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.conformance import gather_trials
@@ -27,14 +28,14 @@ COND = NetworkCondition(bandwidth_mbps=20, rtt_ms=10, buffer_bdp=1)
 
 
 # --------------------------------------------------------------- job fns
-# Must be module-level (picklable) and accept a ``cache`` keyword.
+# Must be module-level (picklable); they only compute.
 
 
-def _double(x, cache=None):
+def _double(x):
     return np.array([2.0 * x])
 
 
-def _bump_then(counter: str, fail_attempts: int, action: str, cache=None):
+def _bump_then(counter: str, fail_attempts: int, action: str):
     """Fail (raise or hard-crash) for the first ``fail_attempts`` calls."""
     path = Path(counter)
     count = int(path.read_text()) if path.exists() else 0
@@ -47,7 +48,7 @@ def _bump_then(counter: str, fail_attempts: int, action: str, cache=None):
     return np.array([42.0])
 
 
-def _sleepy(seconds, cache=None):
+def _sleepy(seconds):
     time.sleep(seconds)
     return np.zeros(1)
 
@@ -70,7 +71,10 @@ class TestSerialExecutor:
 
     def test_retry_recovers_from_transient_failure(self, tmp_path):
         counter = tmp_path / "attempts"
-        ex = Executor(jobs=1, cache=ResultCache(), retries=2, backoff_s=0.01)
+        ex = Executor(
+            jobs=1, cache=ResultCache(),
+            retry=RetryPolicy(max_attempts=3, backoff_s=0.01),
+        )
         (value,) = ex.run(
             [Job(fn=_bump_then, args=(str(counter), 1, "raise"), key="flaky")]
         )
@@ -80,7 +84,10 @@ class TestSerialExecutor:
 
     def test_exhausted_retries_raise(self, tmp_path):
         counter = tmp_path / "attempts"
-        ex = Executor(jobs=1, cache=ResultCache(), retries=1, backoff_s=0.01)
+        ex = Executor(
+            jobs=1, cache=ResultCache(),
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
+        )
         with pytest.raises(ExecutionError) as err:
             ex.run([Job(fn=_bump_then, args=(str(counter), 99, "raise"), key="dead")])
         assert ex.last_records[0].status == "failed"
@@ -185,7 +192,10 @@ class TestPoolExecutor:
 
     def test_worker_crash_retried_to_completion(self, tmp_path):
         counter = tmp_path / "crashes"
-        ex = Executor(jobs=2, cache=ResultCache(), retries=2, backoff_s=0.01)
+        ex = Executor(
+            jobs=2, cache=ResultCache(),
+            retry=RetryPolicy(max_attempts=3, backoff_s=0.01),
+        )
         (value,) = ex.run(
             [Job(fn=_bump_then, args=(str(counter), 1, "crash"), key="crashy")]
         )
@@ -199,7 +209,7 @@ class TestPoolExecutor:
             jobs=2,
             cache=ResultCache(),
             timeout_s=0.5,
-            retries=0,
+            retry=RetryPolicy(max_attempts=1),
             manifest_path=manifest,
         )
         with pytest.raises(ExecutionError):
@@ -244,7 +254,10 @@ class TestWarmPool:
         assert [pool.key for pool in idle_pools] == [("spawn", 2)]
 
     def test_timed_out_run_shuts_its_pool_down(self, idle_pools):
-        ex = Executor(jobs=2, cache=ResultCache(), timeout_s=0.5, retries=0)
+        ex = Executor(
+            jobs=2, cache=ResultCache(), timeout_s=0.5,
+            retry=RetryPolicy(max_attempts=1),
+        )
         ex.run([Job(fn=_double, args=(1,), key="warm")])
         assert [pool.key for pool in idle_pools] == [("spawn", 2)]
         with pytest.raises(ExecutionError):
@@ -260,7 +273,7 @@ class TestWarmPool:
         # A late "ok" for index 0 from the finished run, as a worker still
         # busy with a duplicate attempt would send it.
         pool.result_q.put(
-            ("ok", pool.run_id, -1, 0, 1, np.array([-1.0]), 0.0, 0, 0)
+            ("ok", pool.run_id, -1, 0, 1, np.array([-1.0]), 0.0)
         )
         (value,) = ex.run([Job(fn=_sleepy, args=(0.2,), key="second")])
         assert value[0] == 0.0

@@ -109,12 +109,16 @@ class TestStoreCacheDegradation:
         store = ResultStore(tmp_path / "s.db")
         cache = StoreCache(store)
         store.close()  # the warehouse goes away mid-campaign
+        executor = Executor(jobs=1, cache=cache)
+        job = Job(fn=_ok, args=(4,), key="k")
         with pytest.warns(UserWarning, match="degrading"):
-            value = cache.get_or_compute("k", lambda: np.ones(4))
-        assert np.array_equal(value, np.ones(4))
+            (value,) = executor.run([job])
+        assert np.array_equal(value, np.array([4.0]))
         assert cache.counters()["store_errors"] >= 1
         # The memory tier still serves it.
-        assert np.array_equal(cache.get("k"), np.ones(4))
+        (again,) = executor.run([job])
+        assert executor.last_records[0].status == "cached"
+        assert np.array_equal(again, np.array([4.0]))
 
 
 # ------------------------------------------------------------ store sink
@@ -182,15 +186,8 @@ class TestStoreSinkSpill:
 # -------------------------------------------------------------- executor
 
 
-def _ok(x, cache=None):
+def _ok(x):
     return np.array([float(x)])
-
-
-def _cache_probe(cache=None):
-    """1.0 if this worker's cache already held the probe entry, else 0.0."""
-    hit = cache.get("probe") is not None
-    cache.put("probe", np.zeros(1))
-    return np.array([float(hit)])
 
 
 class TestExecutorFaults:
@@ -201,7 +198,7 @@ class TestExecutorFaults:
         )
         calls = []
 
-        def flaky(cache=None):
+        def flaky():
             calls.append(1)
             if len(calls) < 3:
                 raise RuntimeError("transient")
@@ -213,12 +210,6 @@ class TestExecutorFaults:
         # Both pauses went through the policy's seam, none through a raw
         # time.sleep: the list recorded them and the test ran instantly.
         assert sleeps == [pytest.approx(0.25), pytest.approx(0.5)]
-
-    def test_retry_policy_overrides_legacy_knobs(self):
-        retry = RetryPolicy(max_attempts=7, backoff_s=0.125)
-        ex = Executor(jobs=1, retries=1, backoff_s=99.0, retry=retry)
-        assert ex.retries == 6
-        assert ex.backoff_s == 0.125
 
     def test_poison_job_quarantined_in_pool(self):
         # Crash the worker on *every* attempt of the poison job: without
@@ -300,19 +291,19 @@ class TestExecutorFaults:
         # crash: the second run started no worker of its own.
         assert ex.telemetry.worker_spawns == 3
 
-    def test_worker_starts_each_run_with_fresh_plan_and_cache(self):
+    def test_worker_starts_each_run_with_fresh_plan(self):
         # The worker loop, in-process, fed tasks of three runs.  A new run
-        # id re-activates that run's plan (occurrence counters from zero)
-        # and starts an empty cache; a run without a plan deactivates the
-        # old one.  The plan fails the first trial of each activation.
+        # id re-activates that run's plan (occurrence counters from zero);
+        # a run without a plan deactivates the old one.  The plan fails
+        # the first trial of each activation.
         plan = FaultPlan(
             "first", (rule(FAULT_STORE_LOCKED, "exec.worker.trial", hits=(1,)),)
         )
         tasks, results = queue.Queue(), queue.Queue()
-        probe = Job(fn=_cache_probe, key="probe")
+        job = Job(fn=_ok, args=(7,), key="seven")
         for run, run_plan in ((1, plan), (1, plan), (2, plan), (2, plan),
                               (3, None), (3, None)):
-            tasks.put((run, run_plan, 0, probe, 1))
+            tasks.put((run, run_plan, 0, job, 1))
         tasks.put(None)
         _worker_main(tasks, results, 1, plan)
         outcomes = []
@@ -323,9 +314,9 @@ class TestExecutorFaults:
             elif msg[0] == "err":
                 outcomes.append((msg[1], "err"))
         assert outcomes == [
-            (1, "err"), (1, "ok", 0.0),
-            (2, "err"), (2, "ok", 0.0),
-            (3, "ok", 0.0), (3, "ok", 1.0),
+            (1, "err"), (1, "ok", 7.0),
+            (2, "err"), (2, "ok", 7.0),
+            (3, "ok", 7.0), (3, "ok", 7.0),
         ]
         assert inject.active() is None
 

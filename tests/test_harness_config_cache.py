@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exec import Executor, Job
 from repro.harness import scenarios
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import (
@@ -11,6 +12,14 @@ from repro.harness.config import (
     paper_experiment_config,
     quick_experiment_config,
 )
+from repro.harness.runner import Impl, trial_identity
+
+calls = []
+
+
+def _counted(x):
+    calls.append(x)
+    return np.array([x])
 
 
 class TestNetworkCondition:
@@ -30,6 +39,23 @@ class TestNetworkCondition:
         # it cannot reorder past the loss-detection threshold.
         assert fast.jitter_s() < slow.jitter_s()
         assert fast.jitter_s() <= 1448 * 8 / 100e6
+
+    def test_int_and_float_spellings_are_one_trial(self):
+        # Seeds and keys hash the parameters, so 10 and 10.0 must be
+        # coerced to one spelling before they are hashed.
+        pair = (Impl("quiche", "cubic"), Impl("linux", "cubic"))
+        ints = trial_identity(
+            *pair, NetworkCondition(10, 20, 2), ExperimentConfig(duration_s=2), 0
+        )
+        floats = trial_identity(
+            *pair,
+            NetworkCondition(10.0, 20.0, 2.0),
+            ExperimentConfig(duration_s=2.0),
+            0,
+        )
+        assert ints == floats
+        # The float spelling keeps the identity stored trials carry.
+        assert floats == (1875835876, "903d1cd89a16303c0560f7247d248a31")
 
     def test_describe(self):
         assert NetworkCondition(20, 10, 1).describe() == "20mbps-10ms-1bdp"
@@ -78,16 +104,15 @@ class TestScenarios:
 
 class TestResultCache:
     def test_memoizes(self):
+        # The executor is the cache's one reader and writer: a key it
+        # already computed is served without calling the job again.
         cache = ResultCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.array([1.0, 2.0])
-
-        a = cache.get_or_compute("k", compute)
-        b = cache.get_or_compute("k", compute)
-        assert len(calls) == 1
+        calls.clear()
+        executor = Executor(cache=cache)
+        job = Job(fn=_counted, args=(2.0,), key="k")
+        (a,) = executor.run([job])
+        (b,) = executor.run([job])
+        assert calls == [2.0]
         assert (a == b).all()
         assert cache.hits == 1 and cache.misses == 1
 

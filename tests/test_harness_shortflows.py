@@ -1,12 +1,16 @@
 """Finite flows, completion times and staggered-start fairness."""
 
+import numpy as np
 import pytest
 
+from repro.exec import Executor
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl
 from repro.harness.shortflows import (
+    compute_staggered_shares,
     fct_sweep,
     flow_completion_time,
+    staggered_cache_key,
     staggered_fairness,
 )
 from repro.netsim.endpoint import SenderConfig
@@ -85,26 +89,53 @@ def test_sender_stops_after_finite_transfer():
     assert sender._fresh_bytes_sent <= 100_000 + sender.config.mss
 
 
-def test_staggered_late_comer_reaches_fair_share(fresh_cache):
+def test_staggered_late_comer_reaches_fair_share(fresh_executor):
     cfg = ExperimentConfig(duration_s=25.0, trials=2)
     share = staggered_fairness(
         Impl("linux", "cubic"), Impl("linux", "cubic"), CONDITION, cfg,
-        stagger_s=4.0, cache=fresh_cache,
+        stagger_s=4.0, executor=fresh_executor,
     )
     assert 0.25 < share < 0.75
 
 
-def test_staggered_aggressive_late_comer_takes_more(fresh_cache):
+def test_staggered_aggressive_late_comer_takes_more(fresh_executor):
     cfg = ExperimentConfig(duration_s=25.0, trials=2)
     fair = staggered_fairness(
         Impl("linux", "cubic"), Impl("quicgo", "cubic"), CONDITION, cfg,
-        stagger_s=4.0, cache=fresh_cache,
+        stagger_s=4.0, executor=fresh_executor,
     )
     aggressive = staggered_fairness(
         Impl("linux", "cubic"), Impl("quiche", "cubic"), CONDITION, cfg,
-        stagger_s=4.0, cache=fresh_cache,
+        stagger_s=4.0, executor=fresh_executor,
     )
     assert aggressive > fair
+
+
+def test_staggered_fairness_is_one_executor_run(fresh_executor, monkeypatch):
+    calls = []
+    run = Executor.run
+
+    def counting(self, jobs, campaign="campaign"):
+        calls.append([job.key for job in jobs])
+        return run(self, jobs, campaign)
+
+    monkeypatch.setattr(Executor, "run", counting)
+    first, late = Impl("linux", "cubic"), Impl("quicgo", "cubic")
+    cfg = ExperimentConfig(duration_s=6.0, trials=1)
+    share = staggered_fairness(
+        first, late, CONDITION, cfg, stagger_s=2.0, executor=fresh_executor
+    )
+    key = staggered_cache_key(first, late, CONDITION, cfg, 2.0)
+    assert calls == [[key]]
+    assert np.array_equal(
+        fresh_executor.cache.get(key),
+        compute_staggered_shares(first, late, CONDITION, cfg, 2.0),
+    )
+    again = staggered_fairness(
+        first, late, CONDITION, cfg, stagger_s=2.0, executor=fresh_executor
+    )
+    assert [r.status for r in fresh_executor.last_records] == ["cached"]
+    assert again == share
 
 
 def test_invalid_transfer_size():

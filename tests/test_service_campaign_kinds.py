@@ -21,7 +21,7 @@ from repro.harness import scenarios
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.service import Scheduler, parse_campaign_spec
-from repro.service.scheduler import DONE, TERMINAL_STATES
+from repro.service.scheduler import DONE, TERMINAL_STATES, run_campaign
 from repro.service.specs import SpecError
 from repro.store import ResultStore
 
@@ -132,12 +132,11 @@ def test_sweep_follows_the_condition_flags(tmp_path):
     db = str(tmp_path / "cli.db")
     argv = ["sweep", "--bandwidth", "10", "--rtt", "20", "--buffer", "2"]
     assert main(argv + TINY_FLAGS + ["--store", db]) == 0
-    # Floats, as the spec parser makes them: trial keys hash the values'
-    # JSON form, in which 10 and 10.0 differ.
-    condition = NetworkCondition(bandwidth_mbps=10.0, rtt_ms=20.0, buffer_bdp=2.0)
+    # Int spellings name the same trials as the spec parser's floats.
+    condition = NetworkCondition(bandwidth_mbps=10, rtt_ms=20, buffer_bdp=2)
     points = cwnd_gain_sweep(
         condition=condition,
-        config=ExperimentConfig(duration_s=2.0, trials=1),
+        config=ExperimentConfig(duration_s=2, trials=1),
         executor=Executor(cache=ResultCache()),
     )
     with ResultStore(db) as store:
@@ -148,6 +147,51 @@ def test_sweep_follows_the_condition_flags(tmp_path):
     assert {r.variant: r.value for r in rows} == {
         f"cwnd_gain={p.cwnd_gain:g}": p.conformance for p in points
     }
+
+
+@pytest.mark.parametrize(
+    "payload, note",
+    [
+        ({"kind": "fairness", "ccas": ["reno"],
+          "conditions": [{"bandwidth_mbps": 2, "rtt_ms": 50}], "run": "fair"},
+         "bandwidth-share matrix"),
+        ({"kind": "sweep", "conditions": [{"bandwidth_mbps": 2}],
+          "run": "gain"},
+         "Fig. 5 cwnd-gain sweep"),
+    ],
+    ids=["fairness", "sweep"],
+)
+def test_store_run_keeps_the_harness_note(tmp_path, payload, note):
+    # The executor's store sink creates the run first, with no note; the
+    # harness's note must still land on it.
+    db = str(tmp_path / "notes.db")
+    run_campaign(parse_campaign_spec({**payload, **TINY}), db)
+    with ResultStore(db) as store:
+        assert store.run(payload["run"]).note == note
+
+
+def test_store_backed_campaign_reads_and_writes_each_trial_once(
+    tmp_path, monkeypatch
+):
+    calls = {"get_trial": [], "put_trial": []}
+    for name in calls:
+        original = getattr(ResultStore, name)
+
+        def counting(self, key, *args, _name=name, _original=original, **kw):
+            calls[_name].append(key)
+            return _original(self, key, *args, **kw)
+
+        monkeypatch.setattr(ResultStore, name, counting)
+    spec = parse_campaign_spec(
+        {"kind": "conformance", "stacks": ["quiche"], "ccas": ["cubic"],
+         "conditions": [{"bandwidth_mbps": 2, "rtt_ms": 20}],
+         "duration_s": 2, "trials": 2, "run": "once"}
+    )
+    summary = run_campaign(spec, str(tmp_path / "once.db"))
+    assert summary["exec"]["ok"] == 4
+    for keys in calls.values():
+        assert len(keys) == len(set(keys)) == 4
+    assert set(calls["get_trial"]) == set(calls["put_trial"])
 
 
 def test_scheduled_fixes_store_the_harness_trials(tmp_path):

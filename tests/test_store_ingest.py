@@ -22,7 +22,7 @@ def store(tmp_path):
         yield s
 
 
-def _double(x, cache=None):
+def _double(x):
     return np.array([2.0 * x])
 
 

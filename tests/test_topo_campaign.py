@@ -50,15 +50,18 @@ class TestTrialIdentity:
 
     def test_compute_is_cached_and_deterministic(self):
         cache = ResultCache()
-        doc = dumbbell("cubic").canonical()
-        first = topo_campaign.compute_topology_matrix(doc, 3.0, 0, 0,
-                                                      cache=cache)
+        executor = Executor(cache=cache)
+        topo = dumbbell("cubic")
+        jobs = topo_campaign.topology_trial_jobs(topo, 3.0, 1, 0)
+        (first,) = executor.run(jobs)
         assert cache.misses == 1
-        again = topo_campaign.compute_topology_matrix(doc, 3.0, 0, 0,
-                                                      cache=cache)
+        (again,) = executor.run(jobs)
         assert cache.hits == 1
         assert np.array_equal(first, again)
-        assert first.shape[0] == len(dumbbell("cubic").flows)
+        assert np.array_equal(
+            first, topo_campaign.compute_topology_matrix(topo.canonical(), 3.0, 0, 0)
+        )
+        assert first.shape[0] == len(topo.flows)
 
 
 class TestCampaignThroughStore:
