@@ -77,7 +77,8 @@ def kmeans(
             for j in range(k):
                 members = work[labels == j]
                 if len(members):
-                    centroids[j] = members.mean(axis=0)
+                    # The reduction ``members.mean(axis=0)`` performs.
+                    centroids[j] = members.sum(axis=0) / len(members)
                 else:
                     # Re-seed an empty cluster at the farthest point.
                     far = distances.min(axis=1).argmax()

@@ -23,7 +23,7 @@ raises throughput alone (§3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,12 @@ from repro.core.envelope import (
     PerformanceEnvelope,
     build_envelope,
 )
-from repro.core.geometry import convex_hull, points_in_convex_polygon
+from repro.core.geometry import (
+    convex_hull,
+    half_planes,
+    points_in_convex_polygon,
+    points_in_half_planes,
+)
 
 
 def conformance(
@@ -42,8 +47,11 @@ def conformance(
     points = np.vstack([test.all_points, reference.all_points])
     if len(points) == 0:
         return 0.0
-    in_test = test.contains(points)
-    in_ref = reference.contains(points)
+    return _overlap(test.contains(points), reference.contains(points))
+
+
+def _overlap(in_test: np.ndarray, in_ref: np.ndarray) -> float:
+    """#points inside both envelopes / #points inside either (0 if none)."""
     union = in_test | in_ref
     denom = int(union.sum())
     if denom == 0:
@@ -64,13 +72,10 @@ def conformance_legacy(
     points = np.vstack([test, ref])
     if len(points) == 0 or len(hull_test) < 3 or len(hull_ref) < 3:
         return 0.0
-    in_test = points_in_convex_polygon(points, hull_test)
-    in_ref = points_in_convex_polygon(points, hull_ref)
-    union = in_test | in_ref
-    denom = int(union.sum())
-    if denom == 0:
-        return 0.0
-    return float((in_test & in_ref).sum() / denom)
+    return _overlap(
+        points_in_convex_polygon(points, hull_test),
+        points_in_convex_polygon(points, hull_ref),
+    )
 
 
 def _trim_outliers(points: np.ndarray, fraction: float) -> np.ndarray:
@@ -118,11 +123,9 @@ def conformance_post_translation(
     identity), then refine the best seeds with a shrinking pattern
     search.
     """
+    conformance_at = _translation_scorer(test, reference)
     seeds = _candidate_translations(test, reference)
-    scored = [
-        ((dx, dy), conformance(test.translated((dx, dy)), reference))
-        for dx, dy in seeds
-    ]
+    scored = [((dx, dy), conformance_at((dx, dy))) for dx, dy in seeds]
     scored.sort(key=lambda item: item[1], reverse=True)
     best_t, best_score = scored[0]
 
@@ -139,9 +142,7 @@ def conformance_post_translation(
                 for direction in (+1, -1):
                     candidate = t.copy()
                     candidate[axis] += direction * step[axis]
-                    cand_score = conformance(
-                        test.translated(candidate), reference
-                    )
+                    cand_score = conformance_at(candidate)
                     if cand_score > score:
                         t, score = candidate, cand_score
                         improved = True
@@ -156,6 +157,40 @@ def conformance_post_translation(
         conformance_t=best_score,
         translation=(float(best_t[0]), float(best_t[1])),
     )
+
+
+def _translation_scorer(
+    test: PerformanceEnvelope, reference: PerformanceEnvelope
+) -> Callable[[Sequence], float]:
+    """``score(offset)``, equal to ``conformance(test.translated(offset),
+    reference)``.
+
+    The reference stays put during the search, so its hulls' half-planes
+    and the membership of its own points are computed once.  Each call
+    moves only the test's points and non-empty hulls, and repeats the
+    per-point arithmetic of :func:`conformance` on them exactly.
+    """
+    ref_points = reference.all_points
+    ref_planes = [half_planes(hull) for hull in reference.hulls]
+
+    def inside(points: np.ndarray, planes) -> np.ndarray:
+        mask = np.zeros(len(points), dtype=bool)
+        for plane in planes:
+            mask |= points_in_half_planes(points, plane)
+        return mask
+
+    ref_own = inside(ref_points, ref_planes)
+
+    def score(offset: Sequence) -> float:
+        off = np.asarray(offset, dtype=float)
+        moved = test.all_points + off
+        points = np.vstack([moved, ref_points])
+        if len(points) == 0:
+            return 0.0
+        in_test = inside(points, [half_planes(h + off) for h in test.hulls])
+        return _overlap(in_test, np.concatenate([inside(moved, ref_planes), ref_own]))
+
+    return score
 
 
 def _candidate_translations(

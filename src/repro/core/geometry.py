@@ -14,12 +14,15 @@ intersection-over-trials naturally discards unstable clusters.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 #: Geometric tolerance for orientation tests, in squared input units.
 EPS = 1e-12
+
+#: A convex polygon as (CCW vertices, edge vectors, membership tolerance).
+HalfPlanes = Tuple[np.ndarray, np.ndarray, float]
 
 
 def _as_points(points: Sequence) -> np.ndarray:
@@ -31,9 +34,9 @@ def _as_points(points: Sequence) -> np.ndarray:
     return arr
 
 
-def cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Z-component of (a - o) x (b - o); >0 means a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _shifted(values: np.ndarray) -> np.ndarray:
+    """``values`` rotated one step left: element i is the old i + 1."""
+    return np.concatenate([values[1:], values[:1]])
 
 
 def convex_hull(points: Sequence) -> np.ndarray:
@@ -45,24 +48,34 @@ def convex_hull(points: Sequence) -> np.ndarray:
     arr = _as_points(points)
     if len(arr) < 3:
         return np.empty((0, 2))
-    unique = np.unique(arr, axis=0)
-    if len(unique) < 3:
+    # Sort by (x, y) and drop repeated points: equal rows end up adjacent.
+    pts = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[distinct]
+    if len(pts) < 3:
         return np.empty((0, 2))
-    pts = unique[np.lexsort((unique[:, 1], unique[:, 0]))]
+    # The chain runs on Python floats: the same IEEE-754 arithmetic as
+    # numpy scalars, without their per-operation overhead.
+    rows = pts.tolist()
 
-    def half(iterable: Iterable[np.ndarray]) -> List[np.ndarray]:
-        chain: List[np.ndarray] = []
+    def half(iterable: Iterable[List[float]]) -> List[List[float]]:
+        chain: List[List[float]] = []
         for p in iterable:
+            px, py = p
             # Pop on non-left turns with the exact zero threshold: an
             # absolute epsilon here can discard true extreme vertices
             # when a chain is nearly collinear at tiny scales.
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(reversed(pts))
+    lower = half(rows)
+    upper = half(reversed(rows))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         return np.empty((0, 2))
@@ -76,9 +89,7 @@ def polygon_area(polygon: Sequence) -> float:
         return 0.0
     x = poly[:, 0]
     y = poly[:, 1]
-    return 0.5 * abs(
-        float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    )
+    return 0.5 * abs(float(np.dot(x, _shifted(y)) - np.dot(y, _shifted(x))))
 
 
 def polygon_centroid(polygon: Sequence) -> Optional[np.ndarray]:
@@ -88,19 +99,20 @@ def polygon_centroid(polygon: Sequence) -> Optional[np.ndarray]:
         return None
     x = poly[:, 0]
     y = poly[:, 1]
-    cross_terms = x * np.roll(y, -1) - np.roll(x, -1) * y
+    next_x, next_y = _shifted(x), _shifted(y)
+    cross_terms = x * next_y - next_x * y
     area6 = 3 * (np.sum(cross_terms))
     if abs(area6) < EPS:
         return poly.mean(axis=0)
-    cx = float(np.sum((x + np.roll(x, -1)) * cross_terms) / area6)
-    cy = float(np.sum((y + np.roll(y, -1)) * cross_terms) / area6)
+    cx = float(np.sum((x + next_x) * cross_terms) / area6)
+    cy = float(np.sum((y + next_y) * cross_terms) / area6)
     return np.array([cx, cy])
 
 
 def _ensure_ccw(polygon: np.ndarray) -> np.ndarray:
     x = polygon[:, 0]
     y = polygon[:, 1]
-    signed = float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    signed = float(np.dot(x, _shifted(y)) - np.dot(y, _shifted(x)))
     if signed < 0:
         return polygon[::-1]
     return polygon
@@ -115,28 +127,27 @@ def convex_intersection(poly_a: Sequence, poly_b: Sequence) -> np.ndarray:
     b = _as_points(poly_b)
     if len(a) < 3 or len(b) < 3:
         return np.empty((0, 2))
-    subject = _ensure_ccw(a)
-    clipper = _ensure_ccw(b)
-
-    output: List[np.ndarray] = list(subject)
+    output: List[List[float]] = _ensure_ccw(a).tolist()
+    clipper = _ensure_ccw(b).tolist()
     n = len(clipper)
     for i in range(n):
         if not output:
             return np.empty((0, 2))
-        edge_start = clipper[i]
-        edge_end = clipper[(i + 1) % n]
+        ex, ey = clipper[i]
+        dx, dy = clipper[(i + 1) % n][0] - ex, clipper[(i + 1) % n][1] - ey
         input_pts = output
         output = []
         prev = input_pts[-1]
-        prev_inside = cross(edge_start, edge_end, prev) >= -EPS
+        # (edge) x (point - edge start) >= -EPS: on or left of the edge.
+        prev_inside = dx * (prev[1] - ey) - dy * (prev[0] - ex) >= -EPS
         for current in input_pts:
-            inside = cross(edge_start, edge_end, current) >= -EPS
+            inside = dx * (current[1] - ey) - dy * (current[0] - ex) >= -EPS
             if inside:
                 if not prev_inside:
-                    output.append(_segment_intersection(prev, current, edge_start, edge_end))
+                    output.append(_segment_intersection(prev, current, ex, ey, dx, dy))
                 output.append(current)
             elif prev_inside:
-                output.append(_segment_intersection(prev, current, edge_start, edge_end))
+                output.append(_segment_intersection(prev, current, ex, ey, dx, dy))
             prev = current
             prev_inside = inside
     if len(output) < 3:
@@ -148,16 +159,16 @@ def convex_intersection(poly_a: Sequence, poly_b: Sequence) -> np.ndarray:
 
 
 def _segment_intersection(
-    p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray
-) -> np.ndarray:
-    """Intersection of line p1p2 with line q1q2 (callers guarantee crossing)."""
-    d1 = p2 - p1
-    d2 = q2 - q1
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    p1: List[float], p2: List[float], qx: float, qy: float, dx: float, dy: float
+) -> List[float]:
+    """Intersection of line p1p2 with the line through (qx, qy) along
+    (dx, dy) (callers guarantee crossing)."""
+    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
+    denom = d1x * dy - d1y * dx
     if abs(denom) < EPS:
-        return p2.copy()
-    t = ((q1[0] - p1[0]) * d2[1] - (q1[1] - p1[1]) * d2[0]) / denom
-    return p1 + t * d1
+        return list(p2)
+    t = ((qx - p1[0]) * dy - (qy - p1[1]) * dx) / denom
+    return [p1[0] + t * d1x, p1[1] + t * d1y]
 
 
 def intersect_polygons(polygons: Sequence[Sequence]) -> np.ndarray:
@@ -178,12 +189,28 @@ def point_in_convex_polygon(point: Sequence, polygon: Sequence) -> bool:
     poly = _as_points(polygon)
     if len(poly) < 3:
         return False
-    p = np.asarray(point, dtype=float)
-    n = len(poly)
-    for i in range(n):
-        if cross(poly[i], poly[(i + 1) % n], p) < -1e-9 * _scale(poly):
-            return False
-    return True
+    x, y = np.asarray(point, dtype=float)
+    edges = _shifted(poly) - poly
+    crossv = edges[:, 0] * (y - poly[:, 1]) - edges[:, 1] * (x - poly[:, 0])
+    return not (crossv < -1e-9 * _scale(poly)).any()
+
+
+def half_planes(polygon: np.ndarray) -> HalfPlanes:
+    """A convex polygon (at least 3 vertices) as the half-planes left of
+    its CCW edges, for :func:`points_in_half_planes`."""
+    poly = _ensure_ccw(polygon)
+    return poly, _shifted(poly) - poly, -1e-9 * _scale(poly)
+
+
+def points_in_half_planes(points: np.ndarray, planes: HalfPlanes) -> np.ndarray:
+    """Boolean mask over ``points``: inside or on every half-plane."""
+    starts, edges, tol = planes
+    # One (points x edges) array of cross products, each the edge vector
+    # crossed with the point's offset from the edge start.
+    crossv = edges[:, 0] * (points[:, 1:] - starts[:, 1]) - edges[:, 1] * (
+        points[:, :1] - starts[:, 0]
+    )
+    return (crossv >= tol).all(axis=1)
 
 
 def points_in_convex_polygon(points: Sequence, polygon: Sequence) -> np.ndarray:
@@ -192,20 +219,7 @@ def points_in_convex_polygon(points: Sequence, polygon: Sequence) -> np.ndarray:
     poly = _as_points(polygon)
     if len(poly) < 3 or len(pts) == 0:
         return np.zeros(len(pts), dtype=bool)
-    poly = _ensure_ccw(poly)
-    mask = np.ones(len(pts), dtype=bool)
-    tol = -1e-9 * _scale(poly)
-    n = len(poly)
-    for i in range(n):
-        o = poly[i]
-        e = poly[(i + 1) % n]
-        crossv = (e[0] - o[0]) * (pts[:, 1] - o[1]) - (e[1] - o[1]) * (
-            pts[:, 0] - o[0]
-        )
-        mask &= crossv >= tol
-        if not mask.any():
-            break
-    return mask
+    return points_in_half_planes(pts, half_planes(poly))
 
 
 def _scale(poly: np.ndarray) -> float:

@@ -277,19 +277,26 @@ class ResultStore:
         Re-recording into an existing run upserts measurements in place,
         which is what longitudinal re-measurement wants: one run per
         (campaign, release), always holding the latest numbers.  A
-        non-empty ``note`` fills an existing run's empty note.
+        non-empty ``note`` fills an existing run's empty note, and a
+        non-empty ``config`` its empty (``{}``) config.
         """
+        config_json = json.dumps(dict(config or {}))
 
         def insert(conn):
             conn.execute(
                 "INSERT OR IGNORE INTO runs (name, created_at, note, config) "
                 "VALUES (?, ?, ?, ?)",
-                (name, time.time(), note, json.dumps(dict(config or {}))),
+                (name, time.time(), note, config_json),
             )
             if note:
                 conn.execute(
                     "UPDATE runs SET note = ? WHERE name = ? AND note = ''",
                     (note, name),
+                )
+            if config:
+                conn.execute(
+                    "UPDATE runs SET config = ? WHERE name = ? AND config = '{}'",
+                    (config_json, name),
                 )
 
         self._write(insert)

@@ -1,10 +1,14 @@
 """Conformance, Conformance-T and the translation hints."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.conformance import (
+    _candidate_translations,
+    _translation_scorer,
     conformance,
     conformance_legacy,
     conformance_post_translation,
@@ -95,6 +99,48 @@ class TestConformanceT:
         base = conformance_post_translation(b, a).conformance_t
         shifted = conformance_post_translation(moved, a).conformance_t
         assert shifted == pytest.approx(base, abs=0.12)
+
+
+@lru_cache(maxsize=None)
+def scorer_pairs():
+    """(test, reference) envelope pairs for the translation scorer: two
+    clusters against one, and a test PE with a vanished cluster hull."""
+    vanished = build_envelope(
+        [blob((10.0 * t, 0), n=30, seed=70 + t) for t in range(3)], EnvelopeConfig(k=1)
+    )
+    assert vanished.clusters[0].empty
+    return (
+        (make_pe([(0, 0), (6, 4)], seed=5, k=2), make_pe([(1, 1)], seed=6)),
+        (make_pe([(1, 1)], seed=6), make_pe([(0, 0), (6, 4)], seed=5, k=2)),
+        (vanished, make_pe([(5, 0)], seed=7)),
+    )
+
+
+class TestTranslationScorer:
+    """The search's scorer is ``conformance`` of the translated test PE,
+    exactly: equal floats, not approximately equal ones."""
+
+    @given(st.floats(-15, 15), st.floats(-15, 15))
+    @example(0.0, 0.0)
+    @example(1e4, -1e4)  # every test point leaves the reference
+    @example(-1e4, 1e4)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_conformance_of_translated_envelope(self, dx, dy):
+        for test_pe, ref_pe in scorer_pairs():
+            score = _translation_scorer(test_pe, ref_pe)
+            for offset in ((dx, dy), np.array([dx, dy])):
+                expected = conformance(test_pe.translated(offset), ref_pe)
+                assert score(offset) == expected
+
+    def test_equals_conformance_at_every_seed_translation(self):
+        for test_pe, ref_pe in scorer_pairs():
+            score = _translation_scorer(test_pe, ref_pe)
+            for offset in _candidate_translations(test_pe, ref_pe):
+                assert score(offset) == conformance(test_pe.translated(offset), ref_pe)
+
+    def test_far_offset_scores_zero(self):
+        test_pe, ref_pe = scorer_pairs()[0]
+        assert _translation_scorer(test_pe, ref_pe)((1e4, -1e4)) == 0.0
 
 
 class TestLegacyConformance:

@@ -170,3 +170,104 @@ def test_translate_polygon():
     moved = translate_polygon(SQUARE, [5, -1])
     assert moved[0] == pytest.approx([5, -1])
     assert polygon_area(moved) == pytest.approx(4.0)
+
+
+class TestLoopReferences:
+    """The array-based hull, clipping and membership code against the
+    per-element loops it replaced, on numpy scalars: equal arrays, not
+    approximately equal ones, because the arithmetic is the same."""
+
+    @staticmethod
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    @staticmethod
+    def ccw(poly):
+        x, y = poly[:, 0], poly[:, 1]
+        signed = float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        return poly[::-1] if signed < 0 else poly
+
+    def hull(self, points):
+        arr = np.asarray(points, dtype=float).reshape(-1, 2)
+        unique = np.unique(arr, axis=0) if len(arr) >= 3 else arr
+        if len(unique) < 3:
+            return np.empty((0, 2))
+        pts = unique[np.lexsort((unique[:, 1], unique[:, 0]))]
+
+        def half(rows):
+            chain = []
+            for p in rows:
+                while len(chain) >= 2 and self.cross(chain[-2], chain[-1], p) <= 0:
+                    chain.pop()
+                chain.append(p)
+            return chain
+
+        hull = half(pts)[:-1] + half(pts[::-1])[:-1]
+        return np.array(hull) if len(hull) >= 3 else np.empty((0, 2))
+
+    def intersection(self, a, b):
+        if len(a) < 3 or len(b) < 3:
+            return np.empty((0, 2))
+        output, clipper = list(self.ccw(a)), self.ccw(b)
+        for i in range(len(clipper)):
+            if not output:
+                return np.empty((0, 2))
+            q1, q2 = clipper[i], clipper[(i + 1) % len(clipper)]
+            input_pts, output = output, []
+            prev = input_pts[-1]
+            for current in input_pts:
+                inside = self.cross(q1, q2, current) >= -1e-12
+                if inside != (self.cross(q1, q2, prev) >= -1e-12):
+                    d1, d2 = current - prev, q2 - q1
+                    denom = d1[0] * d2[1] - d1[1] * d2[0]
+                    if abs(denom) < 1e-12:
+                        output.append(current.copy())
+                    else:
+                        t = ((q1[0] - prev[0]) * d2[1] - (q1[1] - prev[1]) * d2[0]) / denom
+                        output.append(prev + t * d1)
+                if inside:
+                    output.append(current)
+                prev = current
+        return self.hull(np.array(output)) if len(output) >= 3 else np.empty((0, 2))
+
+    def membership(self, pts, poly):
+        if len(poly) < 3:
+            return np.zeros(len(pts), dtype=bool)
+        poly = self.ccw(poly)
+        span = poly.max(axis=0) - poly.min(axis=0)
+        tol = -1e-9 * max(float(span[0] * span[1]), 1e-6)
+        mask = np.ones(len(pts), dtype=bool)
+        for i in range(len(poly)):
+            o, e = poly[i], poly[(i + 1) % len(poly)]
+            mask &= (e[0] - o[0]) * (pts[:, 1] - o[1]) - (e[1] - o[1]) * (pts[:, 0] - o[0]) >= tol
+        return mask
+
+    # Grid points repeat and line up; free floats do neither.
+    clouds = st.lists(
+        st.one_of(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+                lambda p: (float(p[0]), float(p[1]))
+            ),
+            st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+        ),
+        min_size=0,
+        max_size=30,
+    )
+
+    @given(clouds)
+    @settings(max_examples=150, deadline=None)
+    def test_hull_equals_loop_reference(self, pts):
+        assert np.array_equal(convex_hull(np.array(pts).reshape(-1, 2)), self.hull(pts))
+
+    @given(clouds, clouds)
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_equals_loop_reference(self, pts_a, pts_b):
+        a, b = self.hull(pts_a), self.hull(pts_b)
+        assert np.array_equal(convex_intersection(a, b), self.intersection(a, b))
+
+    @given(clouds, clouds)
+    @settings(max_examples=150, deadline=None)
+    def test_membership_equals_loop_reference(self, pts, hull_pts):
+        arr = np.array(pts, dtype=float).reshape(-1, 2)
+        for poly in (self.hull(hull_pts), self.hull(hull_pts)[::-1]):
+            assert np.array_equal(points_in_convex_polygon(arr, poly), self.membership(arr, poly))

@@ -24,6 +24,7 @@ from repro.service import Scheduler, parse_campaign_spec
 from repro.service.scheduler import DONE, TERMINAL_STATES, run_campaign
 from repro.service.specs import SpecError
 from repro.store import ResultStore
+from repro.topo import dumbbell
 
 TINY = {"duration_s": 2, "trials": 1}
 TINY_FLAGS = ["--duration", "2", "--trials", "1"]
@@ -168,6 +169,26 @@ def test_store_run_keeps_the_harness_note(tmp_path, payload, note):
     run_campaign(parse_campaign_spec({**payload, **TINY}), db)
     with ResultStore(db) as store:
         assert store.run(payload["run"]).note == note
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "topology", "topologies": [dumbbell("cubic").canonical()],
+         "run": "topo-cfg"},
+        {"kind": "peer_conformance", "peers": ["cubic", "reno"],
+         "conditions": [{"bandwidth_mbps": 2, "rtt_ms": 20}], "run": "peer-cfg"},
+    ],
+    ids=["topology", "peer_conformance"],
+)
+def test_store_run_keeps_the_campaign_config(tmp_path, payload):
+    # The executor's store sink may create the run first, with config
+    # {}; the campaign's canonical spec must still land on it.
+    db = str(tmp_path / "config.db")
+    spec = parse_campaign_spec({**payload, **TINY})
+    run_campaign(spec, db)
+    with ResultStore(db) as store:
+        assert store.run(payload["run"]).config == spec.canonical()
 
 
 def test_store_backed_campaign_reads_and_writes_each_trial_once(
