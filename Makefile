@@ -16,8 +16,7 @@ test:
 # serial pass of per-file rule packs plus the whole-program rules
 # (lock-order cycles, held-lock blocking, determinism taint).  Only
 # justified inline suppressions waive a finding; --stats counts them.
-# Warm runs replay per-file summaries from .lint-cache.json and finish
-# in well under a second; `repro lint --no-cache` forces a cold run.
+# Every run is one cold pass: each file is parsed and walked once.
 lint:
 	PYTHONPATH=src python -m repro lint --stats
 

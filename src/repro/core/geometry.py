@@ -185,14 +185,9 @@ def intersect_polygons(polygons: Sequence[Sequence]) -> np.ndarray:
 
 
 def point_in_convex_polygon(point: Sequence, polygon: Sequence) -> bool:
-    """True when ``point`` lies inside or on the convex polygon."""
-    poly = _as_points(polygon)
-    if len(poly) < 3:
-        return False
-    x, y = np.asarray(point, dtype=float)
-    edges = _shifted(poly) - poly
-    crossv = edges[:, 0] * (y - poly[:, 1]) - edges[:, 1] * (x - poly[:, 0])
-    return not (crossv < -1e-9 * _scale(poly)).any()
+    """True when ``point`` lies inside or on the convex polygon (either
+    orientation)."""
+    return bool(points_in_convex_polygon([point], polygon)[0])
 
 
 def half_planes(polygon: np.ndarray) -> HalfPlanes:

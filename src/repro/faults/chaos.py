@@ -25,6 +25,7 @@ Everything is seeded: a failing chaos run reproduces with the same
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,19 @@ _Snap = Tuple[str, Tuple[int, ...], bytes]
 def _snap(value: np.ndarray) -> _Snap:
     array = np.ascontiguousarray(np.asarray(value))
     return (array.dtype.str, tuple(array.shape), array.tobytes())
+
+
+def _wait_until(
+    predicate: Callable[[], bool], timeout_s: float, poll_s: float
+) -> bool:
+    """Poll ``predicate`` every ``poll_s`` seconds; True once it holds,
+    False when ``timeout_s`` passes first."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        default_sleep(poll_s)
+    return False
 
 
 @dataclass
@@ -439,8 +453,6 @@ def _fabric_baseline(spec: dict, basedir: Path) -> Dict[str, _Snap]:
 
 
 def _fabric_baselines(specs: List[dict], basedir: Path) -> Dict[str, _Snap]:
-    import time
-
     from repro.service.scheduler import TERMINAL_STATES, Scheduler
     from repro.service.specs import parse_campaign_spec
 
@@ -449,11 +461,10 @@ def _fabric_baselines(specs: List[dict], basedir: Path) -> Dict[str, _Snap]:
     scheduler = Scheduler(str(store_path), workers=1)
     for spec in specs:
         job = scheduler.submit(parse_campaign_spec(spec))
-        deadline = time.monotonic() + 300.0
-        while time.monotonic() < deadline:
-            if scheduler.job(job.id).state in TERMINAL_STATES:
-                break
-            default_sleep(0.05)
+        _wait_until(
+            lambda: scheduler.job(job.id).state in TERMINAL_STATES,
+            300.0, 0.05,
+        )
     scheduler.shutdown(drain=True, timeout=30.0)
     return _store_snaps(store_path)
 
@@ -526,7 +537,6 @@ def _run_lease_expiry_class(
     expires mid-campaign, attempt 2 re-runs it; the stale attempt-1
     completion must dedupe ('duplicate'), never double-write."""
     import threading
-    import time
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
@@ -555,11 +565,10 @@ def _run_lease_expiry_class(
         def complete(self, campaign, lease_id, summary, bundle):
             if lease_id not in first_leases:
                 return super().complete(campaign, lease_id, summary, bundle)
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if coordinator.job(campaign).state in TERMINAL_STATES:
-                    break
-                default_sleep(0.05)
+            _wait_until(
+                lambda: coordinator.job(campaign).state in TERMINAL_STATES,
+                60.0, 0.05,
+            )
             reply = super().complete(campaign, lease_id, summary, bundle)
             stale_outcomes.append(reply["outcome"])
             return reply
@@ -582,11 +591,10 @@ def _run_lease_expiry_class(
             ]
             for thread in threads:
                 thread.start()
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                if coordinator.job(job.id).state in TERMINAL_STATES:
-                    break
-                default_sleep(0.05)
+            _wait_until(
+                lambda: coordinator.job(job.id).state in TERMINAL_STATES,
+                300.0, 0.05,
+            )
             for worker in workers:
                 worker.stop()
             for thread in threads:
@@ -621,7 +629,6 @@ def _run_worker_sigkill_class(
     import subprocess
     import sys
     import threading
-    import time
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
@@ -652,13 +659,9 @@ def _run_worker_sigkill_class(
         )
         # Kill the instant the victim holds the lease: mid-campaign,
         # trials in flight, nothing flushed.
-        leased = False
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if coordinator.fabric_status()["leases"]:
-                leased = True
-                break
-            default_sleep(0.02)
+        leased = _wait_until(
+            lambda: bool(coordinator.fabric_status()["leases"]), 60.0, 0.02
+        )
         if not leased:
             outcome.violations.append(
                 "victim worker never leased the task"
@@ -676,11 +679,10 @@ def _run_worker_sigkill_class(
         )
         thread = threading.Thread(target=rescuer.run, daemon=True)
         thread.start()
-        deadline = time.monotonic() + 300.0
-        while time.monotonic() < deadline:
-            if coordinator.job(job.id).state in TERMINAL_STATES:
-                break
-            default_sleep(0.05)
+        _wait_until(
+            lambda: coordinator.job(job.id).state in TERMINAL_STATES,
+            300.0, 0.05,
+        )
         rescuer.stop()
         thread.join(timeout=10.0)
         _check_fabric_outcome(
@@ -706,7 +708,6 @@ def _run_shard_loss_class(
     keys, and ``recover_shard`` + a fault-free re-run must restore the
     store bit-identical to the baseline."""
     import threading
-    import time
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
@@ -730,11 +731,10 @@ def _run_shard_loss_class(
         )
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
-        deadline = time.monotonic() + 300.0
-        while time.monotonic() < deadline:
-            if coordinator.job(job.id).state in TERMINAL_STATES:
-                break
-            default_sleep(0.05)
+        _wait_until(
+            lambda: coordinator.job(job.id).state in TERMINAL_STATES,
+            300.0, 0.05,
+        )
         worker.stop()
         thread.join(timeout=10.0)
     finally:
@@ -825,15 +825,11 @@ def _run_shard_loss_class(
 
     # Recovery: fault-free re-run over the recovered store refills only
     # the lost payloads (content-addressed identity dedupes the rest).
-    import time as _time
-
     scheduler = Scheduler(str(root), workers=1)
     job2 = scheduler.submit(parse_campaign_spec(spec))
-    deadline = _time.monotonic() + 300.0
-    while _time.monotonic() < deadline:
-        if scheduler.job(job2.id).state in TERMINAL_STATES:
-            break
-        default_sleep(0.05)
+    _wait_until(
+        lambda: scheduler.job(job2.id).state in TERMINAL_STATES, 300.0, 0.05
+    )
     scheduler.shutdown(drain=True, timeout=30.0)
 
     with open_store(root) as store:
@@ -874,7 +870,6 @@ def _run_drain_during_lease_class(
     second worker started after the drain absorbs the remaining
     campaign.  The store must match the fault-free baseline exactly."""
     import threading
-    import time
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.worker import FabricWorker, LocalTransport
@@ -905,14 +900,13 @@ def _run_drain_during_lease_class(
         victim_thread.start()
         # Wait until the victim actually holds a lease, then drain
         # it mid-flight.
-        deadline = time.monotonic() + 60.0
-        leased = False
-        while time.monotonic() < deadline:
-            leases = coordinator.fabric_status()["leases"]
-            if any(l["owner"] == victim.name for l in leases):
-                leased = True
-                break
-            default_sleep(0.02)
+        leased = _wait_until(
+            lambda: any(
+                l["owner"] == victim.name
+                for l in coordinator.fabric_status()["leases"]
+            ),
+            60.0, 0.02,
+        )
         if not leased:
             outcome.violations.append("victim never held a lease")
             victim.stop()
@@ -929,8 +923,8 @@ def _run_drain_during_lease_class(
         rescuer_thread = threading.Thread(target=rescuer.run, daemon=True)
         rescuer_thread.start()
         seen_owners: Dict[str, set] = {}
-        deadline = time.monotonic() + 300.0
-        while time.monotonic() < deadline:
+
+        def both_settled() -> bool:
             for lease in coordinator.fabric_status()["leases"]:
                 seen_owners.setdefault(
                     lease["campaign"], set()
@@ -939,9 +933,9 @@ def _run_drain_during_lease_class(
                 coordinator.job(job_a.id).state,
                 coordinator.job(job_b.id).state,
             }
-            if states <= set(TERMINAL_STATES):
-                break
-            default_sleep(0.05)
+            return states <= set(TERMINAL_STATES)
+
+        _wait_until(both_settled, 300.0, 0.05)
         # The drained victim must exit on its own (never killed).
         victim_thread.join(timeout=60.0)
         if victim_thread.is_alive():
@@ -1011,7 +1005,6 @@ def _run_supervisor_sigkill_class(
     import signal
     import subprocess
     import sys
-    import time
 
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.queue import WorkQueue
@@ -1044,13 +1037,9 @@ def _run_supervisor_sigkill_class(
         # Kill the supervisor the moment its spawned worker holds
         # the lease: fleet alive, campaign in flight, supervisor
         # gone without cleanup.
-        leased = False
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            if coordinator.fabric_status()["leases"]:
-                leased = True
-                break
-            default_sleep(0.02)
+        leased = _wait_until(
+            lambda: bool(coordinator.fabric_status()["leases"]), 120.0, 0.02
+        )
         if not leased:
             outcome.violations.append(
                 "supervised worker never leased the task"
@@ -1059,11 +1048,10 @@ def _run_supervisor_sigkill_class(
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30.0)
         outcome.fires = 1
-        deadline = time.monotonic() + 300.0
-        while time.monotonic() < deadline:
-            if coordinator.job(job.id).state in TERMINAL_STATES:
-                break
-            default_sleep(0.05)
+        _wait_until(
+            lambda: coordinator.job(job.id).state in TERMINAL_STATES,
+            300.0, 0.05,
+        )
         # A replacement supervisor adopts the orphaned fleet from the
         # registry alone (its handles dict starts empty) and retires it.
         with WorkQueue(str(store_path)) as queue:
@@ -1083,13 +1071,12 @@ def _run_supervisor_sigkill_class(
                 )
             for name in adopted:
                 queue.drain_worker(name)
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if not [
+            _wait_until(
+                lambda: not [
                     w for w in queue.workers() if w["state"] == "active"
-                ]:
-                    break
-                default_sleep(0.1)
+                ],
+                60.0, 0.1,
+            )
             leftover = [
                 w["name"] for w in queue.workers() if w["state"] == "active"
             ]
@@ -1115,6 +1102,18 @@ def _run_supervisor_sigkill_class(
         if proc is not None and proc.poll() is None:
             proc.kill()
         app.stop(drain=False)
+
+
+#: Fault classes with their own campaign harness (service, fabric);
+#: every other class runs the local executor campaign in run_chaos.
+_CLASS_RUNNERS = {
+    FAULT_HTTP_DISCONNECT: _run_service_class,
+    FAULT_LEASE_EXPIRY: _run_lease_expiry_class,
+    FAULT_WORKER_SIGKILL: _run_worker_sigkill_class,
+    FAULT_SHARD_LOSS: _run_shard_loss_class,
+    FAULT_SUPERVISOR_SIGKILL: _run_supervisor_sigkill_class,
+    FAULT_DRAIN_DURING_LEASE: _run_drain_during_lease_class,
+}
 
 
 def run_chaos(
@@ -1159,28 +1158,9 @@ def run_chaos(
         outcome = FaultOutcome(fault=fault)
         reset_breakers()
         try:
-            if fault == FAULT_HTTP_DISCONNECT:
-                _run_service_class(plan, classdir, duration_s, trials, outcome)
-            elif fault == FAULT_LEASE_EXPIRY:
-                _run_lease_expiry_class(
-                    plan, classdir, duration_s, trials, outcome
-                )
-            elif fault == FAULT_WORKER_SIGKILL:
-                _run_worker_sigkill_class(
-                    plan, classdir, duration_s, trials, outcome
-                )
-            elif fault == FAULT_SHARD_LOSS:
-                _run_shard_loss_class(
-                    plan, classdir, duration_s, trials, outcome
-                )
-            elif fault == FAULT_SUPERVISOR_SIGKILL:
-                _run_supervisor_sigkill_class(
-                    plan, classdir, duration_s, trials, outcome
-                )
-            elif fault == FAULT_DRAIN_DURING_LEASE:
-                _run_drain_during_lease_class(
-                    plan, classdir, duration_s, trials, outcome
-                )
+            runner = _CLASS_RUNNERS.get(fault)
+            if runner is not None:
+                runner(plan, classdir, duration_s, trials, outcome)
             else:
                 _run_faulted(fault, plan, joblist, classdir, jobs, outcome)
                 accounted = getattr(outcome, "accounted_keys", set())

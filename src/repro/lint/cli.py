@@ -56,11 +56,6 @@ def add_lint_parser(sub) -> None:
         help="comma-separated rule ids to run (default: all)",
     )
     p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental analysis cache",
-    )
-    p.add_argument(
         "--dump-graph",
         choices=("imports", "calls", "locks"),
         default=None,
@@ -113,15 +108,11 @@ def cmd_lint(args) -> int:
         from repro.lint.engine import build_project_graph
         from repro.lint.graph import render_graph
 
-        graph = build_project_graph(
-            config=config, paths=paths, use_cache=not args.no_cache
-        )
+        graph = build_project_graph(config=config, paths=paths)
         print(render_graph(graph, args.dump_graph))
         return 0
 
-    report = lint_paths(
-        paths=paths, config=config, use_cache=not args.no_cache
-    )
+    report = lint_paths(paths=paths, config=config)
 
     gated = report.findings + report.parse_errors
     if gated or args.format == "sarif":
@@ -145,7 +136,6 @@ def cmd_lint(args) -> int:
         print(
             f"lint: clean ({report.files} files, "
             f"{len(report.rules_run)} rules, "
-            f"{report.cache_hits} cached, "
             f"{len(report.suppressed)} suppressed)"
         )
     return 0

@@ -32,7 +32,7 @@ def find_repo_root(start: Optional[Path] = None) -> Path:
 class LintConfig:
     """Scoping and seam declarations for every rule pack."""
 
-    #: Repository root (holds README.md, docs/ and the analysis cache).
+    #: Repository root (holds README.md and docs/).
     root: Path
     #: The package the linter analyses (module paths are relative to it).
     src: Path
@@ -111,9 +111,6 @@ class LintConfig:
         ".put_trials",
     )
 
-    #: Incremental analysis cache location (repo-relative, gitignored).
-    cache_name: str = ".lint-cache.json"
-
     #: Rule ids to run; empty means every registered rule.
     enabled_rules: Tuple[str, ...] = ()
 
@@ -121,9 +118,6 @@ class LintConfig:
     def for_root(cls, root: Path, **overrides) -> "LintConfig":
         root = Path(root).resolve()
         return cls(root=root, src=root / "src" / "repro", **overrides)
-
-    def cache_path(self) -> Path:
-        return self.root / self.cache_name
 
     def doc_corpus(self) -> str:
         """Concatenated documentation text for contract rules."""

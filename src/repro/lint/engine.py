@@ -1,36 +1,29 @@
-"""The lint engine: one serial, incremental, whole-program pass.
+"""The lint engine: one serial, whole-program pass.
 
 One :func:`lint_paths` call is one lint run, in three phases:
 
-1. **Per-file analysis** (cached).  Every target file is read once and
-   content-hashed; on a cache hit the stored summary/findings/
-   suppressions are replayed with zero parsing.  A miss parses that
-   same text, extracts its analysis summary (:mod:`repro.lint.graph`)
-   and runs every ``scope="file"`` rule.  Files are visited in sorted
-   order, so the report is deterministic.
-2. **Whole-program analysis.**  The summaries (cached + fresh) are
-   assembled into the :class:`~repro.lint.graph.ProjectGraph`, and every
+1. **Per-file analysis.**  Every target file is read and parsed once
+   (:func:`~repro.lint.rules.parse_module` walks the tree and builds its
+   import map once), its analysis summary is extracted
+   (:mod:`repro.lint.graph`) and every ``scope="file"`` rule runs on it.
+   Files are visited in sorted order, so the report is deterministic.
+2. **Whole-program analysis.**  The summaries are assembled into the
+   :class:`~repro.lint.graph.ProjectGraph`, and every
    ``scope="project"`` rule — lock-order cycles, held-lock blocking,
    determinism taint — runs against it.
 3. **Suppressions.**  Raw findings pass through the inline
    ``# lint: disable=RULE -- why`` comments, the only waiver; a
    suppression that matched nothing becomes a finding itself.  The
-   resulting :class:`LintReport` carries active findings (the CI gate),
-   the suppressed view, and cache hit counters.
+   resulting :class:`LintReport` carries active findings (the CI gate)
+   and the suppressed view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.lint.cache import (
-    AnalysisCache,
-    FileEntry,
-    compute_signature,
-    text_hash,
-)
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.graph import ProjectGraph, build_graph, extract_summary
@@ -52,8 +45,6 @@ class LintReport:
     parse_errors: List[Finding] = field(default_factory=list)
     files: int = 0
     rules_run: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     graph: Optional[ProjectGraph] = None
 
     @property
@@ -112,45 +103,10 @@ def _module_display(path: Path, config: LintConfig) -> str:
         return resolved.as_posix()
 
 
-def _analyze_file(
-    file: Path,
-    rel: str,
-    display: str,
-    text: str,
-    file_rules: Sequence[Rule],
-    config: LintConfig,
-) -> FileEntry:
-    """Cold path for one file: parse, extract summary, run file rules."""
-    content_hash = text_hash(text)
-    module = parse_module(file, rel, display, text)
-    if module is None:
-        return FileEntry(
-            hash=content_hash,
-            summary=None,
-            findings=[],
-            sups=[],
-            bad_sups=[],
-            error=True,
-        )
-    summary = extract_summary(module)
-    findings: List[Finding] = []
-    for rule in file_rules:
-        findings.extend(rule.check([module], config))
-    sups, bad = parse_suppressions(display, module.text)
-    return FileEntry(
-        hash=content_hash,
-        summary=summary,
-        findings=findings,
-        sups=sups,
-        bad_sups=bad,
-    )
-
-
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
-    use_cache: bool = True,
     keep_graph: bool = False,
 ) -> LintReport:
     """Run the linter; defaults to the configured package."""
@@ -171,38 +127,20 @@ def lint_paths(
     whole = any(Path(p).resolve() in (src, *src.parents) for p in paths)
     checked = {r.id for r in (chosen if whole else file_rules)}
 
-    signature = compute_signature(config, chosen)
-    cache = (
-        AnalysisCache.load(config.cache_path(), signature)
-        if use_cache
-        else AnalysisCache(config.cache_path(), signature)
-    )
-
     report = LintReport(rules_run=[r.id for r in chosen])
 
-    # Phase 1: per-file analysis — cached entries replay, misses are
-    # analysed from the very text that was hashed.
-    entries: List[Tuple[str, FileEntry]] = []  # (display, entry)
+    # Phase 1: per-file analysis, one parse and one walk per file.
+    raw: List[Finding] = []
+    suppressions_by_path: Dict[str, List[Suppression]] = {}
+    summaries: List[Dict] = []
     for file in _collect_files(paths, config):
         try:
             text = file.read_text(encoding="utf-8")
         except OSError:
             continue
         display = _module_display(file, config)
-        entry = cache.get(display, text_hash(text)) if use_cache else None
-        if entry is None:
-            entry = _analyze_file(
-                file, _module_rel(file, config), display, text,
-                file_rules, config,
-            )
-            cache.put(display, entry)
-        entries.append((display, entry))
-
-    raw: List[Finding] = []
-    suppressions_by_path: Dict[str, List[Suppression]] = {}
-    summaries: List[Dict] = []
-    for display, entry in entries:
-        if entry.error:
+        module = parse_module(file, _module_rel(file, config), display, text)
+        if module is None:
             report.parse_errors.append(
                 Finding(
                     rule="parse-error",
@@ -213,16 +151,12 @@ def lint_paths(
             )
             continue
         report.files += 1
-        if entry.summary is not None:
-            summaries.append(entry.summary)
-        raw.extend(entry.findings)
-        raw.extend(entry.bad_sups)
-        # Suppressions mutate (used_for) during apply; hand out copies so
-        # cached entries stay pristine.
-        suppressions_by_path[display] = [
-            Suppression(s.line, s.rules, s.justification)
-            for s in entry.sups
-        ]
+        summaries.append(extract_summary(module))
+        for rule in file_rules:
+            raw.extend(rule.check([module], config))
+        sups, bad = parse_suppressions(display, text)
+        raw.extend(bad)
+        suppressions_by_path[display] = sups
 
     # Phase 2: whole-program rules over the assembled graph.
     graph: Optional[ProjectGraph] = None
@@ -242,29 +176,15 @@ def lint_paths(
     report.suppressed = sorted(
         suppressed, key=lambda f: (f.path, f.line, f.rule, f.message)
     )
-    report.cache_hits = cache.hits
-    report.cache_misses = cache.misses
-    if use_cache:
-        cache.save(keep=[display for display, _entry in entries])
     return report
 
 
 def build_project_graph(
     config: Optional[LintConfig] = None,
     paths: Optional[Sequence[Path]] = None,
-    use_cache: bool = True,
 ) -> ProjectGraph:
-    """Assemble the project graph alone (``--dump-graph``, sanitizer).
-
-    Runs the default rule set so the analysis cache signature matches a
-    plain ``repro lint`` run — the two share warm-cache entries.
-    """
-    report = lint_paths(
-        paths=paths,
-        config=config,
-        use_cache=use_cache,
-        keep_graph=True,
-    )
+    """Assemble the project graph alone (``--dump-graph``, sanitizer)."""
+    report = lint_paths(paths=paths, config=config, keep_graph=True)
     assert report.graph is not None
     return report.graph
 

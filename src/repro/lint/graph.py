@@ -4,10 +4,7 @@ PR 4's rule packs see one file at a time; this module is the engine's
 second storey.  For every parsed module it extracts a compact,
 JSON-serialisable **analysis summary** (imports, classes, lock
 construction sites, and per-function facts: calls made, locks acquired,
-blocking primitives reached, taint-relevant flows).  Summaries are what
-the incremental cache stores — a warm ``repro lint`` run never re-parses
-an unchanged file, it re-assembles the project graph from cached
-summaries.
+blocking primitives reached, taint-relevant flows).
 
 :class:`ProjectGraph` assembles the summaries into the whole-program
 view the new ``concurrency.*`` / ``determinism.*`` rules consume:
@@ -43,7 +40,6 @@ validate these approximations against real execution.
 from __future__ import annotations
 
 import ast
-import json
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import LOCK_FACTORIES, LintConfig
@@ -53,11 +49,7 @@ from repro.lint.rules import (
     _self_attr,
     canonical,
     dotted_name,
-    import_map,
 )
-
-#: Bump when the summary shape changes — invalidates the analysis cache.
-SUMMARY_VERSION = 7
 
 #: Canonical callables that block the calling thread.
 BLOCKING_CALLS = {
@@ -160,11 +152,10 @@ class _Extractor:
         self.module = module
         self.root_pkg = root_pkg
         self.dotted = module_dotted(module.rel, root_pkg)
-        self.imports = import_map(module.tree)
+        self.imports = module.imports
         self.toplevel_funcs: Set[str] = set()
         self.toplevel_classes: Set[str] = set()
         self.summary: Dict = {
-            "version": SUMMARY_VERSION,
             "module": self.dotted,
             "rel": module.rel,
             "display": module.display,
@@ -183,7 +174,7 @@ class _Extractor:
     def extract(self) -> Dict:
         tree = self.module.tree
         raw_imports: List[str] = []
-        for node in ast.walk(tree):
+        for node in self.module.nodes:
             if isinstance(node, ast.Import):
                 raw_imports.extend(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
@@ -1548,7 +1539,7 @@ class LockAnalysis:
 def build_graph(
     summaries: Sequence[Dict], root_pkg: str = "repro"
 ) -> ProjectGraph:
-    """Assemble the project graph from extracted (or cached) summaries."""
+    """Assemble the project graph from extracted summaries."""
     return ProjectGraph(summaries, root_pkg=root_pkg)
 
 
@@ -1585,7 +1576,6 @@ __all__ = [
     "BLOCKING_CALLS",
     "LockAnalysis",
     "ProjectGraph",
-    "SUMMARY_VERSION",
     "TAINT_SOURCE_CALLS",
     "build_graph",
     "extract_summary",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
@@ -20,7 +20,12 @@ from repro.lint.findings import Finding
 
 @dataclass
 class ModuleSource:
-    """One parsed source file presented to every rule."""
+    """One parsed source file presented to every rule.
+
+    ``nodes`` (every node of ``tree`` in ``ast.walk`` order) and
+    ``imports`` are built once at parse time; rules iterate and read
+    them instead of re-walking the tree.  Neither may be mutated.
+    """
 
     path: Path  # absolute
     rel: str  # posix path relative to the analysed package root
@@ -28,6 +33,8 @@ class ModuleSource:
     text: str
     tree: ast.AST
     lines: List[str] = field(default_factory=list)
+    nodes: List[ast.AST] = field(default_factory=list)
+    imports: Dict[str, str] = field(default_factory=dict)
 
     def snippet(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -53,12 +60,12 @@ def parse_module(
     path: Path, rel: str, display: str, text: str
 ) -> Optional[ModuleSource]:
     """Parse ``text`` (the source read from ``path``); None if it does
-    not parse.  The caller passes the text it already hashed, so the
-    analysis always matches the content its cache entry is keyed by."""
+    not parse.  The one full-tree walk and the import map happen here."""
     try:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError:
         return None
+    nodes = list(ast.walk(tree))
     return ModuleSource(
         path=path,
         rel=rel,
@@ -66,6 +73,8 @@ def parse_module(
         text=text,
         tree=tree,
         lines=text.splitlines(),
+        nodes=nodes,
+        imports=import_map(nodes),
     )
 
 
@@ -95,10 +104,11 @@ def _self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def import_map(tree: ast.AST) -> Dict[str, str]:
-    """Local name -> canonical dotted prefix, from a module's imports."""
+def import_map(nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Local name -> canonical dotted prefix, from a module's imports
+    (``nodes`` is every node of the module, as ``ast.walk`` yields)."""
     mapping: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 mapping[alias.asname or alias.name.split(".", 1)[0]] = (
@@ -133,18 +143,14 @@ class Rule:
     """Base class; subclasses set ``id``/``pack`` and implement check().
 
     ``scope`` partitions rules: ``"file"`` rules see parsed modules one
-    file at a time (their findings are cacheable per content hash);
-    ``"project"`` rules implement :meth:`check_project` against the
-    assembled whole-program graph instead.  ``version`` participates in
-    the analysis-cache signature — bump it whenever a rule's behaviour
-    changes, so stale cached findings are discarded.
+    file at a time; ``"project"`` rules implement :meth:`check_project`
+    against the assembled whole-program graph instead.
     """
 
     id: str = ""
     pack: str = ""
     description: str = ""
     scope: str = "file"
-    version: int = 1
 
     def check(
         self, modules: List[ModuleSource], config: LintConfig

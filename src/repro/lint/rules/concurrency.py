@@ -33,7 +33,6 @@ from repro.lint.rules import (
     _self_attr,
     call_name,
     dotted_name,
-    import_map,
 )
 
 #: Methods where unlocked access is allowed: construction and teardown
@@ -161,8 +160,8 @@ class LockDisciplineRule(Rule):
         for module in modules:
             if not module.in_dirs(config.concurrency_dirs):
                 continue
-            imports = import_map(module.tree)
-            for node in ast.walk(module.tree):
+            imports = module.imports
+            for node in module.nodes:
                 if isinstance(node, ast.ClassDef):
                     findings.extend(
                         self._check_class(module, node, imports, config)
@@ -253,10 +252,10 @@ class SqliteThreadRule(Rule):
         for module in modules:
             if not module.in_dirs(config.concurrency_dirs):
                 continue
-            imports = import_map(module.tree)
+            imports = module.imports
             conn_names: Set[str] = set()  # "x" locals and "self.x" attrs
             func_defs: Dict[str, ast.FunctionDef] = {}
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     func_defs.setdefault(node.name, node)
                 if not isinstance(node, ast.Assign):
@@ -269,7 +268,7 @@ class SqliteThreadRule(Rule):
                         name = dotted_name(target)
                         if name:
                             conn_names.add(name)
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node, imports)
@@ -364,8 +363,8 @@ class RawSleepRetryRule(Rule):
                 continue
             if module.rel in allowed:
                 continue
-            imports = import_map(module.tree)
-            for node in ast.walk(module.tree):
+            imports = module.imports
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 if call_name(node, imports) == "time.sleep":

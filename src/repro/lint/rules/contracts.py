@@ -55,7 +55,7 @@ class StackProfileFieldsRule(Rule):
                 continue
             if module.rel in _STACKS_EXEMPT:
                 continue
-            profile_call = self._profile_call(module.tree)
+            profile_call = self._profile_call(module.nodes)
             if profile_call is None:
                 findings.append(
                     Finding(
@@ -88,8 +88,8 @@ class StackProfileFieldsRule(Rule):
         return findings
 
     @staticmethod
-    def _profile_call(tree: ast.AST) -> Optional[ast.Call]:
-        for node in ast.walk(tree):
+    def _profile_call(nodes: List[ast.AST]) -> Optional[ast.Call]:
+        for node in nodes:
             if not isinstance(node, ast.Assign):
                 continue
             if not any(
@@ -119,7 +119,7 @@ class CCAHookSurfaceRule(Rule):
         for module in modules:
             if not module.rel.startswith("cca/"):
                 continue
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.ClassDef):
                     continue
                 bases = {
@@ -187,7 +187,7 @@ class CliDocCoverageRule(Rule):
 
     def _check_module(self, cli_module, corpus):
         findings: List[Finding] = []
-        for node in ast.walk(cli_module.tree):
+        for node in cli_module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func) or ""
@@ -241,7 +241,7 @@ class QueueSqlConfinementRule(Rule):
         for module in modules:
             if module.rel in _QUEUE_SQL_ALLOWED:
                 continue
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Constant) or not isinstance(
                     node.value, str
                 ):

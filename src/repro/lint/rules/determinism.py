@@ -21,7 +21,6 @@ from repro.lint.rules import (
     call_name,
     canonical,
     dotted_name,
-    import_map,
 )
 
 #: Canonical names whose call reads a clock that differs between runs.
@@ -63,8 +62,8 @@ class WallClockRule(Rule):
         for module in modules:
             if not self._applies(module, config):
                 continue
-            imports = import_map(module.tree)
-            for node in ast.walk(module.tree):
+            imports = module.imports
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node, imports)
@@ -94,8 +93,8 @@ class UnseededRandomRule(Rule):
         for module in modules:
             if not module.in_dirs(config.determinism_dirs):
                 continue
-            imports = import_map(module.tree)
-            for node in ast.walk(module.tree):
+            imports = module.imports
+            for node in module.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node, imports)
@@ -252,7 +251,7 @@ class SetIterationRule(Rule):
         for module in modules:
             if not module.in_dirs(config.determinism_dirs):
                 continue
-            imports = import_map(module.tree)
+            imports = module.imports
             _SetScan(self, module, imports, findings).scan(module.tree)
         return findings
 
@@ -270,7 +269,7 @@ class IdKeyedDictRule(Rule):
         for module in modules:
             if not module.in_dirs(config.determinism_dirs):
                 continue
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 spot = self._id_key_site(node)
                 if spot is not None:
                     findings.append(
@@ -321,8 +320,8 @@ class EnvironReadRule(Rule):
         for module in modules:
             if module.rel in config.environ_allowed_files:
                 continue
-            imports = import_map(module.tree)
-            for node in ast.walk(module.tree):
+            imports = module.imports
+            for node in module.nodes:
                 name = None
                 if isinstance(node, ast.Call):
                     name = call_name(node, imports)

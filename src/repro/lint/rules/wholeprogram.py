@@ -34,7 +34,6 @@ from repro.lint.rules import ProjectRule
 class LockOrderCycleRule(ProjectRule):
     id = "lock-order-cycle"
     pack = "concurrency"
-    version = 1
     description = (
         "the interprocedural lock-acquisition-order graph must be "
         "acyclic (a cycle is a potential deadlock)"
@@ -47,7 +46,6 @@ class LockOrderCycleRule(ProjectRule):
 class LockHeldBlockingRule(ProjectRule):
     id = "lock-held-blocking"
     pack = "concurrency"
-    version = 2
     description = (
         "no lock may be held across a blocking call, made directly or "
         "reached through any resolved call chain (sqlite commit, HTTP, "
@@ -61,7 +59,6 @@ class LockHeldBlockingRule(ProjectRule):
 class TaintIdentityRule(ProjectRule):
     id = "taint-identity"
     pack = "determinism"
-    version = 1
     description = (
         "nondeterminism sources (clock/RNG/urandom/id()/set order) "
         "must not flow into identity sinks (trial_identity, "

@@ -409,8 +409,9 @@ class ResultStore:
             )
 
         def insert(conn) -> int:
-            before = conn.execute("SELECT COUNT(*) FROM trials").fetchone()[0]
-            conn.executemany(
+            # executemany sums rowcount over the batch; an ignored key
+            # (stored already, or repeated in the batch) adds 0.
+            cursor = conn.executemany(
                 "INSERT OR IGNORE INTO trials "
                 "(key, seed, label, dtype, shape, payload, created_at) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -422,8 +423,7 @@ class ResultStore:
                     "VALUES (?, ?)",
                     [(run_id, row[0]) for row in prepared],
                 )
-            after = conn.execute("SELECT COUNT(*) FROM trials").fetchone()[0]
-            return after - before
+            return cursor.rowcount
 
         return int(self._write(insert))
 

@@ -148,11 +148,13 @@ class TestIntersection:
 
 class TestMembership:
     def test_inside_outside_boundary(self):
-        assert point_in_convex_polygon([1, 1], SQUARE)
-        assert point_in_convex_polygon([0, 0], SQUARE)  # vertex
-        assert point_in_convex_polygon([1, 0], SQUARE)  # edge
-        assert not point_in_convex_polygon([3, 1], SQUARE)
-        assert not point_in_convex_polygon([-0.1, 1], SQUARE)
+        clockwise = np.array([[0, 0], [0, 2], [2, 2], [2, 0]], dtype=float)
+        for square in (SQUARE, clockwise):
+            assert point_in_convex_polygon([1, 1], square)
+            assert point_in_convex_polygon([0, 0], square)  # vertex
+            assert point_in_convex_polygon([1, 0], square)  # edge
+            assert not point_in_convex_polygon([3, 1], square)
+            assert not point_in_convex_polygon([-0.1, 1], square)
 
     def test_vectorized_matches_scalar(self):
         pts = np.array([[1, 1], [3, 3], [0, 0], [2.1, 1], [1.9, 1]])

@@ -1,14 +1,11 @@
-"""Incremental cache + the serial pass: warm runs, invalidation, one
-parse per file on a cold run, and the CLI surface (SARIF, graph dumps,
-unknown-rule listing)."""
+"""The one-pass lint run: one read, parse, tree walk and import map per
+file, and the CLI surface (SARIF, graph dumps, unknown-rule listing)."""
 
 import json
 import textwrap
 
 from repro.cli import main
 from repro.lint import Finding, LintConfig, lint_paths, render_findings
-from repro.lint.cache import AnalysisCache, compute_signature
-from repro.lint.rules import all_rules
 
 BAD = """
     import time
@@ -32,108 +29,30 @@ def make_project(tmp_path, files):
     return LintConfig.for_root(root)
 
 
-def run_lint(config, **kwargs):
-    return lint_paths(config=config, **kwargs)
-
-
-def rows(report):
-    return [f.row() for f in report.findings]
-
-
-# ------------------------------------------------------------------- cache
-
-
-def test_warm_run_hits_cache_with_identical_findings(tmp_path):
-    config = make_project(
-        tmp_path,
-        {"src/repro/netsim/a.py": BAD, "src/repro/b.py": CLEAN},
-    )
-    cold = run_lint(config)
-    assert cold.cache_hits == 0 and cold.cache_misses == 2
-    assert config.cache_path().exists()
-    warm = run_lint(config)
-    assert warm.cache_hits == 2 and warm.cache_misses == 0
-    assert rows(warm) == rows(cold)
-    assert [f.row() for f in warm.suppressed] == [
-        f.row() for f in cold.suppressed
-    ]
-
-
-def test_editing_one_file_invalidates_only_it(tmp_path):
-    config = make_project(
-        tmp_path,
-        {"src/repro/netsim/a.py": BAD, "src/repro/b.py": CLEAN},
-    )
-    run_lint(config)
-    path = config.root / "src/repro/b.py"
-    path.write_text(path.read_text() + "\n\nX = 1\n")
-    warm = run_lint(config)
-    assert warm.cache_hits == 1 and warm.cache_misses == 1
-
-
-def test_cache_disabled_never_writes(tmp_path):
-    config = make_project(tmp_path, {"src/repro/a.py": CLEAN})
-    report = run_lint(config, use_cache=False)
-    assert report.cache_hits == 0
-    assert not config.cache_path().exists()
-
-
-def test_rule_version_bump_invalidates_cache(tmp_path):
-    """The signature covers (id, version, scope) of every rule: bumping
-    a version must discard the whole cache, not serve stale findings."""
-    config = make_project(tmp_path, {"src/repro/netsim/a.py": BAD})
-    rules = all_rules()
-    sig = compute_signature(config, rules)
-    bumped = list(rules)
-
-    class Bumped(type(bumped[0])):
-        version = bumped[0].version + 1
-
-    bumped[0] = Bumped()
-    assert compute_signature(config, bumped) != sig
-
-    run_lint(config)
-    cache = AnalysisCache.load(config.cache_path(), "other-signature")
-    assert cache.entries == {}
-
-
-def test_cache_survives_corrupt_file(tmp_path):
-    config = make_project(tmp_path, {"src/repro/a.py": CLEAN})
-    run_lint(config)
-    config.cache_path().write_text("{not json")
-    report = run_lint(config)
-    assert report.cache_hits == 0 and report.ok
-
-
-def test_stale_cache_entries_pruned(tmp_path):
-    config = make_project(
-        tmp_path,
-        {"src/repro/a.py": CLEAN, "src/repro/b.py": CLEAN},
-    )
-    run_lint(config)
-    (config.root / "src/repro/b.py").unlink()
-    run_lint(config)
-    data = json.loads(config.cache_path().read_text())
-    assert sorted(data["files"]) == ["src/repro/a.py"]
-
-
 # ------------------------------------------------------------------ parsing
 
 
 def test_cold_run_parses_each_file_once(tmp_path, monkeypatch):
-    """The engine hashes the text it read and analyses that same text:
-    one read and one ``ast.parse`` per file, so a cache entry's analysis
-    always matches its content hash."""
+    """Every per-file job happens once: one read, one ``ast.parse``, one
+    full-tree ``ast.walk`` and one import map per file; rules and the
+    summary extractor share the parsed module's node list and imports."""
     import ast
     import pathlib
+    import sys
 
     original_parse = ast.parse
+    original_walk = ast.walk
     original_read = pathlib.Path.read_text
-    parsed, read = [], []
+    parsed, walked, read, mapped = [], [], [], []
 
     def counting_parse(source, *args, **kwargs):
         parsed.append(kwargs.get("filename"))
         return original_parse(source, *args, **kwargs)
+
+    def counting_walk(node):
+        if isinstance(node, ast.Module):
+            walked.append(node)
+        return original_walk(node)
 
     def counting_read(path, *args, **kwargs):
         if path.suffix == ".py":
@@ -141,20 +60,31 @@ def test_cold_run_parses_each_file_once(tmp_path, monkeypatch):
         return original_read(path, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(ast, "walk", counting_walk)
     monkeypatch.setattr(pathlib.Path, "read_text", counting_read)
+    for name, module in list(sys.modules.items()):
+        original_map = getattr(module, "import_map", None)
+        if name.startswith("repro.lint") and callable(original_map):
+
+            def counting_map(*args, _original=original_map, **kwargs):
+                mapped.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "import_map", counting_map)
     files = {
         f"src/repro/netsim/m{i}.py": BAD if i % 3 == 0 else CLEAN
         for i in range(6)
     }
     config = make_project(tmp_path, files)
-    cold = run_lint(config)
-    assert cold.cache_misses == 6
+    report = lint_paths(config=config)
+    assert report.files == 6
+    assert len(report.findings) == 2
     expected = sorted(str(config.root / rel) for rel in files)
     assert sorted(parsed) == expected
     assert sorted(read) == expected
-    parsed.clear()
-    run_lint(config)
-    assert parsed == []  # warm: everything replays from the cache
+    assert len(walked) == len(files)
+    assert len({id(tree) for tree in walked}) == len(files)
+    assert len(mapped) == len(files)
 
 
 # --------------------------------------------------------------------- CLI
@@ -190,7 +120,6 @@ def test_sarif_emitted_even_when_clean(tmp_path, capsys):
             str(config.root),
             "--format",
             "sarif",
-            "--no-cache",
         ]
     )
     assert code == 0
@@ -209,7 +138,6 @@ def test_sarif_findings_have_locations(tmp_path, capsys):
             str(config.root),
             "--format",
             "sarif",
-            "--no-cache",
         ]
     )
     assert code == 1
@@ -279,7 +207,6 @@ def test_dump_graph_cli(tmp_path, capsys):
                 str(config.root),
                 "--dump-graph",
                 what,
-                "--no-cache",
             ]
         )
         assert code == 0

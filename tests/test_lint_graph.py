@@ -36,7 +36,7 @@ def make_project(tmp_path, files):
 
 
 def graph_for(config):
-    return build_project_graph(config=config, use_cache=False)
+    return build_project_graph(config=config)
 
 
 def summarize(tmp_path, body, rel="mod.py"):
@@ -313,12 +313,10 @@ def test_render_graph_unknown_kind_raises(tmp_path):
 
 
 def test_graph_survives_summary_roundtrip(tmp_path):
-    """Summaries are the cache format: JSON round-tripping them must
-    reproduce the same graph (what a warm run does)."""
+    """Summaries are plain JSON data: round-tripping them must
+    reproduce the same graph."""
     config = LintConfig.for_root(FIXTURE_ROOT)
-    report = lint_paths(
-        config=config, use_cache=False, keep_graph=True
-    )
+    report = lint_paths(config=config, keep_graph=True)
     direct = report.graph.to_json()
     summaries = [
         json.loads(json.dumps(report.graph.modules[m]))

@@ -26,7 +26,7 @@ def make_project(tmp_path, files):
 
 
 def run_lint(config):
-    return lint_paths(config=config, use_cache=False)
+    return lint_paths(config=config)
 
 
 def by_rule(report, rule):

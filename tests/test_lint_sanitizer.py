@@ -66,7 +66,7 @@ def test_sanitizer_catches_deliberate_deadlock(tmp_path):
     cycles = san.runtime_cycles()
     assert len(cycles) == 1
     assert sorted(line for _, line in cycles[0]) == [3, 4]
-    graph = build_project_graph(config=config, use_cache=False)
+    graph = build_project_graph(config=config)
     report = san.crosscheck(graph)
     assert not report["ok"]
     assert report["locks_instrumented"] == 2
@@ -94,7 +94,7 @@ def test_sanitizer_clean_consistent_order(tmp_path):
         for _ in range(3):
             module.ab()
     assert san.runtime_cycles() == []
-    graph = build_project_graph(config=config, use_cache=False)
+    graph = build_project_graph(config=config)
     report = san.crosscheck(graph)
     assert report["ok"]
     # The one runtime edge translated onto the static lock ids.
@@ -132,7 +132,7 @@ def test_crosscheck_flags_runtime_order_contradicting_static(tmp_path):
             with module.A:
                 pass
     assert san.runtime_cycles() != []  # both orders happened at runtime
-    graph = build_project_graph(config=config, use_cache=False)
+    graph = build_project_graph(config=config)
     report = san.crosscheck(graph)
     assert not report["ok"]
     assert ["repro.deadrt.A", "repro.deadrt.B"] in report["static_edges"]

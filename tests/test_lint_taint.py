@@ -32,7 +32,7 @@ def make_project(tmp_path, files):
 
 
 def taint_findings(config):
-    report = lint_paths(config=config, use_cache=False)
+    report = lint_paths(config=config)
     return [f for f in report.findings if f.rule == TAINT]
 
 
@@ -232,6 +232,6 @@ def test_suppression_applies_to_taint(tmp_path):
             """,
         },
     )
-    report = lint_paths(config=config, use_cache=False)
+    report = lint_paths(config=config)
     assert [f for f in report.findings if f.rule == TAINT] == []
     assert any(f.rule == TAINT for f in report.suppressed)

@@ -57,6 +57,35 @@ class TestTrials:
         assert store.put_trials(items) == 4
         assert store.put_trials(items + [("k9", np.zeros(1))]) == 1
 
+    def test_batch_put_ignores_a_concurrent_writers_commit(
+        self, store, tmp_path
+    ):
+        """A second writer committing while the batch runs is not counted:
+        only the batch's own new keys are."""
+        store.put_trial("stored", np.zeros(2))
+        fired = []
+
+        def other_writer_commits(statement):
+            if statement.lstrip().upper().startswith("BEGIN") and not fired:
+                with ResultStore(tmp_path / "store.db") as other:
+                    fired.append(other.put_trial("intruder", np.ones(2)))
+
+        store._conn.set_trace_callback(other_writer_commits)
+        try:
+            new = store.put_trials(
+                [
+                    ("new1", np.full(2, 1.0)),
+                    ("new1", np.full(2, 1.0)),  # in-batch duplicate
+                    ("stored", np.zeros(2)),  # stored already
+                    ("new2", np.full(2, 2.0)),
+                ]
+            )
+        finally:
+            store._conn.set_trace_callback(None)
+        assert fired == [True]
+        assert new == 2
+        assert store.trial_keys() == ["intruder", "new1", "new2", "stored"]
+
     def test_run_links_trials(self, store):
         run = store.ensure_run("campaign")
         store.put_trial("a", np.zeros(2), run=run)
