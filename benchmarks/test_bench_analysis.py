@@ -1,11 +1,12 @@
 """Conformance-analysis cost: Python calls and seconds per cell.
 
-Runs :func:`evaluate_conformance` on one fixed cell, the seeded
-two-cluster clouds of ``tests/test_core_golden.py`` (three trials of 80
-points per side, k chosen by the retention rule), and emits
+Analyses one fixed cell, the seeded two-cluster clouds of
+``tests/test_core_golden.py`` (three trials of 80 points per side, k
+chosen by the retention rule): it builds the reference envelope and runs
+:func:`evaluate_conformance` against it, and emits
 ``output/BENCH_analysis.json``.  An untimed run under ``cProfile`` counts
-every Python and builtin call of one evaluation, after a first
-evaluation has warmed the imports.  ``calls_per_cell`` therefore depends
+every Python and builtin call of one such analysis, after a first one
+has warmed the imports.  ``calls_per_cell`` therefore depends
 only on the code and the seed, never on the host: it is the CI guard.
 ``s_per_cell`` (the mean of a few timed evaluations) is recorded for
 information only.
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from repro.core.conformance import evaluate_conformance
-from repro.core.envelope import EnvelopeConfig
+from repro.core.envelope import EnvelopeConfig, build_envelope
 
 from conftest import OUTPUT_DIR, emit_bench, run_once
 
@@ -39,15 +40,20 @@ def _cell():
     return test, ref, EnvelopeConfig()
 
 
+def _analyse(test, ref, config):
+    """One cell's analysis, its reference envelope included."""
+    return evaluate_conformance(test, build_envelope(ref, config), config)
+
+
 def test_bench_analysis_calls_per_cell(benchmark):
     OUTPUT_DIR.mkdir(exist_ok=True)
     test, ref, config = _cell()
-    evaluate_conformance(test, ref, config)  # warm imports (scipy.optimize)
+    _analyse(test, ref, config)  # warm imports (scipy.optimize)
 
     def profiled():
         profile = cProfile.Profile()
         profile.enable()
-        result = evaluate_conformance(test, ref, config)
+        result = _analyse(test, ref, config)
         profile.disable()
         return result, pstats.Stats(profile).total_calls
 
@@ -56,7 +62,7 @@ def test_bench_analysis_calls_per_cell(benchmark):
 
     start = time.perf_counter()
     for _ in range(TIMED_CELLS):
-        evaluate_conformance(test, ref, config)
+        _analyse(test, ref, config)
     s_per_cell = (time.perf_counter() - start) / TIMED_CELLS
     emit_bench(
         __file__,

@@ -14,7 +14,7 @@ Run:  python examples/custom_cca_conformance.py
 """
 
 from repro.cca import NewReno
-from repro.core import evaluate_conformance, sample_points
+from repro.core import build_envelope, evaluate_conformance, sample_points
 from repro.harness import reporting, scenarios
 from repro.netsim import FlowSpec, Network, SenderConfig
 from repro.stacks import registry
@@ -54,7 +54,7 @@ def main() -> None:
     print("Running 3 reference trials (kernel Reno vs itself)...")
     ref_trials = [run_trial(kernel_reno, seed, condition) for seed in (11, 12, 13)]
 
-    result = evaluate_conformance(test_trials, ref_trials)
+    result = evaluate_conformance(test_trials, build_envelope(ref_trials))
     rows = [[
         round(result.conformance, 2),
         round(result.conformance_t, 2),

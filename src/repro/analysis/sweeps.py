@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 from repro.cca.bbr import BBR, BBRConfig
 from repro.core.conformance import evaluate_conformance
+from repro.core.envelope import build_envelope
 from repro.core.sampling import sample_points
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
@@ -106,7 +107,8 @@ def cwnd_gain_sweep(
     Every (gain, trial) simulation runs as one campaign on ``executor``
     (default: a jobs=1 :class:`~repro.exec.Executor` over the
     process-wide cache); the points are evaluated from the values it
-    returns — the reference trials first, then each gain's trials.
+    returns — the reference trials first, then each gain's trials.  The
+    reference envelope is built once and every gain is scored against it.
     """
     from repro.exec import Executor, sweep_trial_jobs
 
@@ -116,12 +118,12 @@ def cwnd_gain_sweep(
         campaign=f"sweep:cwnd-gain@{condition.describe()}",
     )
     trials = config.trials
-    reference_trials = values[:trials]
+    reference = build_envelope(values[:trials], config.envelope)
     points: List[SweepPoint] = []
     for index, gain in enumerate(gains):
         start = trials * (index + 1)
         result = evaluate_conformance(
-            values[start:start + trials], reference_trials, config.envelope
+            values[start:start + trials], reference, config.envelope
         )
         points.append(
             SweepPoint(

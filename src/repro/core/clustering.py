@@ -16,7 +16,7 @@ units by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,17 @@ def kmeans(
     n_init: int = 4,
     standardize: bool = True,
 ) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding, deterministic per seed."""
+    """Lloyd's algorithm with k-means++ seeding, deterministic per seed.
+
+    The ``n_init`` restarts run together as ``(n_init, n, k)`` arrays;
+    each one stops at its own convergence iteration, and the first
+    restart with the lowest inertia wins.  They draw from one generator
+    in restart order and sum each cluster's members in point order, so
+    the result equals running the restarts one after another with
+    ``members.sum(axis=0) / len(members)`` updates.  (For one-column
+    points numpy sums such a column pairwise, so there the centroids can
+    differ from that loop in the last bit.)
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be an (N, d) array")
@@ -58,57 +68,125 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if n == 0:
         raise ValueError("cannot cluster an empty point set")
+    if n_init < 1:
+        raise ValueError("n_init must be >= 1")
     k = min(k, n)
-    work = pts
-    if standardize:
-        work, _, _ = _standardize(pts)
+    work = _standardize(pts)[0] if standardize else np.ascontiguousarray(pts)
 
-    best: Optional[KMeansResult] = None
-    rng = np.random.default_rng(seed)
-    for _ in range(n_init):
-        centroids = _kmeans_pp_init(work, k, rng)
-        labels = np.zeros(n, dtype=int)
-        for _ in range(max_iter):
-            distances = ((work[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            new_labels = distances.argmin(axis=1)
-            if (new_labels == labels).all() and _ > 0:
-                break
-            labels = new_labels
-            for j in range(k):
-                members = work[labels == j]
-                if len(members):
-                    # The reduction ``members.mean(axis=0)`` performs.
-                    centroids[j] = members.sum(axis=0) / len(members)
-                else:
-                    # Re-seed an empty cluster at the farthest point.
-                    far = distances.min(axis=1).argmax()
-                    centroids[j] = work[far]
-        inertia = float(
-            ((work - centroids[labels]) ** 2).sum()
+    if k == 1 and max_iter > 0:
+        # Lloyd's first step moves the one centroid to the mean, and the
+        # second changes no label: every restart ends here.
+        centroids = work.sum(axis=0, keepdims=True) / n
+        inertia = float(((work - centroids) ** 2).sum())
+        return KMeansResult(
+            centroids=centroids, labels=np.zeros(n, dtype=int), inertia=inertia, k=1
         )
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(
-                centroids=centroids.copy(), labels=labels.copy(), inertia=inertia, k=k
-            )
-    assert best is not None
-    return best
+
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_pp_init(work, k, n_init, rng)
+    labels = np.zeros((n_init, n), dtype=int)
+    active = np.ones(n_init, dtype=bool)
+    d = work.shape[1]
+    # Cluster j of restart r is bin r * k + j; its column c is bin
+    # (r * k + j) * d + c of one bincount over every restart at once.
+    offsets = np.arange(0, n_init * k, k)[:, None]
+    columns = np.arange(d)
+    weights = np.broadcast_to(work, (n_init, n, d)).ravel()
+    for iteration in range(max_iter):
+        distances = (
+            (work[None, :, None, :] - centroids[:, None, :, :]) ** 2
+        ).sum(axis=3)
+        new_labels = distances.argmin(axis=2)
+        if iteration > 0:
+            # A restart whose labels stand still has converged: freeze it.
+            active &= (new_labels != labels).any(axis=1)
+            if not active.any():
+                break
+        bins = (new_labels + offsets).ravel()
+        counts = np.bincount(bins, minlength=n_init * k)[:, None]
+        # bincount adds each bin's weights in index order: the order of
+        # ``members.sum(axis=0)`` over a cluster's (m, d) member rows.
+        sums = np.bincount(
+            (bins[:, None] * d + columns).ravel(),
+            weights=weights,
+            minlength=n_init * k * d,
+        ).reshape(-1, d)
+        if counts.all():
+            updated = sums / counts
+        else:
+            # Re-seed an empty cluster at the farthest point.
+            far = work[distances.min(axis=2).argmax(axis=1)].repeat(k, axis=0)
+            updated = np.where(counts > 0, sums / np.maximum(counts, 1), far)
+        labels[active] = new_labels[active]
+        centroids[active] = updated.reshape(n_init, k, d)[active]
+
+    restarts = np.arange(n_init)
+    inertia = (
+        (work[None] - centroids[restarts[:, None], labels]) ** 2
+    ).reshape(n_init, -1).sum(axis=1).tolist()
+    best = 0
+    for restart in range(1, n_init):
+        if inertia[restart] < inertia[best]:
+            best = restart
+    return KMeansResult(
+        centroids=centroids[best], labels=labels[best], inertia=inertia[best], k=k
+    )
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    points: np.ndarray, k: int, n_init: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeds of ``n_init`` restarts, ``(n_init, k, d)``.
+
+    Restart after restart, the generator yields one ``integers(n)`` for
+    the first seed and one ``random()`` per further seed, picked by
+    inverse CDF exactly as ``rng.choice(n, p=probs)`` picks.  Those
+    draws do not depend on the points, so they are taken up front and
+    the restarts seed together.  A restart whose points are all taken
+    before its k-th seed (``total <= 0``) draws its remaining seeds
+    uniformly instead; the generator is then rewound to that restart,
+    and the restarts after it are seeded again from where it stopped.
+    """
     n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            centroids[j:] = points[rng.integers(n, size=k - j)]
-            break
-        probs = closest / total
-        centroids[j] = points[rng.choice(n, p=probs)]
-        dist = ((points - centroids[j]) ** 2).sum(axis=1)
-        closest = np.minimum(closest, dist)
-    return centroids
+    state = rng.bit_generator.state
+    firsts = np.empty(n_init, dtype=int)
+    uniforms = np.empty((n_init, k - 1))
+    for restart in range(n_init):
+        firsts[restart] = rng.integers(n)
+        uniforms[restart] = rng.random(k - 1)
+    seeds = np.empty((n_init, k, points.shape[1]))
+    seeds[:, 0] = points[firsts]
+    closest = ((points - seeds[:, :1]) ** 2).sum(axis=2)
+    exhausted = np.full(n_init, k)
+    # An exhausted restart divides 0 by 0; its picks are replaced below.
+    with np.errstate(invalid="ignore"):
+        for j in range(1, k):
+            total = closest.sum(axis=1)
+            if (total <= 0).any():
+                exhausted[(total <= 0) & (exhausted == k)] = j
+            cdf = (closest / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            # searchsorted(cdf, u, side="right") for every restart at once.
+            picks = (cdf <= uniforms[:, j - 1, None]).sum(axis=1)
+            seeds[:, j] = points[picks]
+            closest = np.minimum(
+                closest, ((points - seeds[:, j, None]) ** 2).sum(axis=2)
+            )
+
+    stuck = np.flatnonzero(exhausted < k)
+    if len(stuck):
+        restart = int(stuck[0])
+        j = int(exhausted[restart])
+        rng.bit_generator.state = state
+        for _ in range(restart):
+            rng.integers(n)
+            rng.random(k - 1)
+        rng.integers(n)
+        rng.random(j - 1)
+        seeds[restart, j:] = points[rng.integers(n, size=k - j)]
+        if restart + 1 < n_init:
+            seeds[restart + 1:] = _kmeans_pp_init(points, k, n_init - restart - 1, rng)
+    return seeds
 
 
 def match_clusters(

@@ -23,7 +23,7 @@ raises throughput alone (§3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from repro.core.geometry import (
     convex_hull,
     half_planes,
     points_in_convex_polygon,
-    points_in_half_planes,
+    points_in_polygons,
+    polygon_stack,
 )
 
 
@@ -110,6 +111,12 @@ class TranslationResult:
         return -self.translation[1]
 
 
+#: Pattern-search moves in the order they are tried: ±step along axis 0,
+#: then along axis 1.
+_MOVE_AXES = np.array([0, 0, 1, 1])
+_MOVE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def conformance_post_translation(
     test: PerformanceEnvelope,
     reference: PerformanceEnvelope,
@@ -121,35 +128,25 @@ def conformance_post_translation(
     gradient-free search is used: seed candidates from every pairing of
     test/reference cluster centroids (plus the overall mean shift and the
     identity), then refine the best seeds with a shrinking pattern
-    search.
+    search.  The seeds are scored in one batch, and the refinements run
+    side by side, each round scoring every refinement's pending
+    candidates in one batch.
     """
     conformance_at = _translation_scorer(test, reference)
     seeds = _candidate_translations(test, reference)
-    scored = [((dx, dy), conformance_at((dx, dy))) for dx, dy in seeds]
-    scored.sort(key=lambda item: item[1], reverse=True)
+    scored = sorted(
+        zip(seeds, conformance_at(seeds)), key=lambda item: item[1], reverse=True
+    )
     best_t, best_score = scored[0]
 
     # Pattern-search refinement around the strongest seeds.
     spread = reference.all_points.std(axis=0) + test.all_points.std(axis=0)
     step0 = np.maximum(spread / 2, 1e-6)
-    for seed_t, seed_score in scored[:3]:
-        t = np.asarray(seed_t, dtype=float)
-        score = seed_score
-        step = step0.copy()
-        for _ in range(refine_iters):
-            improved = False
-            for axis in (0, 1):
-                for direction in (+1, -1):
-                    candidate = t.copy()
-                    candidate[axis] += direction * step[axis]
-                    cand_score = conformance_at(candidate)
-                    if cand_score > score:
-                        t, score = candidate, cand_score
-                        improved = True
-            if not improved:
-                step /= 2
-                if (step < 1e-4 * step0).all():
-                    break
+    searches = [
+        _pattern_search(np.asarray(seed_t, dtype=float), seed_score, step0, refine_iters)
+        for seed_t, seed_score in scored[:3]
+    ]
+    for t, score in _run_side_by_side(searches, conformance_at):
         if score > best_score:
             best_score, best_t = score, (float(t[0]), float(t[1]))
 
@@ -159,36 +156,117 @@ def conformance_post_translation(
     )
 
 
+def _pattern_search(
+    t: np.ndarray, score: float, step0: np.ndarray, iters: int
+) -> Generator[np.ndarray, List[float], Tuple[np.ndarray, float]]:
+    """One shrinking pattern search from ``t``, as a generator.
+
+    It yields the candidates it needs scored next, a (B, 2) array, and
+    takes their scores back from ``send``; it returns the final
+    ``(t, score)``.  Each iteration tries ±step along each axis in turn
+    and moves as soon as one scores higher; after a move only the
+    candidates still to try are rebuilt from the new ``t``.
+    """
+    step = step0.copy()
+    for _ in range(iters):
+        improved = False
+        move = 0
+        while move < len(_MOVE_AXES):
+            axes = _MOVE_AXES[move:]
+            candidates = np.repeat(t[None], len(axes), axis=0)
+            candidates[np.arange(len(axes)), axes] += _MOVE_SIGNS[move:] * step[axes]
+            scores = yield candidates
+            for candidate, cand_score in zip(candidates, scores):
+                move += 1
+                if cand_score > score:
+                    t, score = candidate, cand_score
+                    improved = True
+                    break
+        if not improved:
+            step /= 2
+            if (step < 1e-4 * step0).all():
+                break
+    return t, score
+
+
+def _run_side_by_side(
+    searches: List[Generator], score: Callable[[Sequence], List[float]]
+) -> List[Tuple[np.ndarray, float]]:
+    """Drive :func:`_pattern_search` generators until each returns, one
+    ``score`` call per round for all of them; their results in order."""
+    results: List = [None] * len(searches)
+    pending: Dict[int, np.ndarray] = {}
+
+    def advance(index: int, scores) -> None:
+        try:
+            pending[index] = searches[index].send(scores)
+        except StopIteration as done:
+            pending.pop(index, None)
+            results[index] = done.value
+
+    for index in range(len(searches)):
+        advance(index, None)
+    while pending:
+        batch = list(pending.items())
+        scores = score(np.concatenate([candidates for _, candidates in batch]))
+        start = 0
+        for index, candidates in batch:
+            advance(index, scores[start:start + len(candidates)])
+            start += len(candidates)
+    return results
+
+
 def _translation_scorer(
     test: PerformanceEnvelope, reference: PerformanceEnvelope
-) -> Callable[[Sequence], float]:
-    """``score(offset)``, equal to ``conformance(test.translated(offset),
-    reference)``.
+) -> Callable[[Sequence], List[float]]:
+    """``score(offsets)``: for each row ``off`` of a (B, 2) array,
+    ``conformance(test.translated(off), reference)``.
 
     The reference stays put during the search, so its hulls' half-planes
-    and the membership of its own points are computed once.  Each call
-    moves only the test's points and non-empty hulls, and repeats the
-    per-point arithmetic of :func:`conformance` on them exactly.
+    and the membership of its own points are computed once.  A batch
+    moves the test's points and its stacked non-empty hulls by every
+    offset at once, (B, ...) arrays, and repeats the per-point
+    arithmetic of :func:`conformance` on them exactly.  Scores are kept
+    by exact offset for the life of the scorer: the pattern search
+    revisits points.
     """
     ref_points = reference.all_points
-    ref_planes = [half_planes(hull) for hull in reference.hulls]
+    ref_planes = half_planes(*polygon_stack(reference.hulls))
+    ref_own = points_in_polygons(ref_points, ref_planes)
+    vertices, successors, sizes = polygon_stack(test.hulls)
 
-    def inside(points: np.ndarray, planes) -> np.ndarray:
-        mask = np.zeros(len(points), dtype=bool)
-        for plane in planes:
-            mask |= points_in_half_planes(points, plane)
-        return mask
+    def score_batch(offsets: np.ndarray) -> List[float]:
+        count = len(offsets)
+        moved = test.all_points + offsets[:, None]
+        # The points conformance() weighs: the moved test points, then
+        # the reference's own.
+        points = np.concatenate(
+            [moved, np.broadcast_to(ref_points, (count,) + ref_points.shape)], axis=1
+        )
+        shift = offsets[:, None, None]
+        in_test = points_in_polygons(
+            points, half_planes(vertices + shift, successors + shift, sizes)
+        )
+        in_ref = np.concatenate(
+            [
+                points_in_polygons(moved, ref_planes),
+                np.broadcast_to(ref_own, (count, len(ref_own))),
+            ],
+            axis=1,
+        )
+        both = (in_test & in_ref).sum(axis=1)
+        either = (in_test | in_ref).sum(axis=1)
+        return [float(b / e) if e else 0.0 for b, e in zip(both, either)]
 
-    ref_own = inside(ref_points, ref_planes)
+    scores: Dict[bytes, float] = {}
 
-    def score(offset: Sequence) -> float:
-        off = np.asarray(offset, dtype=float)
-        moved = test.all_points + off
-        points = np.vstack([moved, ref_points])
-        if len(points) == 0:
-            return 0.0
-        in_test = inside(points, [half_planes(h + off) for h in test.hulls])
-        return _overlap(in_test, np.concatenate([inside(moved, ref_planes), ref_own]))
+    def score(offsets: Sequence) -> List[float]:
+        offs = np.asarray(offsets, dtype=float).reshape(-1, 2)
+        keys = [row.tobytes() for row in offs]
+        todo = {key: row for key, row in zip(keys, offs) if key not in scores}
+        if todo:
+            scores.update(zip(todo, score_batch(np.array(list(todo.values())))))
+        return [scores[key] for key in keys]
 
     return score
 
@@ -238,18 +316,20 @@ class ConformanceResult:
 
 def evaluate_conformance(
     test_trials: Sequence[Sequence],
-    reference_trials: Sequence[Sequence],
+    reference: PerformanceEnvelope,
     config: EnvelopeConfig = EnvelopeConfig(),
 ) -> ConformanceResult:
-    """End-to-end: trials of sampled points -> full conformance metrics."""
+    """End-to-end: the test's trials of sampled points, against the
+    reference PE built from the reference's trials with the same
+    ``config``, -> full conformance metrics.
+
+    The reference is taken built so that cells sharing one are scored
+    against one envelope instead of rebuilding it per cell.
+    """
     test_pe = build_envelope(test_trials, config)
-    ref_pe = build_envelope(reference_trials, config)
-    conf = conformance(test_pe, ref_pe)
-    translation = conformance_post_translation(test_pe, ref_pe)
-    legacy = conformance_legacy(
-        np.vstack([np.asarray(t, dtype=float) for t in test_trials]),
-        np.vstack([np.asarray(t, dtype=float) for t in reference_trials]),
-    )
+    conf = conformance(test_pe, reference)
+    translation = conformance_post_translation(test_pe, reference)
+    legacy = conformance_legacy(test_pe.all_points, reference.all_points)
     return ConformanceResult(
         conformance=conf,
         conformance_t=max(translation.conformance_t, conf),
@@ -257,5 +337,5 @@ def evaluate_conformance(
         delta_throughput_mbps=translation.delta_throughput_mbps,
         delta_delay_ms=translation.delta_delay_ms,
         test_envelope=test_pe,
-        reference_envelope=ref_pe,
+        reference_envelope=reference,
     )

@@ -23,13 +23,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.clustering import kmeans, match_clusters, select_k
+from repro.core.clustering import _standardize, kmeans, match_clusters, select_k
 from repro.core.geometry import (
     convex_hull,
+    half_planes,
     intersect_polygons,
-    points_in_convex_polygon,
+    points_in_polygons,
     polygon_area,
     polygon_centroid,
+    polygon_stack,
     translate_polygon,
 )
 
@@ -91,10 +93,7 @@ class PerformanceEnvelope:
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             return np.zeros(0, dtype=bool)
-        mask = np.zeros(len(pts), dtype=bool)
-        for hull in self.hulls:
-            mask |= points_in_convex_polygon(pts, hull)
-        return mask
+        return points_in_polygons(pts, half_planes(*polygon_stack(self.hulls)))
 
     def retained_fraction(self) -> float:
         """Fraction of this PE's own points inside the PE (≈0.95 in the
@@ -132,11 +131,15 @@ class PerformanceEnvelope:
 
 def _clusters_for_k(
     trials: List[np.ndarray],
+    scaled: List[np.ndarray],
     k: int,
     seed: int,
 ) -> List[EnvelopeCluster]:
-    """Cluster every trial with the same k, match and intersect hulls."""
-    results = [kmeans(t, k, seed=seed) for t in trials]
+    """Cluster every trial with the same k, match and intersect hulls.
+
+    ``scaled[i]`` is ``trials[i]`` standardized, as k-means sees it.
+    """
+    results = [kmeans(t, k, seed=seed, standardize=False) for t in scaled]
     reference = results[0]
     # Represent centroids in original units for matching: recompute from
     # members (kmeans centroids live in standardized space).
@@ -149,17 +152,21 @@ def _clusters_for_k(
             cents[j] = members.mean(axis=0) if len(members) else np.array([1e9, 1e9])
         return cents
 
-    ref_cents = original_centroids(reference, trials[0])
+    # One cluster per trial needs no matching (nor SciPy).
+    ref_cents = original_centroids(reference, trials[0]) if reference.k > 1 else None
     per_cluster_hulls: List[List[np.ndarray]] = [[] for _ in range(reference.k)]
     per_cluster_points: List[List[np.ndarray]] = [[] for _ in range(reference.k)]
 
     for trial, result in zip(trials, results):
-        cents = original_centroids(result, trial)
         if result.k != reference.k:
             # A degenerate trial (fewer points than k): skip its hulls; the
             # intersection then simply ignores this trial for that k.
             continue
-        mapping = match_clusters(ref_cents, cents)
+        mapping = (
+            np.zeros(1, dtype=int)
+            if ref_cents is None
+            else match_clusters(ref_cents, original_centroids(result, trial))
+        )
         for i in range(reference.k):
             members = trial[result.labels == mapping[i]]
             per_cluster_points[i].append(members)
@@ -199,13 +206,17 @@ def build_envelope(
     if not trial_arrays:
         raise ValueError("cannot build an envelope from empty trials")
     all_points = np.vstack(trial_arrays)
+    # Standardized once per trial, for every k the retention rule tries.
+    scaled = [_standardize(t)[0] for t in trial_arrays]
 
     if config.single_hull:
-        clusters = _clusters_for_k(trial_arrays, 1, config.kmeans_seed)
+        clusters = _clusters_for_k(trial_arrays, scaled, 1, config.kmeans_seed)
         return PerformanceEnvelope(clusters=clusters, all_points=all_points, k=1)
 
     if config.k is not None:
-        clusters = _clusters_for_k(trial_arrays, config.k, config.kmeans_seed)
+        clusters = _clusters_for_k(
+            trial_arrays, scaled, config.k, config.kmeans_seed
+        )
         return PerformanceEnvelope(
             clusters=clusters, all_points=all_points, k=config.k
         )
@@ -214,7 +225,7 @@ def build_envelope(
 
     def retention(k: int) -> float:
         clusters = cache.setdefault(
-            k, _clusters_for_k(trial_arrays, k, config.kmeans_seed)
+            k, _clusters_for_k(trial_arrays, scaled, k, config.kmeans_seed)
         )
         pe = PerformanceEnvelope(clusters=clusters, all_points=all_points, k=k)
         return pe.retained_fraction()

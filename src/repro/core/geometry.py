@@ -14,15 +14,25 @@ intersection-over-trials naturally discards unstable clusters.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 #: Geometric tolerance for orientation tests, in squared input units.
 EPS = 1e-12
 
-#: A convex polygon as (CCW vertices, edge vectors, membership tolerance).
-HalfPlanes = Tuple[np.ndarray, np.ndarray, float]
+
+class HalfPlanes(NamedTuple):
+    """Stacked convex polygons as the half-planes left of their CCW
+    edges: each edge's start and vector, (..., H, V, 1), and each
+    polygon's membership tolerance, (..., H, 1, 1).  The trailing axis
+    broadcasts against a row of points."""
+
+    start_x: np.ndarray
+    start_y: np.ndarray
+    edge_x: np.ndarray
+    edge_y: np.ndarray
+    tol: np.ndarray
 
 
 def _as_points(points: Sequence) -> np.ndarray:
@@ -190,22 +200,93 @@ def point_in_convex_polygon(point: Sequence, polygon: Sequence) -> bool:
     return bool(points_in_convex_polygon([point], polygon)[0])
 
 
-def half_planes(polygon: np.ndarray) -> HalfPlanes:
-    """A convex polygon (at least 3 vertices) as the half-planes left of
-    its CCW edges, for :func:`points_in_half_planes`."""
-    poly = _ensure_ccw(polygon)
-    return poly, _shifted(poly) - poly, -1e-9 * _scale(poly)
+def polygon_stack(
+    polygons: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """H convex polygons (at least 3 vertices each) as ``(vertices,
+    successors, sizes)``.
+
+    ``vertices[h, i]`` is vertex i of polygon h and ``successors[h, i]``
+    the vertex after it, both (H, V, 2) for the most vertices V of any
+    polygon.  A shorter polygon repeats its closing edge (last vertex to
+    first) in the extra slots; a repeated edge changes no membership.
+    Both arrays translated by one offset stack the translated polygons.
+    An empty stack (H = 0) contains no point.
+    """
+    sizes = [len(poly) for poly in polygons]
+    vertices = np.empty((len(polygons), max(sizes, default=1), 2))
+    successors = np.empty_like(vertices)
+    for h, (poly, size) in enumerate(zip(polygons, sizes)):
+        vertices[h, :size] = poly
+        vertices[h, size:] = poly[-1]
+        successors[h, : size - 1] = poly[1:]
+        successors[h, size - 1 :] = poly[0]
+    return vertices, successors, sizes
 
 
-def points_in_half_planes(points: np.ndarray, planes: HalfPlanes) -> np.ndarray:
-    """Boolean mask over ``points``: inside or on every half-plane."""
-    starts, edges, tol = planes
-    # One (points x edges) array of cross products, each the edge vector
-    # crossed with the point's offset from the edge start.
-    crossv = edges[:, 0] * (points[:, 1:] - starts[:, 1]) - edges[:, 1] * (
-        points[:, :1] - starts[:, 0]
+def half_planes(
+    vertices: np.ndarray, successors: np.ndarray, sizes: Sequence[int]
+) -> HalfPlanes:
+    """Stacked polygons (see :func:`polygon_stack`, with optional leading
+    axes before the polygon axis) as the half-planes left of their CCW
+    edges, for :func:`points_in_polygons`.
+
+    Each polygon is oriented by the signed-area test of ``_ensure_ccw``,
+    the same ``np.dot`` calls on its own vertices, and reversed when
+    clockwise.  Edges and tolerances are element-wise, so each polygon's
+    half-planes are those it would get alone.
+    """
+    count = len(sizes)
+    flat = vertices.reshape(-1, *vertices.shape[-2:])
+    next_x = np.ascontiguousarray(successors[..., 0]).reshape(flat.shape[:2])
+    next_y = np.ascontiguousarray(successors[..., 1]).reshape(flat.shape[:2])
+    flips = []
+    for index, poly in enumerate(flat):
+        size = sizes[index % count]
+        x, y = poly[:size, 0], poly[:size, 1]
+        if float(np.dot(x, next_y[index, :size]) - np.dot(y, next_x[index, :size])) < 0:
+            flips.append(index)
+    if flips:
+        vertices, successors = vertices.copy(), successors.copy()
+        flat, flat_next = vertices.reshape(flat.shape), successors.reshape(flat.shape)
+        for index in flips:
+            size = sizes[index % count]
+            poly = flat[index, :size][::-1].copy()
+            following = _shifted(poly)
+            flat[index, :size], flat[index, size:] = poly, poly[-1]
+            flat_next[index, :size], flat_next[index, size:] = following, following[-1]
+    start_x = np.ascontiguousarray(vertices[..., 0])
+    start_y = np.ascontiguousarray(vertices[..., 1])
+    # Membership tolerance relative to the bounding box's area.
+    span = vertices.max(axis=-2) - vertices.min(axis=-2)
+    tol = -1e-9 * np.maximum(span[..., 0] * span[..., 1], 1e-6)
+    return HalfPlanes(
+        start_x=start_x[..., None],
+        start_y=start_y[..., None],
+        edge_x=(successors[..., 0] - start_x)[..., None],
+        edge_y=(successors[..., 1] - start_y)[..., None],
+        tol=tol[..., None, None],
     )
-    return (crossv >= tol).all(axis=1)
+
+
+def points_in_polygons(points: np.ndarray, planes: HalfPlanes) -> np.ndarray:
+    """Boolean mask over (..., N, 2) ``points``: inside or on every
+    half-plane of at least one stacked polygon.
+
+    Leading axes of ``points`` broadcast against those of ``planes``,
+    so B translated copies of the polygons test B point sets at once.
+    """
+    x = np.ascontiguousarray(points[..., 0])[..., None, None, :]
+    y = np.ascontiguousarray(points[..., 1])[..., None, None, :]
+    # One (polygons x edges x points) array of cross products, each the
+    # edge vector crossed with the point's offset from the edge start:
+    # edge_x * (y - start_y) - edge_y * (x - start_x).
+    cross = y - planes.start_y
+    cross *= planes.edge_x
+    other = x - planes.start_x
+    other *= planes.edge_y
+    cross -= other
+    return (cross >= planes.tol).all(axis=-2).any(axis=-2)
 
 
 def points_in_convex_polygon(points: Sequence, polygon: Sequence) -> np.ndarray:
@@ -214,13 +295,7 @@ def points_in_convex_polygon(points: Sequence, polygon: Sequence) -> np.ndarray:
     poly = _as_points(polygon)
     if len(poly) < 3 or len(pts) == 0:
         return np.zeros(len(pts), dtype=bool)
-    return points_in_half_planes(pts, half_planes(poly))
-
-
-def _scale(poly: np.ndarray) -> float:
-    """Characteristic squared length used for relative tolerances."""
-    span = poly.max(axis=0) - poly.min(axis=0)
-    return max(float(span[0] * span[1]), 1e-6)
+    return points_in_polygons(pts, half_planes(*polygon_stack([poly])))
 
 
 def translate_polygon(polygon: Sequence, offset: Sequence) -> np.ndarray:

@@ -75,6 +75,8 @@ class FleetDecision:
     desired: int = 0
     live: int = 0
     draining: int = 0
+    #: Launched by this supervisor but not yet registered.
+    starting: List[str] = field(default_factory=list)
     spawned: List[str] = field(default_factory=list)
     drained: List[str] = field(default_factory=list)
     dead: List[str] = field(default_factory=list)
@@ -85,6 +87,7 @@ class FleetDecision:
             "desired": self.desired,
             "live": self.live,
             "draining": self.draining,
+            "starting": list(self.starting),
             "spawned": list(self.spawned),
             "drained": list(self.drained),
             "dead": list(self.dead),
@@ -119,6 +122,9 @@ class FleetSupervisor:
         #: Never consulted for liveness — a replacement supervisor has
         #: an empty dict and exactly the same authority.
         self.handles: Dict[str, object] = {}
+        #: Launch time of each worker this supervisor spawned that has
+        #: not registered yet (a new process is still importing).
+        self._starting: Dict[str, float] = {}
 
     # ------------------------------------------------------------ inputs
 
@@ -151,7 +157,10 @@ class FleetSupervisor:
 
         Reap dead workers, compute desired fleet size from backlog,
         then act only once the demand signal has persisted past the
-        hysteresis streaks.  Scale-down picks the drain victims
+        hysteresis streaks.  A worker this supervisor launched that has
+        not registered yet counts as capacity, and its name as taken,
+        for ``heartbeat_timeout_s`` after its launch; after that it is
+        launched again.  Scale-down picks the drain victims
         deterministically: fewest held leases first, then name order,
         so the cheapest worker to release leaves first.
         """
@@ -177,6 +186,15 @@ class FleetSupervisor:
         decision.draining = sum(
             1 for w in workers if w["state"] == WORKER_DRAINING
         )
+        now = self._clock()
+        registered = {w["name"] for w in workers}
+        self._starting = {
+            name: launched
+            for name, launched in self._starting.items()
+            if name not in registered and now - launched <= cfg.heartbeat_timeout_s
+        }
+        decision.starting = sorted(self._starting)
+        capacity = decision.live + len(decision.starting)
 
         decision.desired = max(
             cfg.min_workers,
@@ -186,12 +204,12 @@ class FleetSupervisor:
             ),
         )
 
-        if decision.desired > decision.live:
+        if decision.desired > capacity:
             self.up_streak += 1
             self.down_streak = 0
             if self.up_streak >= cfg.scale_up_after:
-                taken = [w["name"] for w in workers]
-                for _ in range(decision.desired - decision.live):
+                taken = [w["name"] for w in workers] + decision.starting
+                for _ in range(decision.desired - capacity):
                     name = self._next_name(taken)
                     taken.append(name)
                     self._launch(name)
@@ -216,6 +234,7 @@ class FleetSupervisor:
     def _launch(self, name: str) -> None:
         if self._spawn is None:
             return
+        self._starting[name] = self._clock()
         handle = self._spawn(name, self.config.version)
         if handle is not None:
             self.handles[name] = handle

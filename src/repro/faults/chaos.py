@@ -1071,15 +1071,11 @@ def _run_supervisor_sigkill_class(
                 )
             for name in adopted:
                 queue.drain_worker(name)
-            _wait_until(
-                lambda: not [
-                    w for w in queue.workers() if w["state"] == "active"
-                ],
-                60.0, 0.1,
-            )
-            leftover = [
-                w["name"] for w in queue.workers() if w["state"] == "active"
-            ]
+            # Retired means exited: a worker still ``draining`` has not
+            # seen the directive yet, and stopping the service under it
+            # would leave it polling a coordinator that is gone.
+            _wait_until(lambda: not queue.workers(), 60.0, 0.1)
+            leftover = [w["name"] for w in queue.workers()]
             if leftover:
                 outcome.violations.append(
                     f"orphaned workers never drained: {leftover}"

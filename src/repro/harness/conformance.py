@@ -9,6 +9,7 @@ Conformance-T, Conf-old, Δ-throughput, Δ-delay).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
@@ -21,11 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.store.warehouse import ResultStore
 
 from repro.core.conformance import ConformanceResult, evaluate_conformance
+from repro.core.envelope import PerformanceEnvelope
 from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.runner import Impl, reference_impl
 from repro.netsim.crosstraffic import CrossTrafficConfig
 from repro.netsim.path import NetemConfig
 from repro.stacks import registry
+
+#: The ``repro.core.conformance`` module (``repro.core`` re-exports a
+#: function of that name, which a plain import would find instead).
+_core_conformance = importlib.import_module("repro.core.conformance")
 
 
 @dataclass
@@ -145,31 +151,42 @@ def measure_cells(
     as one ``executor.run`` (default: a jobs=1
     :class:`~repro.exec.Executor` over the process-wide cache), which
     computes a trial shared between cells once.  Each cell is then
-    evaluated from its slice of the returned values.  ``progress`` is
-    called with ``"<stack>/<cca> @ <condition>"`` before each cell is
-    evaluated.
+    evaluated from its slice of the returned values, against a reference
+    envelope built once for all the cells that share its reference
+    trials.  ``progress`` is called with ``"<stack>/<cca> @ <condition>"``
+    before each cell is evaluated.
     """
     from repro.exec import Executor, measurement_trial_jobs
 
+    trials = config.trials
     jobs = []
+    reference_keys = []
     for cell in cells:
-        jobs += measurement_trial_jobs(
+        cell_jobs = measurement_trial_jobs(
             cell.stack, cell.cca, cell.condition, config, cell.variant,
             cell.reference_variant, cross_traffic, wan_netem,
         )
+        jobs += cell_jobs
+        reference_keys.append(tuple(job.key for job in cell_jobs[trials:]))
     values = (executor or Executor()).run(jobs, campaign=campaign)
-    trials = config.trials
+    # Cells whose reference trials are the same jobs share one reference
+    # envelope, built once through the core module's attribute (where
+    # perfbench's ``analysis.envelope`` span wraps it).
+    references: Dict[Tuple[str, ...], PerformanceEnvelope] = {}
     measurements = []
     for index, cell in enumerate(cells):
         if progress is not None:
             progress(f"{cell.stack}/{cell.cca} @ {cell.condition.describe()}")
         start = 2 * trials * index
+        key = reference_keys[index]
+        if key not in references:
+            references[key] = _core_conformance.build_envelope(
+                values[start + trials:start + 2 * trials], config.envelope
+            )
         # Called through this module's global, once per cell: perfbench's
         # ``analysis.evaluate`` span (and its cell count) wraps it here.
         result = evaluate_conformance(
-            values[start:start + trials],
-            values[start + trials:start + 2 * trials],
-            config.envelope,
+            values[start:start + trials], references[key], config.envelope
         )
         measurements.append(
             ConformanceMeasurement(

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.clustering import KMeansResult, kmeans, match_clusters, select_k
+from repro.core.clustering import (
+    KMeansResult,
+    _kmeans_pp_init,
+    kmeans,
+    match_clusters,
+    select_k,
+)
 
 
 def two_blobs(n=50, separation=10.0, seed=0):
@@ -111,3 +117,172 @@ class TestSelectK:
     def test_retention_curve_recorded(self):
         selection = select_k(lambda k: 1.0 / k, k_max=4)
         assert selection.retention.tolist() == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
+
+
+def loop_seeds(work, k, rng, seen):
+    """One restart's k-means++ seeds, picked by ``rng.choice``."""
+    n = len(work)
+    centroids = np.empty((k, work.shape[1]))
+    centroids[0] = work[rng.integers(n)]
+    closest = ((work - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            seen.add("exhausted")
+            centroids[j:] = work[rng.integers(n, size=k - j)]
+            break
+        centroids[j] = work[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, ((work - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def loop_kmeans(points, k, seed=0, max_iter=100, n_init=4, standardize=True, seen=None):
+    """The restart-after-restart k-means that :func:`kmeans` batches,
+    kept as the reference: k-means++ picks by ``rng.choice`` and a
+    per-cluster centroid loop.  ``seen`` collects which rare branches
+    ran ("exhausted" seeding, "empty" cluster re-seed)."""
+    seen = set() if seen is None else seen
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    k = min(k, n)
+    work = pts
+    if standardize:
+        mean, std = pts.mean(axis=0), pts.std(axis=0)
+        work = (pts - mean) / np.where(std < 1e-12, 1.0, std)
+    best = None
+    rng = np.random.default_rng(seed)
+    for _ in range(n_init):
+        centroids = loop_seeds(work, k, rng, seen)
+        labels = np.zeros(n, dtype=int)
+        for iteration in range(max_iter):
+            distances = ((work[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            new_labels = distances.argmin(axis=1)
+            if (new_labels == labels).all() and iteration > 0:
+                break
+            labels = new_labels
+            for j in range(k):
+                members = work[labels == j]
+                if len(members):
+                    centroids[j] = members.sum(axis=0) / len(members)
+                else:
+                    seen.add("empty")
+                    centroids[j] = work[distances.min(axis=1).argmax()]
+        inertia = float(((work - centroids[labels]) ** 2).sum())
+        if best is None or inertia < best.inertia:
+            best = KMeansResult(centroids.copy(), labels.copy(), inertia, k)
+    return best
+
+
+def assert_same_kmeans(expected, actual):
+    assert actual.k == expected.k
+    assert np.array_equal(actual.centroids, expected.centroids)
+    assert np.array_equal(actual.labels, expected.labels)
+    assert actual.labels.dtype == expected.labels.dtype
+    assert actual.inertia == expected.inertia
+
+
+def clouds(d):
+    """(n, d) clouds: grid points that repeat and line up, or free floats
+    over several magnitudes; n from 1, so below, at and above k."""
+    coordinate = st.one_of(
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    return st.lists(
+        st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=30
+    ).map(lambda rows: np.array(rows, dtype=float))
+
+
+class TestLoopReference:
+    """:func:`kmeans` against the loop it batches: equal arrays and an
+    equal inertia, because the arithmetic and the draws are the same."""
+
+    @given(clouds(2), st.integers(1, 6), st.integers(0, 50), st.booleans())
+    @example(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]), 3, 0, True)  # n == k
+    @example(np.array([[0.0, 0.0], [1.0, 2.0]]), 5, 1, False)  # n < k
+    @settings(max_examples=150, deadline=None)
+    def test_two_columns(self, points, k, seed, standardize):
+        assert_same_kmeans(
+            loop_kmeans(points, k, seed, standardize=standardize),
+            kmeans(points, k, seed, standardize=standardize),
+        )
+
+    @given(st.sampled_from([4, 9]).flatmap(clouds), st.integers(1, 6), st.integers(0, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_rows_unstandardized(self, points, k, seed):
+        # core.peer clusters conformance-matrix rows this way.
+        assert_same_kmeans(
+            loop_kmeans(points, k, seed, standardize=False),
+            kmeans(points, k, seed, standardize=False),
+        )
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_capped_iterations(self, max_iter):
+        points = two_blobs(n=20, separation=1.0, seed=4)
+        for k in (1, 2, 4):
+            assert_same_kmeans(
+                loop_kmeans(points, k, 3, max_iter=max_iter),
+                kmeans(points, k, 3, max_iter=max_iter),
+            )
+
+    def test_all_identical_points(self):
+        """Every seed after the first meets ``total <= 0``."""
+        points = np.full((7, 2), 3.5)
+        for k in range(1, 8):
+            seen = set()
+            expected = loop_kmeans(points, k, 1, seen=seen)
+            assert ("exhausted" in seen) == (k > 1)
+            assert_same_kmeans(expected, kmeans(points, k, 1))
+
+    def test_exhausted_restart_then_empty_cluster_reseed(self):
+        """Two distinct points and k = 3: each restart runs out of
+        points at its third seed and draws it uniformly, so it can land
+        on a taken point; that cluster empties and is re-seeded."""
+        points = np.array([[0.0, 0.0]] * 5 + [[1.0, 2.0]] * 4)
+        seen = set()
+        for seed in range(20):
+            assert_same_kmeans(
+                loop_kmeans(points, 3, seed, seen=seen), kmeans(points, 3, seed)
+            )
+        assert seen == {"exhausted", "empty"}
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_exhausted_seeding_draws_in_restart_order(self, k):
+        """Restarts that run out of points draw their last seeds at their
+        own place in the generator's stream: the seeds, and the state
+        left behind, equal seeding restart after restart."""
+        # k - 1 distinct points, repeated: every restart runs out.
+        distinct = np.random.default_rng(k).normal(size=(k - 1, 2))
+        points = distinct[np.arange(3 * k) % (k - 1)]
+        for seed in range(10):
+            seen = set()
+            looped = np.random.default_rng(seed)
+            expected = np.stack([loop_seeds(points, k, looped, seen) for _ in range(4)])
+            assert seen == {"exhausted"}
+            batched = np.random.default_rng(seed)
+            assert np.array_equal(_kmeans_pp_init(points, k, 4, batched), expected)
+            assert batched.bit_generator.state == looped.bit_generator.state
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_cdf_pick_is_rng_choice(self, n, seed, zeros):
+        """The seeding's pick consumes the draw ``rng.choice(n, p=...)``
+        consumes and picks the same index, and leaves the generator in
+        the same state."""
+        weights = np.random.default_rng(seed).random(n) ** 3
+        weights[: int(zeros * n)] = 0.0
+        if weights.sum() <= 0:
+            weights[-1] = 1.0
+        probs = weights / weights.sum()
+        by_choice = np.random.default_rng(seed)
+        by_pick = np.random.default_rng(seed)
+        # Interleave an integers() draw, as each restart's first seed
+        # does: it shares the generator's buffered 32-bit half.
+        assert by_choice.integers(n) == by_pick.integers(n)
+        chosen = by_choice.choice(n, p=probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        picked = int((cdf <= by_pick.random()).sum())
+        assert picked == chosen
+        assert by_pick.bit_generator.state == by_choice.bit_generator.state
+        assert by_pick.integers(1 << 30) == by_choice.integers(1 << 30)

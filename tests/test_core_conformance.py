@@ -15,6 +15,7 @@ from repro.core.conformance import (
     evaluate_conformance,
 )
 from repro.core.envelope import EnvelopeConfig, build_envelope
+from tests import test_core_golden as golden
 
 
 def blob(center, n=60, spread=0.5, seed=0):
@@ -117,8 +118,8 @@ def scorer_pairs():
 
 
 class TestTranslationScorer:
-    """The search's scorer is ``conformance`` of the translated test PE,
-    exactly: equal floats, not approximately equal ones."""
+    """The search's batched scorer is ``conformance`` of the translated
+    test PE, exactly: equal floats, not approximately equal ones."""
 
     @given(st.floats(-15, 15), st.floats(-15, 15))
     @example(0.0, 0.0)
@@ -126,21 +127,90 @@ class TestTranslationScorer:
     @example(-1e4, 1e4)
     @settings(max_examples=60, deadline=None)
     def test_equals_conformance_of_translated_envelope(self, dx, dy):
+        offsets = [(dx, dy), (0.0, 0.0), (1e4, -1e4), (dy, dx), (dx, dy)]
         for test_pe, ref_pe in scorer_pairs():
+            expected = [conformance(test_pe.translated(off), ref_pe) for off in offsets]
+            assert _translation_scorer(test_pe, ref_pe)(offsets) == expected
+            # One at a time, and as an array, through one scorer.
             score = _translation_scorer(test_pe, ref_pe)
-            for offset in ((dx, dy), np.array([dx, dy])):
-                expected = conformance(test_pe.translated(offset), ref_pe)
-                assert score(offset) == expected
+            for offset, value in zip(offsets, expected):
+                assert score([offset]) == [value]
+                assert score(np.array([offset])) == [value]
+
+    def test_pairs_cover_two_hulls_and_a_vanished_one(self):
+        hulls = [len(test_pe.hulls) for test_pe, _ in scorer_pairs()]
+        assert hulls == [2, 1, 0]
 
     def test_equals_conformance_at_every_seed_translation(self):
         for test_pe, ref_pe in scorer_pairs():
-            score = _translation_scorer(test_pe, ref_pe)
-            for offset in _candidate_translations(test_pe, ref_pe):
-                assert score(offset) == conformance(test_pe.translated(offset), ref_pe)
+            offsets = _candidate_translations(test_pe, ref_pe)
+            expected = [conformance(test_pe.translated(off), ref_pe) for off in offsets]
+            assert _translation_scorer(test_pe, ref_pe)(offsets) == expected
 
     def test_far_offset_scores_zero(self):
         test_pe, ref_pe = scorer_pairs()[0]
-        assert _translation_scorer(test_pe, ref_pe)((1e4, -1e4)) == 0.0
+        assert _translation_scorer(test_pe, ref_pe)([(1e4, -1e4)]) == [0.0]
+
+
+def sequential_search(test, reference, refine_iters=40):
+    """The Conformance-T search one candidate at a time, each scored as
+    ``conformance(test.translated(t), reference)``: the reference for
+    :func:`conformance_post_translation`, which batches it."""
+
+    def score(offset):
+        return conformance(test.translated(offset), reference)
+
+    seeds = _candidate_translations(test, reference)
+    scored = [((dx, dy), score((dx, dy))) for dx, dy in seeds]
+    scored.sort(key=lambda item: item[1], reverse=True)
+    best_t, best_score = scored[0]
+    spread = reference.all_points.std(axis=0) + test.all_points.std(axis=0)
+    step0 = np.maximum(spread / 2, 1e-6)
+    for seed_t, seed_score in scored[:3]:
+        t = np.asarray(seed_t, dtype=float)
+        value = seed_score
+        step = step0.copy()
+        for _ in range(refine_iters):
+            improved = False
+            for axis in (0, 1):
+                for direction in (+1, -1):
+                    candidate = t.copy()
+                    candidate[axis] += direction * step[axis]
+                    candidate_value = score(candidate)
+                    if candidate_value > value:
+                        t, value = candidate, candidate_value
+                        improved = True
+            if not improved:
+                step /= 2
+                if (step < 1e-4 * step0).all():
+                    break
+        if value > best_score:
+            best_score, best_t = value, (float(t[0]), float(t[1]))
+    return best_score, (float(best_t[0]), float(best_t[1]))
+
+
+class TestSequentialSearchReference:
+    """The batched search returns what the one-candidate-at-a-time
+    search returns, bit for bit."""
+
+    @staticmethod
+    def check(test_pe, ref_pe, refine_iters=40):
+        result = conformance_post_translation(test_pe, ref_pe, refine_iters)
+        expected = sequential_search(test_pe, ref_pe, refine_iters)
+        assert (result.conformance_t, result.translation) == expected
+
+    @pytest.mark.parametrize("name", sorted(golden.SCENARIOS))
+    def test_golden_cells(self, name):
+        test_trials, reference_trials, config = golden.SCENARIOS[name]()
+        self.check(
+            build_envelope(test_trials, config),
+            build_envelope(reference_trials, config),
+        )
+
+    @pytest.mark.parametrize("refine_iters", [0, 1, 5])
+    def test_scorer_pairs(self, refine_iters):
+        for test_pe, ref_pe in scorer_pairs():
+            self.check(test_pe, ref_pe, refine_iters)
 
 
 class TestLegacyConformance:
@@ -175,7 +245,7 @@ class TestLegacyConformance:
 def test_evaluate_conformance_end_to_end():
     test_trials = [blob((0.3, 0.3), seed=t) for t in range(3)]
     ref_trials = [blob((0, 0), seed=10 + t) for t in range(3)]
-    result = evaluate_conformance(test_trials, ref_trials)
+    result = evaluate_conformance(test_trials, build_envelope(ref_trials))
     assert 0 <= result.conformance <= 1
     assert result.conformance_t >= result.conformance
     row = result.summary_row()

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.geometry import (
     convex_hull,
     convex_intersection,
+    half_planes,
     intersect_polygons,
     point_in_convex_polygon,
     points_in_convex_polygon,
+    points_in_polygons,
     polygon_area,
     polygon_centroid,
+    polygon_stack,
     translate_polygon,
 )
 
@@ -273,3 +276,28 @@ class TestLoopReferences:
         arr = np.array(pts, dtype=float).reshape(-1, 2)
         for poly in (self.hull(hull_pts), self.hull(hull_pts)[::-1]):
             assert np.array_equal(points_in_convex_polygon(arr, poly), self.membership(arr, poly))
+
+    @given(clouds, st.lists(clouds, min_size=0, max_size=3),
+           st.lists(st.tuples(st.floats(-40, 40), st.floats(-40, 40)), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_translated_membership_equals_loop_reference(
+        self, pts, hull_clouds, offsets
+    ):
+        """Padded stacks of hulls of different sizes, clockwise ones
+        among them, translated by a batch of offsets: membership in their
+        union equals the per-hull loop on each translated hull."""
+        arr = np.array(pts, dtype=float).reshape(-1, 2)
+        hulls = [self.hull(cloud) for cloud in hull_clouds]
+        hulls = [h if i % 2 else h[::-1] for i, h in enumerate(hulls) if len(h)]
+        offs = np.array(offsets, dtype=float).reshape(-1, 2)
+        vertices, successors, sizes = polygon_stack(hulls)
+        shift = offs[:, None, None]
+        mask = points_in_polygons(
+            arr + offs[:, None], half_planes(vertices + shift, successors + shift, sizes)
+        )
+        assert mask.shape == (len(offs), len(arr))
+        for row, off in zip(mask, offs):
+            expected = np.zeros(len(arr), dtype=bool)
+            for hull in hulls:
+                expected |= self.membership(arr + off, hull + off)
+            assert np.array_equal(row, expected)

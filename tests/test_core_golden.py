@@ -1,9 +1,10 @@
 """Golden analysis digests: the PE pipeline's output, pinned bit for bit.
 
-Each scenario runs :func:`evaluate_conformance` on fixed inputs and
-hashes every field of the result: Conformance, Conformance-T, Conf-old,
-both translation deltas, each envelope's k, retention curve and
-``all_points``, and each cluster's hull, member points and centroid.
+Each scenario builds the reference envelope from fixed inputs, runs
+:func:`evaluate_conformance` against it and hashes every field of the
+result: Conformance, Conformance-T, Conf-old, both translation deltas,
+each envelope's k, retention curve and ``all_points``, and each
+cluster's hull, member points and centroid.
 Floats enter the hash through ``repr`` and arrays through ``tobytes``,
 so any change to the k-means, hull, clipping, membership or translation
 arithmetic changes the digest.
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.conformance import evaluate_conformance
-from repro.core.envelope import EnvelopeConfig
+from repro.core.envelope import EnvelopeConfig, build_envelope
 from repro.core.sampling import sample_points
 from repro.harness.config import NetworkCondition
 from repro.harness.runner import Impl, run_pair
@@ -163,5 +164,6 @@ def analysis_digest(result) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_analysis_output_matches_pinned_digest(name):
     test_trials, reference_trials, config = SCENARIOS[name]()
-    result = evaluate_conformance(test_trials, reference_trials, config)
+    reference = build_envelope(reference_trials, config)
+    result = evaluate_conformance(test_trials, reference, config)
     assert analysis_digest(result) == GOLDEN[name]

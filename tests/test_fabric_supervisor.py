@@ -201,6 +201,40 @@ def test_replacement_supervisor_adopts_registry(q, clock):
     assert decision.spawned == [] and decision.drained == []
 
 
+def test_unregistered_launch_is_not_launched_again(q, clock):
+    """A launched worker that is still importing is not in the registry
+    yet.  It counts as capacity until its grace period ends, so ticks
+    every 0.1 s launch it once, not once per tick, and launch it again
+    only once the grace period is over."""
+    launched = []
+    sup = FleetSupervisor(
+        q,
+        config=SupervisorConfig(
+            min_workers=1, scale_up_after=1, heartbeat_timeout_s=5.0
+        ),
+        spawn=lambda name, version: launched.append(name),
+        clock=clock,
+    )
+    first = sup.tick()
+    assert first.spawned == ["fleet-000"]
+    for _ in range(49):
+        clock.advance(0.1)
+        decision = sup.tick()
+        assert decision.spawned == [] and decision.starting == ["fleet-000"]
+    assert launched == ["fleet-000"]
+    clock.advance(0.2)  # 5.1 s after the launch
+    assert sup.tick().spawned == ["fleet-000"]
+    assert launched == ["fleet-000", "fleet-000"]
+
+
+def test_registered_launch_leaves_starting(q, clock):
+    sup, _ = make_supervisor(q, clock, min_workers=1, scale_up_after=1)
+    assert sup.tick().spawned == ["fleet-000"]
+    decision = sup.tick()
+    assert decision.live == 1 and decision.starting == []
+    assert decision.spawned == []
+
+
 def _world_sleep(clock, q):
     """A fake sleep that also plays the world: time passes and any
     draining worker finishes up and exits."""

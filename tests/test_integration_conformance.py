@@ -119,3 +119,45 @@ def test_evaluation_never_resimulates(monkeypatch, entry):
         run_matrix([CONDITION], cells, config, executor=executor)
     # 2 cells x 2 test trials + 2 reference trials both cells share.
     assert len(calls) == len(_unique_trial_keys(cells, config)) == 6
+
+
+def test_each_reference_envelope_is_built_once(monkeypatch, fresh_executor):
+    """4 cells over 2 kernel references build 4 test and 2 reference
+    envelopes, through the attribute perfbench's envelope span wraps,
+    and each cell still equals an evaluation with its own reference."""
+    import importlib
+
+    from repro.core.conformance import evaluate_conformance
+    from repro.core.envelope import build_envelope
+    from repro.exec import measurement_trial_jobs
+    from repro.harness import conformance as harness
+    from repro.harness.conformance import heatmap_cells, measure_cells
+    from tests.test_core_golden import analysis_digest
+
+    core = importlib.import_module("repro.core.conformance")
+    config = ExperimentConfig(duration_s=3.0, trials=2)
+    cells = heatmap_cells(CONDITION, ("cubic", "reno"), ("quicgo", "xquic"))
+    assert len(cells) == 4
+    builds, evaluations = [], []
+
+    def counting_build(trials, *args):
+        builds.append(len(trials))
+        return build_envelope(trials, *args)
+
+    def counting_evaluate(*args):
+        evaluations.append(args)
+        return evaluate_conformance(*args)
+
+    monkeypatch.setattr(core, "build_envelope", counting_build)
+    monkeypatch.setattr(harness, "evaluate_conformance", counting_evaluate)
+    measurements = measure_cells(cells, config, fresh_executor)
+    assert len(builds) == 6 and len(evaluations) == 4
+
+    monkeypatch.undo()
+    for cell, measurement in zip(cells, measurements):
+        jobs = measurement_trial_jobs(cell.stack, cell.cca, CONDITION, config)
+        values = fresh_executor.run(jobs)
+        alone = evaluate_conformance(
+            values[:2], build_envelope(values[2:], config.envelope), config.envelope
+        )
+        assert analysis_digest(measurement.result) == analysis_digest(alone)
