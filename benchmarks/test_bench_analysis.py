@@ -2,8 +2,8 @@
 
 Analyses one fixed cell, the seeded two-cluster clouds of
 ``tests/test_core_golden.py`` (three trials of 80 points per side, k
-chosen by the retention rule): it builds the reference envelope and runs
-:func:`evaluate_conformance` against it, and emits
+chosen by the retention rule): it builds both envelopes and runs
+:func:`evaluate_conformance` on them, and emits
 ``output/BENCH_analysis.json``.  An untimed run under ``cProfile`` counts
 every Python and builtin call of one such analysis, after a first one
 has warmed the imports.  ``calls_per_cell`` therefore depends
@@ -41,8 +41,10 @@ def _cell():
 
 
 def _analyse(test, ref, config):
-    """One cell's analysis, its reference envelope included."""
-    return evaluate_conformance(test, build_envelope(ref, config), config)
+    """One cell's analysis, both envelopes included."""
+    return evaluate_conformance(
+        build_envelope(test, config), build_envelope(ref, config)
+    )
 
 
 def test_bench_analysis_calls_per_cell(benchmark):

@@ -18,14 +18,9 @@ Run:  python examples/application_cca_selection.py
 """
 
 from repro import ExperimentConfig, NetworkCondition
-from repro.core import (
-    build_envelope,
-    bulk_transfer_region,
-    live_streaming_region,
-    select_cca,
-)
+from repro.core import bulk_transfer_region, live_streaming_region, select_cca
 from repro.harness import reporting
-from repro.harness.conformance import reference_trials
+from repro.harness.conformance import reference_envelope
 
 
 def main() -> None:
@@ -36,8 +31,7 @@ def main() -> None:
     print(f"Profiling kernel CCAs at {condition.describe()}...")
     candidates = {}
     for cca in ("cubic", "bbr", "reno"):
-        trials = reference_trials(cca, condition, config)
-        candidates[cca] = build_envelope(trials)
+        candidates[cca] = reference_envelope(cca, condition, config)
         pts = candidates[cca].all_points
         print(f"  {cca:5s}: delay {pts[:,0].mean():5.1f} ms, "
               f"throughput {pts[:,1].mean():5.1f} Mbps over {len(pts)} samples")

@@ -54,7 +54,9 @@ def main() -> None:
     print("Running 3 reference trials (kernel Reno vs itself)...")
     ref_trials = [run_trial(kernel_reno, seed, condition) for seed in (11, 12, 13)]
 
-    result = evaluate_conformance(test_trials, build_envelope(ref_trials))
+    result = evaluate_conformance(
+        build_envelope(test_trials), build_envelope(ref_trials)
+    )
     rows = [[
         round(result.conformance, 2),
         round(result.conformance_t, 2),

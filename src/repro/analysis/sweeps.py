@@ -12,7 +12,7 @@ knob moves both axes, §3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,10 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 from repro.cca.bbr import BBR, BBRConfig
 from repro.core.conformance import evaluate_conformance
-from repro.core.envelope import build_envelope
-from repro.core.sampling import sample_points
+from repro.core.sampling import SamplingConfig, sample_points
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig, NetworkCondition
+from repro.harness.envelopes import memoized_envelope
 from repro.harness import scenarios
 from repro.netsim.network import Network
 from repro.stacks import registry
@@ -51,14 +51,20 @@ class SweepPoint:
         }
 
 
-def sweep_cache_key(
+def sweep_trial_identity(
     cwnd_gain: float,
     condition: NetworkCondition,
     config: ExperimentConfig,
     trial: int,
-) -> str:
-    """Cache key (and seed source) of one modified-BBR trial."""
-    return cache_key(
+) -> Tuple[int, str]:
+    """The (seed, cache key) pair of one modified-BBR trial.
+
+    The seed depends only on what is simulated; the key also names how
+    the trace is sampled, as :func:`repro.harness.runner.trial_identity`
+    does.  The paper's default sampling adds nothing to the key, so a
+    default sweep keeps the keys (and stored trials) it always had.
+    """
+    key = cache_key(
         kind="bbr_gain_sweep",
         gain=cwnd_gain,
         condition=condition.physical_key(),
@@ -66,6 +72,17 @@ def sweep_cache_key(
         trial=trial,
         seed=config.seed,
     )
+    seed = int(cache_key(kind="seed", base=key)[:8], 16)
+    if config.sampling != SamplingConfig():
+        key = cache_key(
+            kind="bbr_gain_sweep",
+            base=key,
+            sampling=(
+                config.sampling.sample_rtts,
+                config.sampling.truncate_fraction,
+            ),
+        )
+    return seed, key
 
 
 def compute_gain_trial(
@@ -76,13 +93,12 @@ def compute_gain_trial(
 ) -> np.ndarray:
     """One modified-BBR trial.  Module-level (picklable) so the sweep can
     run through ``repro.exec`` with identical seeds/keys."""
-    key = sweep_cache_key(cwnd_gain, condition, config, trial)
+    seed, _key = sweep_trial_identity(cwnd_gain, condition, config, trial)
     linux = registry.reference()
     test_spec = linux.flow_spec("bbr", label=f"bbr-gain-{cwnd_gain}")
     mss = test_spec.sender_config.mss
     test_spec.cca_factory = lambda: BBR(mss, BBRConfig(cwnd_gain=cwnd_gain))
     ref_spec = linux.flow_spec("bbr", label="bbr-ref")
-    seed = int(cache_key(kind="seed", base=key)[:8], 16)
     network = Network(
         condition.link_config(),
         [test_spec, ref_spec],
@@ -107,23 +123,29 @@ def cwnd_gain_sweep(
     Every (gain, trial) simulation runs as one campaign on ``executor``
     (default: a jobs=1 :class:`~repro.exec.Executor` over the
     process-wide cache); the points are evaluated from the values it
-    returns — the reference trials first, then each gain's trials.  The
-    reference envelope is built once and every gain is scored against it.
+    returns — the reference trials first, then each gain's trials.  Every
+    envelope comes from the process-wide memo
+    (:func:`repro.harness.envelopes.memoized_envelope`), so the reference
+    is built once and every gain is scored against it.
     """
     from repro.exec import Executor, sweep_trial_jobs
 
     condition = condition or scenarios.shallow_buffer()
+    jobs = sweep_trial_jobs(gains, condition, config)
     values = (executor or Executor()).run(
-        sweep_trial_jobs(gains, condition, config),
-        campaign=f"sweep:cwnd-gain@{condition.describe()}",
+        jobs, campaign=f"sweep:cwnd-gain@{condition.describe()}"
     )
     trials = config.trials
-    reference = build_envelope(values[:trials], config.envelope)
+    # The reference trials, then each gain's trials.
+    groups = [
+        (jobs[start:start + trials], values[start:start + trials])
+        for start in range(0, len(jobs), trials)
+    ]
+    reference = memoized_envelope(*groups[0], config.envelope)
     points: List[SweepPoint] = []
     for index, gain in enumerate(gains):
-        start = trials * (index + 1)
         result = evaluate_conformance(
-            values[start:start + trials], reference, config.envelope
+            memoized_envelope(*groups[index + 1], config.envelope), reference
         )
         points.append(
             SweepPoint(

@@ -426,8 +426,7 @@ def cmd_regression(args) -> int:
 def cmd_select(args) -> int:
     """Rank kernel CCAs for an application's desired region."""
     from repro.core.apps import DesiredRegion, select_cca
-    from repro.core.envelope import build_envelope
-    from repro.harness.conformance import reference_trials
+    from repro.harness.conformance import reference_envelope
 
     condition = _condition(args)
     config = _config(args)
@@ -436,10 +435,9 @@ def cmd_select(args) -> int:
         min_throughput_mbps=args.min_tput,
         label="cli",
     )
-    candidates = {}
-    for cca in registry.CCAS:
-        trials = reference_trials(cca, condition, config)
-        candidates[cca] = build_envelope(trials)
+    candidates = {
+        cca: reference_envelope(cca, condition, config) for cca in registry.CCAS
+    }
     scores = select_cca(region, candidates)
     rows = [
         [s.name, round(s.point_fraction, 2), round(s.area_fraction, 2)]

@@ -166,7 +166,7 @@ def sweep_trial_jobs(
     """All trials of the Fig. 5 cwnd-gain sweep: the reference runs first,
     then each gain's trials in order (a key repeated across gains is
     computed once by :meth:`~repro.exec.Executor.run`)."""
-    from repro.analysis.sweeps import compute_gain_trial, sweep_cache_key
+    from repro.analysis.sweeps import compute_gain_trial, sweep_trial_identity
 
     pairs = [(2.0, trial + 1000) for trial in range(config.trials)]
     pairs += [(gain, trial) for gain in gains for trial in range(config.trials)]
@@ -174,7 +174,7 @@ def sweep_trial_jobs(
         Job(
             fn=compute_gain_trial,
             args=(gain, condition, config, trial),
-            key=sweep_cache_key(gain, condition, config, trial),
+            key=sweep_trial_identity(gain, condition, config, trial)[1],
             label=f"bbr gain {gain:g} trial {trial} @ {condition.describe()}",
         )
         for gain, trial in pairs

@@ -19,8 +19,11 @@ Crash-safety is lease-based, not protocol-based: a worker that is
 SIGKILLed mid-campaign simply stops heartbeating, its lease expires,
 and the task returns to the queue for the next worker.  Completed
 trials are already durable (shared mode) or recomputed deterministically
-(remote mode), and content-addressed keys dedupe either way.  All HTTP
-calls ride the unified :class:`repro.faults.RetryPolicy`.
+(remote mode), and content-addressed keys dedupe either way.  The
+``complete``, ``fail`` and ``deregister`` HTTP calls ride the unified
+:class:`repro.faults.RetryPolicy`.  A lease request is one attempt: the
+lease loop backs off itself (capped, jittered, and cut short by
+:meth:`FabricWorker.stop`), and a heartbeat is never retried.
 
 Drain is the *graceful* exit the supervisor uses for scale-down and
 rolling upgrades: a ``{"drain": true}`` lease response or a heartbeat
@@ -35,16 +38,22 @@ from __future__ import annotations
 
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 from typing import Callable, List, Optional
 
 from repro.exec import close_pools
 from repro.exec.telemetry import default_clock
 from repro.faults import inject
-from repro.faults.retry import RetryPolicy, default_sleep
+from repro.faults.retry import RetryPolicy
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import run_campaign
 from repro.service.specs import parse_campaign_spec
+
+
+#: Statuses of a transient failure: a dropped connection (0), coordinator
+#: backpressure (429) and a coordinator that is not ready (503).
+TRANSIENT_STATUSES = (0, 429, 503)
 
 
 class _LeaseLost(Exception):
@@ -128,9 +137,10 @@ class LocalTransport:
 class HttpTransport:
     """The production transport: the coordinator's HTTP fabric endpoints
     via :class:`ServiceClient`, with transient failures (connection drops
-    and backpressure) retried through one :class:`RetryPolicy`."""
+    and backpressure) of the reports retried through one
+    :class:`RetryPolicy`."""
 
-    RETRYABLE_STATUSES = (0, 429, 503)
+    RETRYABLE_STATUSES = TRANSIENT_STATUSES
 
     def __init__(
         self,
@@ -161,11 +171,11 @@ class HttpTransport:
     def lease(
         self, worker: str, ttl_s: float, version: str = ""
     ) -> Optional[dict]:
-        return self._call(
-            lambda: self.client.fabric_lease(
-                worker, ttl_s=ttl_s, version=version
-            )
-        )
+        # One attempt, not retried: ``FabricWorker.run`` backs off on a
+        # failed lease in a pause that ``stop()`` ends, where a retry
+        # loop here would keep a stopping worker polling a coordinator
+        # that is gone.
+        return self.client.fabric_lease(worker, ttl_s=ttl_s, version=version)
 
     def heartbeat(
         self,
@@ -221,7 +231,7 @@ class FabricWorker:
         ttl_s: float = 30.0,
         version: str = "",
         drain_policy: str = "finish",
-        sleep: Callable[[float], None] = default_sleep,
+        sleep: Optional[Callable[[float], None]] = None,
         clock: Callable[[], float] = default_clock,
         log: Optional[Callable[[str], None]] = None,
     ):
@@ -248,10 +258,24 @@ class FabricWorker:
         #: True once a drain directive has been observed; the lease loop
         #: exits and the worker deregisters.
         self.drained = False
-        self._sleep = sleep
         self._clock = clock
         self._log = log or (lambda msg: None)
         self._stop = threading.Event()
+        #: Pauses between lease polls; by default :meth:`stop` ends one.
+        self._sleep = sleep or self._stop.wait
+        #: Pause after consecutive failed lease requests: from ``poll_s``,
+        #: doubling up to 5 s, with a per-worker jitter so a fleet backing
+        #: off one coordinator's 429s does not poll in step.  A ``once``
+        #: run gives up after 60 s of transient failures.
+        self._lease_backoff = RetryPolicy(
+            max_attempts=None,
+            backoff_s=self.poll_s,
+            backoff_cap_s=max(5.0, self.poll_s),
+            deadline_s=60.0,
+            jitter=0.5,
+            seed=zlib.crc32(name.encode()),
+            clock=clock,
+        )
 
     def stop(self) -> None:
         """Finish the current campaign, then exit the lease loop."""
@@ -263,21 +287,39 @@ class FabricWorker:
         """Pull and execute leases; returns how many tasks were handled.
 
         ``once=True`` exits at the first empty poll (smoke tests drain
-        the queue and stop); otherwise the loop polls until
-        :meth:`stop`.
+        the queue and stop), or when a lease request fails for good: at
+        once on a status that is not transient, else after 60 s of
+        transient failures.  Otherwise the loop polls until
+        :meth:`stop`, backing off while lease requests fail.
         """
         handled = 0
+        failures = 0  # consecutive failed lease requests
+        failing_since = 0.0
         while not self._stop.is_set():
             try:
                 lease = self.transport.lease(
                     self.name, self.ttl_s, self.version
                 )
             except ServiceError as exc:
-                self._log(f"{self.name}: lease failed ({exc}); backing off")
-                if once:
+                if failures == 0:
+                    failing_since = self._clock()
+                failures += 1
+                pause = self._lease_backoff.backoff(failures)
+                if once and (
+                    exc.status not in TRANSIENT_STATUSES
+                    or self._lease_backoff.give_up(
+                        failing_since, failures, pause
+                    )
+                ):
+                    self._log(f"{self.name}: lease failed ({exc}); giving up")
                     break
-                self._sleep(self.poll_s)
+                self._log(
+                    f"{self.name}: lease failed ({exc}); "
+                    f"retrying in {pause:.2f}s"
+                )
+                self._sleep(pause)
                 continue
+            failures = 0
             if isinstance(lease, dict) and lease.get("drain"):
                 # Durable drain directive instead of work: we hold no
                 # lease right now, so exit immediately.

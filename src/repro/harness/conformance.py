@@ -9,7 +9,6 @@ Conformance-T, Conf-old, Δ-throughput, Δ-delay).
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
@@ -24,14 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 from repro.core.conformance import ConformanceResult, evaluate_conformance
 from repro.core.envelope import PerformanceEnvelope
 from repro.harness.config import ExperimentConfig, NetworkCondition
+from repro.harness.envelopes import memoized_envelope
 from repro.harness.runner import Impl, reference_impl
 from repro.netsim.crosstraffic import CrossTrafficConfig
 from repro.netsim.path import NetemConfig
 from repro.stacks import registry
-
-#: The ``repro.core.conformance`` module (``repro.core`` re-exports a
-#: function of that name, which a plain import would find instead).
-_core_conformance = importlib.import_module("repro.core.conformance")
 
 
 @dataclass
@@ -151,42 +147,38 @@ def measure_cells(
     as one ``executor.run`` (default: a jobs=1
     :class:`~repro.exec.Executor` over the process-wide cache), which
     computes a trial shared between cells once.  Each cell is then
-    evaluated from its slice of the returned values, against a reference
-    envelope built once for all the cells that share its reference
-    trials.  ``progress`` is called with ``"<stack>/<cca> @ <condition>"``
-    before each cell is evaluated.
+    evaluated from its slice of the returned values, its test and
+    reference envelopes taken from the process-wide memo
+    (:func:`repro.harness.envelopes.memoized_envelope`): a reference
+    shared by several cells, or a PE already built by an earlier
+    campaign over the same trials, is not built again.  ``progress`` is
+    called with ``"<stack>/<cca> @ <condition>"`` before each cell is
+    evaluated.
     """
     from repro.exec import Executor, measurement_trial_jobs
 
     trials = config.trials
     jobs = []
-    reference_keys = []
     for cell in cells:
-        cell_jobs = measurement_trial_jobs(
+        jobs += measurement_trial_jobs(
             cell.stack, cell.cca, cell.condition, config, cell.variant,
             cell.reference_variant, cross_traffic, wan_netem,
         )
-        jobs += cell_jobs
-        reference_keys.append(tuple(job.key for job in cell_jobs[trials:]))
     values = (executor or Executor()).run(jobs, campaign=campaign)
-    # Cells whose reference trials are the same jobs share one reference
-    # envelope, built once through the core module's attribute (where
-    # perfbench's ``analysis.envelope`` span wraps it).
-    references: Dict[Tuple[str, ...], PerformanceEnvelope] = {}
+    # Each cell's test trials, then its reference trials.
+    groups = [
+        (jobs[start:start + trials], values[start:start + trials])
+        for start in range(0, len(jobs), trials)
+    ]
     measurements = []
     for index, cell in enumerate(cells):
         if progress is not None:
             progress(f"{cell.stack}/{cell.cca} @ {cell.condition.describe()}")
-        start = 2 * trials * index
-        key = reference_keys[index]
-        if key not in references:
-            references[key] = _core_conformance.build_envelope(
-                values[start + trials:start + 2 * trials], config.envelope
-            )
         # Called through this module's global, once per cell: perfbench's
         # ``analysis.evaluate`` span (and its cell count) wraps it here.
         result = evaluate_conformance(
-            values[start:start + trials], references[key], config.envelope
+            memoized_envelope(*groups[2 * index], config.envelope),
+            memoized_envelope(*groups[2 * index + 1], config.envelope),
         )
         measurements.append(
             ConformanceMeasurement(
@@ -196,6 +188,24 @@ def measure_cells(
             )
         )
     return measurements
+
+
+def reference_envelope(
+    cca: str,
+    condition: NetworkCondition,
+    config: ExperimentConfig,
+    executor: Optional["Executor"] = None,
+) -> PerformanceEnvelope:
+    """The kernel reference PE for a CCA (:func:`reference_trials`), from
+    the process-wide envelope memo."""
+    from repro.exec import Executor, pair_trial_jobs
+
+    ref = reference_impl(cca)
+    jobs = pair_trial_jobs(ref, ref, condition, config)
+    trials = (executor or Executor()).run(
+        jobs, campaign=f"trials:{ref}-vs-{ref}@{condition.describe()}"
+    )
+    return memoized_envelope(jobs, trials, config.envelope)
 
 
 def measure_conformance(

@@ -118,6 +118,31 @@ def test_cwnd_gain_sweep_structure(fresh_executor):
         assert p.conformance_t >= p.conformance - 1e-9
 
 
+def test_sweeps_at_two_samplings_build_two_envelopes():
+    """The sweep's trial keys name its sampling, so a sweep at another
+    ``sample_rtts`` neither reads the first sweep's trials nor gets its
+    memoized envelopes."""
+    import dataclasses
+
+    from repro.exec import sweep_trial_jobs
+    from repro.harness.cache import ResultCache
+    from repro.harness.envelopes import memoized_envelope
+
+    configs = [QUICK, dataclasses.replace(
+        QUICK, sampling=dataclasses.replace(QUICK.sampling, sample_rtts=5.0))]
+    references = []
+    for config in configs:
+        executor = Executor(cache=ResultCache())
+        cwnd_gain_sweep(gains=(2.0,), condition=CONDITION, config=config,
+                        executor=executor)
+        jobs = sweep_trial_jobs((2.0,), CONDITION, config)[:config.trials]
+        references.append(memoized_envelope(
+            jobs, executor.run(jobs), config.envelope))
+    default, finer = references
+    # Sampling every 5 RTTs instead of 10 gives about twice the points.
+    assert len(finer.all_points) > 1.5 * len(default.all_points)
+
+
 def test_transitivity_violation_detection():
     impls = [Impl("a", "cubic"), Impl("b", "cubic"), Impl("c", "cubic")]
     # a beats b, b beats c, but a does not beat c: one violating triple.

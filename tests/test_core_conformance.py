@@ -245,7 +245,9 @@ class TestLegacyConformance:
 def test_evaluate_conformance_end_to_end():
     test_trials = [blob((0.3, 0.3), seed=t) for t in range(3)]
     ref_trials = [blob((0, 0), seed=10 + t) for t in range(3)]
-    result = evaluate_conformance(test_trials, build_envelope(ref_trials))
+    result = evaluate_conformance(
+        build_envelope(test_trials), build_envelope(ref_trials)
+    )
     assert 0 <= result.conformance <= 1
     assert result.conformance_t >= result.conformance
     row = result.summary_row()

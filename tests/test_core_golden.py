@@ -1,10 +1,10 @@
 """Golden analysis digests: the PE pipeline's output, pinned bit for bit.
 
-Each scenario builds the reference envelope from fixed inputs, runs
-:func:`evaluate_conformance` against it and hashes every field of the
-result: Conformance, Conformance-T, Conf-old, both translation deltas,
-each envelope's k, retention curve and ``all_points``, and each
-cluster's hull, member points and centroid.
+Each scenario builds the test and reference envelopes from fixed
+inputs, runs :func:`evaluate_conformance` on them and hashes every
+field of the result: Conformance, Conformance-T, Conf-old, both
+translation deltas, each envelope's k, retention curve and
+``all_points``, and each cluster's hull, member points and centroid.
 Floats enter the hash through ``repr`` and arrays through ``tobytes``,
 so any change to the k-means, hull, clipping, membership or translation
 arithmetic changes the digest.
@@ -164,6 +164,8 @@ def analysis_digest(result) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_analysis_output_matches_pinned_digest(name):
     test_trials, reference_trials, config = SCENARIOS[name]()
-    reference = build_envelope(reference_trials, config)
-    result = evaluate_conformance(test_trials, reference, config)
+    result = evaluate_conformance(
+        build_envelope(test_trials, config),
+        build_envelope(reference_trials, config),
+    )
     assert analysis_digest(result) == GOLDEN[name]

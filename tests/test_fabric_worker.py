@@ -6,6 +6,7 @@ one end-to-end test runs a real campaign in remote mode to prove the
 bundle round trip into the coordinator's store.
 """
 
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.queue import WorkQueue
-from repro.fabric.worker import FabricWorker, LocalTransport
+from repro.fabric.worker import FabricWorker, HttpTransport, LocalTransport
 from repro.service.client import ServiceError
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.service.specs import parse_campaign_spec
@@ -40,15 +41,21 @@ LEASE = {
 class ScriptTransport:
     """Records every protocol call; heartbeat replies come from a list."""
 
-    def __init__(self, beats=None, beat_errors=0):
+    def __init__(self, beats=None, beat_errors=0, leases=None):
         self.beats = list(beats or [])
         self.beat_errors = beat_errors
+        #: Lease replies in order: an exception is raised, anything else
+        #: returned; ``None`` (idle) once the list is used up.
+        self.leases = list(leases or [])
         self.heartbeats = []
         self.completions = []
         self.failures = []
 
-    def lease(self, worker, ttl_s):
-        return None
+    def lease(self, worker, ttl_s, version=""):
+        reply = self.leases.pop(0) if self.leases else None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def heartbeat(self, campaign, lease_id, ttl_s, progress):
         if self.beat_errors > 0:
@@ -93,6 +100,91 @@ def test_idle_once_poll_returns_zero(tmp_path):
         assert worker.run(once=True) == 0
     finally:
         coordinator.shutdown(drain=False)
+
+
+def _closed_port() -> int:
+    """A localhost port nothing listens on (connections are refused)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_stop_ends_the_loop_against_a_gone_coordinator():
+    """A lease request to a closed port fails at once, so ``run`` sees
+    ``stop()`` within about one ``poll_s`` instead of retrying the lease
+    for up to a minute."""
+    poll_s = 0.2
+    worker = FabricWorker(
+        HttpTransport(f"http://127.0.0.1:{_closed_port()}"), poll_s=poll_s
+    )
+    runner = threading.Thread(target=worker.run, daemon=True)
+    runner.start()
+    time.sleep(2 * poll_s)  # a few failed lease polls
+    stopped = time.monotonic()
+    worker.stop()
+    runner.join(timeout=10.0)
+    assert not runner.is_alive()
+    assert time.monotonic() - stopped < poll_s + 1.0
+
+
+class FakeTime:
+    """A clock that only the worker's pauses move."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pauses = []
+
+    def clock(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.pauses.append(seconds)
+        self.now += seconds
+
+
+def test_once_survives_a_transient_lease_failure():
+    """One 503 on lease is backed off, not taken for an empty queue."""
+    time_ = FakeTime()
+    transport = ScriptTransport(
+        leases=[ServiceError(503, "not ready"), dict(LEASE)]
+    )
+    worker = FabricWorker(
+        transport, poll_s=0.5, ttl_s=5.0,
+        sleep=time_.sleep, clock=time_.clock,
+    )
+    worker._execute = lambda lease, progress: ({"cells": 1}, None)
+    assert worker.run(once=True) == 1
+    assert len(transport.completions) == 1
+    [pause] = time_.pauses
+    assert 0.5 <= pause <= 0.75
+
+
+def test_once_gives_up_on_a_lasting_lease_failure():
+    """Transient failures back off from ``poll_s``, doubling up to a cap
+    with a per-worker jitter, until 60 s have passed; a status that is
+    not transient ends a ``once`` run at once."""
+    pauses = {}
+    for name in ("w1", "w2"):
+        time_ = FakeTime()
+        refused = [ServiceError(0, "connection refused")] * 100
+        worker = FabricWorker(
+            ScriptTransport(leases=refused), name=name, poll_s=0.5,
+            sleep=time_.sleep, clock=time_.clock,
+        )
+        assert worker.run(once=True) == 0
+        assert 50.0 < time_.now < 60.0
+        assert all(0.5 <= p <= 7.5 for p in time_.pauses)
+        assert max(time_.pauses) > 5.0  # it reached the cap
+        pauses[name] = time_.pauses
+    assert pauses["w1"] != pauses["w2"]  # the fleet does not poll in step
+
+    time_ = FakeTime()
+    worker = FabricWorker(
+        ScriptTransport(leases=[ServiceError(404, "no fabric")]),
+        sleep=time_.sleep, clock=time_.clock,
+    )
+    assert worker.run(once=True) == 0
+    assert time_.pauses == []
 
 
 def test_lease_lost_abandons_without_completion():
