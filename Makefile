@@ -76,10 +76,10 @@ cca-smoke:
 fabric-smoke:
 	python examples/fabric_smoke.py
 
-# Self-healing fleet exercise: a sharded warehouse (3 shards) behind the
-# coordinator, two v1 workers, a rolling upgrade to v2 mid-campaign, and
-# a byte-for-byte diff of the sharded store against a single-shard
-# single-process run.
+# Self-healing fleet exercise: the coordinator on a single-file
+# warehouse, two v1 workers, a rolling upgrade to v2 mid-campaign (every
+# campaign done in one lease attempt), and a byte-for-byte diff of the
+# warehouse against a single-process run.
 fleet-smoke:
 	python examples/fleet_smoke.py
 

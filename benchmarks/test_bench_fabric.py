@@ -17,7 +17,6 @@ protocol guarantees live in the tier-1 fabric test suite.
 import threading
 import time
 
-import numpy as np
 from conftest import emit_bench, run_once
 
 from repro.fabric.coordinator import Coordinator
@@ -25,13 +24,10 @@ from repro.fabric.queue import WorkQueue
 from repro.fabric.worker import FabricWorker, LocalTransport
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.service.specs import parse_campaign_spec
-from repro.store import open_store
 
 N_QUEUE_TASKS = 200
 FLEET_SIZES = (1, 2, 4)
 CAMPAIGNS_PER_FLEET = 4
-N_STORE_TRIALS = 300
-STORE_SHARDS = 4
 
 SPEC = {
     "kind": "conformance",
@@ -85,61 +81,6 @@ def test_queue_throughput(benchmark, tmp_path, save_artifact):
     )
     # Generous floor: a 10x regression in the SQLite layer trips this.
     assert tasks_per_s > 5
-
-
-def test_sharded_store_throughput(benchmark, tmp_path, save_artifact):
-    """Streaming ingest + full read-back through a sharded warehouse.
-
-    Every trial is one content-addressed payload hash-routed to a shard
-    plus a run link on the meta shard — the same write path a fleet of
-    workers drives concurrently, so a dispatch or transaction slip in
-    :class:`repro.store.ShardedResultStore` shows up here first.
-    """
-    payloads = [
-        np.full((256,), float(i)) for i in range(N_STORE_TRIALS)
-    ]
-
-    def cycle():
-        root = tmp_path / "warehouse"
-        with open_store(root, shards=STORE_SHARDS) as store:
-            run = store.ensure_run("bench")
-            t0 = time.perf_counter()
-            for i, payload in enumerate(payloads):
-                store.put_trial(f"bench-{i:05d}", payload, run=run)
-            write_wall = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            read = sum(
-                store.get_trial(f"bench-{i:05d}").shape[0]
-                for i in range(N_STORE_TRIALS)
-            )
-            read_wall = time.perf_counter() - t0
-            assert read == N_STORE_TRIALS * 256
-            assert store.counts()["shards"] == STORE_SHARDS
-            assert store.integrity_ok()
-        return write_wall, read_wall
-
-    write_wall, read_wall = run_once(benchmark, cycle)
-    write_per_s = N_STORE_TRIALS / write_wall
-    read_per_s = N_STORE_TRIALS / read_wall
-    lines = [
-        f"repro.store sharded warehouse benchmark "
-        f"({N_STORE_TRIALS} trials, {STORE_SHARDS} shards)",
-        f"put_trial: {write_per_s:,.0f} trials/s ({write_wall:.2f}s)",
-        f"get_trial: {read_per_s:,.0f} trials/s ({read_wall:.2f}s)",
-    ]
-    save_artifact("fabric_sharded_store", "\n".join(lines))
-    emit_bench(
-        __file__,
-        sharded_trials=N_STORE_TRIALS,
-        sharded_shards=STORE_SHARDS,
-        sharded_put_per_s=round(write_per_s, 1),
-        sharded_get_per_s=round(read_per_s, 1),
-    )
-    # Generous floors: an order of magnitude under the tracked rates, so
-    # only a pathological dispatch/transaction regression trips.
-    assert write_per_s > 20, write_per_s
-    assert read_per_s > 100, read_per_s
 
 
 def _drain_fleet(store_path, workers):

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Fleet smoke test: sharded warehouse + rolling upgrade, verified.
+"""Fleet smoke test: rolling upgrade of a fabric fleet, verified.
 
 The self-healing fabric across real process boundaries (CI's
 fabric-smoke flow, extended to the fleet machinery):
 
-1. boot ``repro fabric serve --shards 3`` on a free port — the
-   warehouse is a directory of shard files, trials hash-routed across
-   them with runs/queue state on the meta shard,
+1. boot ``repro fabric serve --db results.db`` on a free port — one
+   single-file warehouse holds the queue, the runs and every trial,
 2. boot two ``repro fabric worker --version v1`` subprocesses,
 3. submit three conformance campaigns and, while they are in flight,
    roll the fleet to version v2 with
@@ -15,8 +14,8 @@ fabric-smoke flow, extended to the fleet machinery):
    replacement is heartbeating before the old one is ever drained,
 4. assert every campaign completed with a single lease attempt
    (nothing lost, nothing doubled by the upgrade),
-5. diff the sharded store byte-for-byte against the same campaigns run
-   through the single-process scheduler into a single-file warehouse,
+5. diff the fleet's warehouse byte-for-byte against the same campaigns
+   run through the single-process scheduler into a second warehouse,
 6. drain the v2 fleet and SIGTERM the coordinator -> clean exits.
 
 Run:  python examples/fleet_smoke.py
@@ -42,9 +41,7 @@ from repro.service.scheduler import (  # noqa: E402
     Scheduler,
 )
 from repro.service.specs import parse_campaign_spec  # noqa: E402
-from repro.store import open_store  # noqa: E402
-
-SHARDS = 3
+from repro.store import ResultStore  # noqa: E402
 
 
 def specs():
@@ -75,8 +72,8 @@ def wait_for_listening_line(proc, timeout_s=60.0):
 
 
 def snapshots(path):
-    """Every trial payload in a warehouse (flat or sharded), as bytes."""
-    with open_store(path) as store:
+    """Every trial payload in a warehouse, as bytes."""
+    with ResultStore(path) as store:
         return {
             key: store.get_trial(key).tobytes()
             for key in store.trial_keys()
@@ -85,7 +82,7 @@ def snapshots(path):
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-fleet-smoke-"))
-    root = workdir / "warehouse"
+    db = workdir / "results.db"
 
     child_env = dict(
         os.environ,
@@ -93,11 +90,10 @@ def main() -> None:
         PYTHONUNBUFFERED="1",
     )
 
-    print(f"[1/6] booting repro fabric serve --shards {SHARDS} ({root}) ...")
+    print(f"[1/6] booting repro fabric serve --db {db} ...")
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro", "fabric", "serve",
-         "--db", str(root), "--shards", str(SHARDS),
-         "--port", "0", "--lease-ttl", "10"],
+         "--db", str(db), "--port", "0", "--lease-ttl", "10"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -111,13 +107,12 @@ def main() -> None:
         client = ServiceClient(url)
         health = client.health()
         assert health["status"] == "ok", health
-        assert health["shards"]["shards"] == SHARDS, health
 
         print("[2/6] booting two v1 fabric workers ...")
         for i in range(2):
             v1_workers.append(subprocess.Popen(
                 [sys.executable, "-m", "repro", "fabric", "worker",
-                 "--url", url, "--store", str(root),
+                 "--url", url, "--store", str(db),
                  "--name", f"smoke-w{i}", "--version", "v1",
                  "--poll", "0.2", "--ttl", "10"],
                 env=child_env,
@@ -143,7 +138,7 @@ def main() -> None:
         def spawn(name, version):
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "fabric", "worker",
-                 "--url", url, "--store", str(root),
+                 "--url", url, "--store", str(db),
                  "--name", name, "--version", version,
                  "--poll", "0.2", "--ttl", "10"],
                 env=child_env,
@@ -152,7 +147,7 @@ def main() -> None:
             print(f"  spawned {name} ({version})")
             return proc
 
-        with WorkQueue(str(root)) as queue:
+        with WorkQueue(str(db)) as queue:
             supervisor = FleetSupervisor(queue, spawn=spawn)
             rolled = supervisor.roll("v2", timeout_s=120.0)
             v2_workers = list(supervisor.handles.values())
@@ -171,7 +166,7 @@ def main() -> None:
         versions = {w["name"]: w["version"] for w in workers
                     if w["state"] == "active"}
         assert set(versions.values()) == {"v2"}, versions
-        with WorkQueue(str(root)) as queue:
+        with WorkQueue(str(db)) as queue:
             for campaign in campaigns:
                 task = queue.task(campaign["id"])
                 assert task.attempts == 1, (
@@ -180,7 +175,7 @@ def main() -> None:
                 )
         print("  every campaign: done in exactly one lease attempt")
 
-        print("[5/6] diffing against a single-shard single-process run ...")
+        print("[5/6] diffing against a single-process run ...")
         single = Scheduler(str(workdir / "direct.db"), workers=1)
         for spec in specs():
             job = single.submit(parse_campaign_spec(spec))
@@ -191,16 +186,16 @@ def main() -> None:
                 time.sleep(0.1)
             assert single.job(job.id).state == DONE, single.job(job.id).state
         single.shutdown(drain=True)
-        via_fleet = snapshots(root)
+        via_fleet = snapshots(db)
         direct = snapshots(workdir / "direct.db")
         assert via_fleet, "fleet run stored no trials"
         assert via_fleet == direct, \
-            "sharded fleet trials diverge from the single-process path"
-        with open_store(root) as store:
-            report = store.run_report("fleet-smoke")
-            assert report["partial"] is False, report
-        print(f"  {len(via_fleet)} trial payloads bit-identical across "
-              f"{SHARDS} shards")
+            "fleet trials diverge from the single-process path"
+        with ResultStore(db) as store:
+            linked = store.trial_keys("fleet-smoke")
+        assert linked == sorted(via_fleet), "fleet run links other trials"
+        print(f"  {len(via_fleet)} trial payloads bit-identical to the "
+              "single-process run")
 
         print("[6/6] draining the v2 fleet, SIGTERM coordinator ...")
         for name in sorted(versions):

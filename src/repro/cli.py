@@ -66,6 +66,7 @@ from repro.harness.config import ExperimentConfig, NetworkCondition
 from repro.harness.conformance import measure_conformance
 from repro.service.specs import SpecError
 from repro.stacks import registry
+from repro.store import ResultStore, StoreError
 
 
 def _add_condition_args(parser: argparse.ArgumentParser) -> None:
@@ -141,9 +142,7 @@ def _run_spec(args, payload: dict):
     )
     print(summary["exec"]["text"])
     if store:
-        from repro.store import open_store
-
-        with open_store(store) as warehouse:
+        with ResultStore(store) as warehouse:
             counts = warehouse.counts()
         print(
             f"store: {counts['trials']} trials, {counts['measurements']} "
@@ -381,9 +380,7 @@ def cmd_regression(args) -> int:
         if not args.store:
             print("--from-store requires --store PATH", file=sys.stderr)
             return 2
-        from repro.store import open_store
-
-        with open_store(args.store) as store:
+        with ResultStore(args.store) as store:
             rows_data = regression_matrix_from_store(
                 store, MILESTONES, run_prefix=args.run or REGRESSION_RUN_PREFIX
             )
@@ -754,9 +751,9 @@ def cmd_cca_peer_matrix(args) -> int:
 
 def cmd_store_ingest(args) -> int:
     """Load manifests and/or a sideline spill."""
-    from repro.store import ingest_manifest, ingest_sideline, open_store
+    from repro.store import ingest_manifest, ingest_sideline
 
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         for path in args.manifest:
             report = ingest_manifest(store, path, run_prefix=args.run)
             print(f"{path}: {report.summary()}")
@@ -789,9 +786,7 @@ def cmd_chaos(args) -> int:
 
 def cmd_store_runs(args) -> int:
     """List a warehouse's runs and overall row counts."""
-    from repro.store import open_store
-
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         runs = store.runs()
         baselines = {run: name for name, run in store.baselines().items()}
         rows = []
@@ -822,9 +817,9 @@ def cmd_store_runs(args) -> int:
 
 def cmd_store_query(args) -> int:
     """Filtered metric export from a warehouse (table, CSV or JSON)."""
-    from repro.store import QUERY_HEADERS, ResultStore, open_store
+    from repro.store import QUERY_HEADERS
 
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         rows = store.query(
             run=args.run,
             stack=args.stack,
@@ -854,12 +849,12 @@ def cmd_store_query(args) -> int:
 
 def cmd_store_diff(args) -> int:
     """Diff two stored runs (or a run against a named baseline)."""
-    from repro.store import diff_against_baseline, diff_runs, open_store
+    from repro.store import diff_against_baseline, diff_runs
 
     if not args.baseline and not args.run_a:
         print("store diff needs --run-a or --baseline", file=sys.stderr)
         return 2
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         if args.baseline:
             diff = diff_against_baseline(
                 store, args.run_b, args.baseline,
@@ -878,9 +873,7 @@ def cmd_store_diff(args) -> int:
 
 def cmd_store_baseline(args) -> int:
     """Name a run as a regression anchor, or list the anchors."""
-    from repro.store import open_store
-
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         if args.set:
             if not args.run:
                 print("--set requires --run", file=sys.stderr)
@@ -899,9 +892,7 @@ def cmd_store_baseline(args) -> int:
 
 def cmd_store_gc(args) -> int:
     """Purge unlinked trial payloads and vacuum the warehouse file."""
-    from repro.store import open_store
-
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         report = store.gc(dry_run=args.dry_run)
     verb = "would purge" if args.dry_run else "purged"
     print(
@@ -1014,17 +1005,6 @@ def cmd_fabric_serve(args) -> int:
     from repro.fabric.coordinator import Coordinator
     from repro.service.server import ServiceApp
 
-    if args.shards and args.shards > 1:
-        # Materialise (or open) the sharded layout up front so every
-        # later open_store() on this path sees the manifest.
-        from repro.store import open_store
-
-        with open_store(args.db, shards=args.shards) as store:
-            report = store.shard_report()
-        print(
-            f"sharded warehouse at {args.db} "
-            f"({report['shards']} shards, {len(report['lost'])} lost)"
-        )
     coordinator = Coordinator(
         args.db,
         exec_jobs=args.jobs,
@@ -1216,10 +1196,9 @@ def cmd_fabric_supervise(args) -> int:
 
 def cmd_store_render(args) -> int:
     """Re-render a stored run as an SVG heatmap."""
-    from repro.store import open_store
     from repro.viz import stored_heatmap_figure
 
-    with open_store(args.db) as store:
+    with ResultStore(args.db) as store:
         figure = stored_heatmap_figure(store, args.run, metric=args.metric)
         figure.save(args.out)
     print(f"wrote {args.metric} heatmap of run {args.run!r} to {args.out}")
@@ -1540,10 +1519,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME[:WEIGHT]",
                    help="pre-register a tenant with a DRR weight "
                    "(repeatable)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="open/create the warehouse as a sharded layout "
-                   "with this many shards (a directory of shard-NNN.db "
-                   "files; trials are hash-routed, meta stays in shard 0)")
     p.set_defaults(fn=cmd_fabric_serve)
 
     p = fabric_sub.add_parser(
@@ -1658,7 +1633,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
+    except (SpecError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

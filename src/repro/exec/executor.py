@@ -173,11 +173,9 @@ class Executor:
         self.store_sink: Optional[StoreSink] = None
         if store is not None:
             if isinstance(store, (str, Path)):
-                # Autodetects sharded layouts (a shards.json directory)
-                # as well as classic single-file warehouses.
-                from repro.store.sharded import open_store
+                from repro.store import ResultStore
 
-                store = open_store(store)
+                store = ResultStore(store)
                 self._owns_store = True
             self.store_sink = StoreSink(store, run_name=store_run)
         self.telemetry = CampaignTelemetry()

@@ -33,7 +33,6 @@ _EXPORTS = {
     "QuotaExceeded": "repro.fabric.queue",
     "DEFAULT_MAX_ATTEMPTS": "repro.fabric.queue",
     "export_bundle": "repro.fabric.wire",
-    "export_bundles": "repro.fabric.wire",
     "ingest_bundle": "repro.fabric.wire",
     "encode_bundle": "repro.fabric.wire",
     "decode_bundle": "repro.fabric.wire",

@@ -43,6 +43,7 @@ from repro.service.scheduler import (
     CampaignJob,
     Scheduler,
 )
+from repro.store.warehouse import ResultStore
 
 #: Default lease time-to-live handed to workers; three missed heartbeats.
 DEFAULT_LEASE_TTL_S = 30.0
@@ -256,9 +257,7 @@ class Coordinator(Scheduler):
         re-runs the task and the content-addressed rows dedupe."""
         summary = dict(summary or {})
         if bundle is not None:
-            from repro.store.sharded import open_store
-
-            with open_store(self.store_path) as store:
+            with ResultStore(self.store_path) as store:
                 summary["ingest"] = ingest_bundle(store, bundle)
         with self._work_queue() as q:
             outcome = q.complete(campaign, lease_id, summary)

@@ -129,16 +129,8 @@ class WorkQueue:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         clock: Callable[[], float] = default_clock,
     ):
-        if isinstance(store, ResultStore) or hasattr(store, "write_transaction"):
-            # A ResultStore, or anything mirroring its transaction seam
-            # (a ShardedResultStore delegates to its meta shard).
-            self._store = store
-            self._owns_store = False
-        else:
-            from repro.store.sharded import open_store
-
-            self._store = open_store(store)
-            self._owns_store = True
+        self._owns_store = not isinstance(store, ResultStore)
+        self._store = ResultStore(store) if self._owns_store else store
         self.max_attempts = int(max_attempts)
         self._clock = clock
 

@@ -97,50 +97,6 @@ def export_bundle(store: ResultStore, runs: Iterable[str]) -> dict:
     }
 
 
-def export_bundles(
-    store: ResultStore,
-    runs: Iterable[str],
-    max_trials_per_bundle: int = 256,
-):
-    """Stream the named runs as a sequence of bounded bundles.
-
-    The sharded warehouse's merge path uses this to keep cross-shard
-    compaction at O(bundle) memory regardless of campaign size: each
-    yielded bundle carries at most ``max_trials_per_bundle`` payloads,
-    the run's measurements ride only in its first bundle, and every
-    bundle is independently replayable by :func:`ingest_bundle` — an
-    interrupted stream re-run from the start lands idempotently.
-    """
-    limit = max(1, int(max_trials_per_bundle))
-    for name in runs:
-        info = store.run(name)
-        keys = store.trial_keys(info)
-        record = {
-            "name": info.name,
-            "note": info.note,
-            "config": info.config or {},
-            "measurements": _run_measurements(store, info),
-        }
-        # Even a run with no trials yields one bundle, so the run row
-        # and its measurements always reach the destination.
-        chunks = [keys[i : i + limit] for i in range(0, len(keys), limit)] or [[]]
-        for chunk in chunks:
-            trials: Dict[str, dict] = {}
-            for key in chunk:
-                value = store.get_trial(key, strict=True)
-                if value is None:
-                    continue
-                trials[key] = _encode_trial(value)
-            yield {
-                "version": BUNDLE_VERSION,
-                "runs": [dict(record, trial_keys=list(chunk))],
-                "trials": trials,
-            }
-            # Measurements are idempotent upserts, but re-sending them
-            # with every chunk would be pure overhead.
-            record = dict(record, measurements=[])
-
-
 def ingest_bundle(store: ResultStore, bundle: dict) -> Dict[str, int]:
     """Replay a bundle into ``store``; returns counters.
 
@@ -204,7 +160,6 @@ def decode_bundle(text: str) -> dict:
 __all__ = [
     "BUNDLE_VERSION",
     "export_bundle",
-    "export_bundles",
     "ingest_bundle",
     "encode_bundle",
     "decode_bundle",

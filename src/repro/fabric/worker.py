@@ -489,9 +489,9 @@ class FabricWorker:
         bundle = None
         if bundle_runs is not None:
             from repro.fabric.wire import export_bundle
-            from repro.store import open_store
+            from repro.store import ResultStore
 
-            with open_store(store_file) as store:
+            with ResultStore(store_file) as store:
                 names = [n for n in bundle_runs if store.has_run(n)]
                 bundle = export_bundle(store, names)
         summary["worker"] = self.name

@@ -25,6 +25,7 @@ Everything is seeded: a failing chaos run reproduces with the same
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ from repro.faults.plan import (
     FAULT_DRAIN_DURING_LEASE,
     FAULT_HTTP_DISCONNECT,
     FAULT_LEASE_EXPIRY,
-    FAULT_SHARD_LOSS,
     FAULT_SUPERVISOR_SIGKILL,
     FAULT_WORKER_HANG,
     FAULT_WORKER_SIGKILL,
@@ -439,6 +439,57 @@ def _fabric_spec(duration_s: float, trials: int) -> dict:
     }
 
 
+def _settled(scheduler, *job_ids: str) -> bool:
+    """True once every named campaign has reached a terminal state."""
+    from repro.service.scheduler import TERMINAL_STATES
+
+    return all(
+        scheduler.job(job_id).state in TERMINAL_STATES for job_id in job_ids
+    )
+
+
+def _wait_settled(scheduler, *job_ids: str) -> bool:
+    """Wait (up to 300 s) until every named campaign has settled."""
+    return _wait_until(lambda: _settled(scheduler, *job_ids), 300.0, 0.05)
+
+
+@contextmanager
+def _fabric_workers(
+    coordinator,
+    store_path: Path,
+    names: List[str],
+    ttl_s: float,
+    transport=None,
+):
+    """Run one in-process :class:`FabricWorker` per name, each on a
+    daemon thread polling ``coordinator`` every 0.05 s; yields the
+    ``(worker, thread)`` pairs and on exit stops every worker and joins
+    its thread (10 s each).  ``transport`` defaults to
+    :class:`LocalTransport`."""
+    from repro.fabric.worker import FabricWorker, LocalTransport
+
+    transport = transport or LocalTransport
+    started = []
+    for name in names:
+        worker = FabricWorker(
+            transport(coordinator),
+            name=name,
+            store_path=str(store_path),
+            poll_s=0.05,
+            ttl_s=ttl_s,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        started.append((worker, thread))
+    try:
+        yield started
+    finally:
+        for worker, _thread in started:
+            worker.stop()
+        for _worker, thread in started:
+            thread.join(timeout=10.0)
+
+
 def _store_snaps(path: Path) -> Dict[str, _Snap]:
     from repro.store.warehouse import ResultStore
 
@@ -453,18 +504,14 @@ def _fabric_baseline(spec: dict, basedir: Path) -> Dict[str, _Snap]:
 
 
 def _fabric_baselines(specs: List[dict], basedir: Path) -> Dict[str, _Snap]:
-    from repro.service.scheduler import TERMINAL_STATES, Scheduler
+    from repro.service.scheduler import Scheduler
     from repro.service.specs import parse_campaign_spec
 
     basedir.mkdir(parents=True, exist_ok=True)
     store_path = basedir / "baseline.db"
     scheduler = Scheduler(str(store_path), workers=1)
     for spec in specs:
-        job = scheduler.submit(parse_campaign_spec(spec))
-        _wait_until(
-            lambda: scheduler.job(job.id).state in TERMINAL_STATES,
-            300.0, 0.05,
-        )
+        _wait_settled(scheduler, scheduler.submit(parse_campaign_spec(spec)).id)
     scheduler.shutdown(drain=True, timeout=30.0)
     return _store_snaps(store_path)
 
@@ -536,11 +583,8 @@ def _run_lease_expiry_class(
     """lease-expiry: attempt 1's heartbeats are all lost, the lease
     expires mid-campaign, attempt 2 re-runs it; the stale attempt-1
     completion must dedupe ('duplicate'), never double-write."""
-    import threading
-
     from repro.fabric.coordinator import Coordinator
-    from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.service.scheduler import TERMINAL_STATES
+    from repro.fabric.worker import LocalTransport
     from repro.service.specs import parse_campaign_spec
 
     spec = _fabric_spec(duration_s, trials)
@@ -565,10 +609,7 @@ def _run_lease_expiry_class(
         def complete(self, campaign, lease_id, summary, bundle):
             if lease_id not in first_leases:
                 return super().complete(campaign, lease_id, summary, bundle)
-            _wait_until(
-                lambda: coordinator.job(campaign).state in TERMINAL_STATES,
-                60.0, 0.05,
-            )
+            _wait_until(lambda: _settled(coordinator, campaign), 60.0, 0.05)
             reply = super().complete(campaign, lease_id, summary, bundle)
             stale_outcomes.append(reply["outcome"])
             return reply
@@ -576,29 +617,11 @@ def _run_lease_expiry_class(
     try:
         with inject.active_plan(plan) as injector:
             job = coordinator.submit(parse_campaign_spec(spec))
-            workers = [
-                FabricWorker(
-                    _LateFirstCompletion(coordinator),
-                    name=f"chaos-lease-w{i}",
-                    store_path=str(store_path),
-                    poll_s=0.05,
-                    ttl_s=0.4,
-                )
-                for i in (1, 2)
-            ]
-            threads = [
-                threading.Thread(target=w.run, daemon=True) for w in workers
-            ]
-            for thread in threads:
-                thread.start()
-            _wait_until(
-                lambda: coordinator.job(job.id).state in TERMINAL_STATES,
-                300.0, 0.05,
-            )
-            for worker in workers:
-                worker.stop()
-            for thread in threads:
-                thread.join(timeout=10.0)
+            with _fabric_workers(
+                coordinator, store_path, ["chaos-lease-w1", "chaos-lease-w2"],
+                0.4, transport=_LateFirstCompletion,
+            ):
+                _wait_settled(coordinator, job.id)
             outcome.fires = injector.fire_count()
         if outcome.fires == 0:
             outcome.violations.append("lease-expiry fault never fired")
@@ -628,11 +651,8 @@ def _run_worker_sigkill_class(
     import signal
     import subprocess
     import sys
-    import threading
 
     from repro.fabric.coordinator import Coordinator
-    from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.service.scheduler import TERMINAL_STATES
     from repro.service.server import ServiceApp
     from repro.service.specs import parse_campaign_spec
 
@@ -670,21 +690,8 @@ def _run_worker_sigkill_class(
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30.0)
         outcome.fires = 1  # the kill is the (process-level) fault
-        rescuer = FabricWorker(
-            LocalTransport(coordinator),
-            name="chaos-rescuer",
-            store_path=str(store_path),
-            poll_s=0.05,
-            ttl_s=1.0,
-        )
-        thread = threading.Thread(target=rescuer.run, daemon=True)
-        thread.start()
-        _wait_until(
-            lambda: coordinator.job(job.id).state in TERMINAL_STATES,
-            300.0, 0.05,
-        )
-        rescuer.stop()
-        thread.join(timeout=10.0)
+        with _fabric_workers(coordinator, store_path, ["chaos-rescuer"], 1.0):
+            _wait_settled(coordinator, job.id)
         _check_fabric_outcome(
             classdir, job.id, coordinator, baseline, outcome
         )
@@ -692,169 +699,6 @@ def _run_worker_sigkill_class(
         if proc is not None and proc.poll() is None:
             proc.kill()
         app.stop(drain=False)
-
-
-def _run_shard_loss_class(
-    plan: FaultPlan,
-    classdir: Path,
-    duration_s: float,
-    trials: int,
-    outcome: FaultOutcome,
-) -> None:
-    """shard-loss: a campaign lands across a 3-shard warehouse, then one
-    non-meta shard file is deleted.  Reads of lost-shard trials must
-    raise a typed :class:`ShardLostError` (never a silent gap), the
-    run's report must carry the partial flag with the exact missing
-    keys, and ``recover_shard`` + a fault-free re-run must restore the
-    store bit-identical to the baseline."""
-    import threading
-
-    from repro.fabric.coordinator import Coordinator
-    from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.service.scheduler import TERMINAL_STATES, Scheduler
-    from repro.service.specs import parse_campaign_spec
-    from repro.store import ShardLostError, open_store, shard_index
-
-    spec = _fabric_spec(duration_s, trials)
-    baseline = _fabric_baseline(spec, classdir / "baseline")
-    root = classdir / "store"
-    open_store(root, shards=3).close()
-    coordinator = Coordinator(str(root), lease_ttl_s=10.0, max_attempts=3)
-    try:
-        job = coordinator.submit(parse_campaign_spec(spec))
-        worker = FabricWorker(
-            LocalTransport(coordinator),
-            name="chaos-shard-w1",
-            store_path=str(root),
-            poll_s=0.05,
-            ttl_s=10.0,
-        )
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        _wait_until(
-            lambda: coordinator.job(job.id).state in TERMINAL_STATES,
-            300.0, 0.05,
-        )
-        worker.stop()
-        thread.join(timeout=10.0)
-    finally:
-        coordinator.shutdown(drain=False)
-    if coordinator.job(job.id).state != "done":
-        outcome.violations.append(
-            f"sharded campaign never completed: {coordinator.job(job.id).state}"
-        )
-        return
-
-    # Pre-fault sanity: the sharded store must already match baseline.
-    with open_store(root) as store:
-        shards = store.shards
-        for key, snap in sorted(baseline.items()):
-            value = store.get_trial(key)
-            if value is None or _snap(value) != snap:
-                outcome.violations.append(
-                    f"sharded trial {key} differs pre-fault"
-                )
-    if outcome.violations:
-        return
-
-    # The fault: delete the first non-meta shard holding a trial (or
-    # shard 1 if routing put everything on the meta shard).
-    victim = next(
-        (
-            shard_index(key, shards)
-            for key in sorted(baseline)
-            if shard_index(key, shards) != 0
-        ),
-        1,
-    )
-    lost_keys = sorted(
-        k for k in baseline if shard_index(k, shards) == victim
-    )
-    for suffix in ("", "-wal", "-shm"):
-        path = root / f"shard-{victim:03d}.db{suffix}"
-        if path.exists():
-            path.unlink()
-    outcome.fires = 1
-
-    with open_store(root) as store:
-        if victim not in store.lost_shards:
-            outcome.violations.append(
-                f"deleted shard {victim} not detected as lost"
-            )
-        if store.integrity_ok():
-            outcome.violations.append(
-                "integrity_ok() still true with a lost shard"
-            )
-        report = store.run_report(spec["run"])
-        if sorted(report["missing"]) != lost_keys:
-            outcome.violations.append(
-                f"run_report missing={report['missing']} != "
-                f"expected {lost_keys}"
-            )
-        if bool(report["partial"]) != bool(lost_keys):
-            outcome.violations.append(
-                f"run_report partial={report['partial']} with "
-                f"{len(lost_keys)} lost trial(s)"
-            )
-        for key in lost_keys:
-            try:
-                store.get_trial(key)
-            except ShardLostError as exc:
-                if exc.shard != victim:
-                    outcome.violations.append(
-                        f"ShardLostError names shard {exc.shard}, "
-                        f"not {victim}"
-                    )
-            else:
-                outcome.violations.append(
-                    f"read of lost-shard trial {key} returned without "
-                    "a typed error (silent gap)"
-                )
-        for key in sorted(set(baseline) - set(lost_keys)):
-            value = store.get_trial(key)
-            if value is None or _snap(value) != baseline[key]:
-                outcome.violations.append(
-                    f"live-shard trial {key} unreadable after the fault"
-                )
-        healed = store.recover_shard(victim)
-        if sorted(healed["missing"]) != lost_keys:
-            outcome.violations.append(
-                f"recover_shard missing={healed['missing']} != "
-                f"expected {lost_keys}"
-            )
-
-    # Recovery: fault-free re-run over the recovered store refills only
-    # the lost payloads (content-addressed identity dedupes the rest).
-    scheduler = Scheduler(str(root), workers=1)
-    job2 = scheduler.submit(parse_campaign_spec(spec))
-    _wait_until(
-        lambda: scheduler.job(job2.id).state in TERMINAL_STATES, 300.0, 0.05
-    )
-    scheduler.shutdown(drain=True, timeout=30.0)
-
-    with open_store(root) as store:
-        if not store.integrity_ok():
-            outcome.violations.append("store degraded after recovery")
-        report = store.run_report(spec["run"])
-        if report["partial"]:
-            outcome.violations.append(
-                f"run still partial after recovery: {report['missing']}"
-            )
-        for key, snap in sorted(baseline.items()):
-            value = store.get_trial(key)
-            if value is None:
-                outcome.violations.append(
-                    f"trial {key} missing after recovery"
-                )
-            elif _snap(value) != snap:
-                outcome.violations.append(
-                    f"trial {key} differs from baseline after recovery"
-                )
-    outcome.note = (
-        f"shard {victim} lost with {len(lost_keys)} trial(s), recovered"
-    )
-    if not outcome.violations:
-        outcome.recovered = True
 
 
 def _run_drain_during_lease_class(
@@ -869,11 +713,7 @@ def _run_drain_during_lease_class(
     nothing handed over, nothing doubled), deregister and exit; a
     second worker started after the drain absorbs the remaining
     campaign.  The store must match the fault-free baseline exactly."""
-    import threading
-
     from repro.fabric.coordinator import Coordinator
-    from repro.fabric.worker import FabricWorker, LocalTransport
-    from repro.service.scheduler import TERMINAL_STATES
     from repro.service.specs import parse_campaign_spec
 
     spec_a = _fabric_spec(duration_s, trials)
@@ -883,45 +723,9 @@ def _run_drain_during_lease_class(
     baseline = _fabric_baselines([spec_a, spec_b], classdir / "baseline")
     store_path = classdir / "store.db"
     coordinator = Coordinator(str(store_path), lease_ttl_s=10.0, max_attempts=3)
-    victim_thread = None
-    rescuer = None
-    rescuer_thread = None
     try:
         job_a = coordinator.submit(parse_campaign_spec(spec_a))
         job_b = coordinator.submit(parse_campaign_spec(spec_b))
-        victim = FabricWorker(
-            LocalTransport(coordinator),
-            name="chaos-drain-victim",
-            store_path=str(store_path),
-            poll_s=0.05,
-            ttl_s=10.0,
-        )
-        victim_thread = threading.Thread(target=victim.run, daemon=True)
-        victim_thread.start()
-        # Wait until the victim actually holds a lease, then drain
-        # it mid-flight.
-        leased = _wait_until(
-            lambda: any(
-                l["owner"] == victim.name
-                for l in coordinator.fabric_status()["leases"]
-            ),
-            60.0, 0.02,
-        )
-        if not leased:
-            outcome.violations.append("victim never held a lease")
-            victim.stop()
-            return
-        coordinator.drain_worker(victim.name)
-        outcome.fires = 1
-        rescuer = FabricWorker(
-            LocalTransport(coordinator),
-            name="chaos-drain-rescuer",
-            store_path=str(store_path),
-            poll_s=0.05,
-            ttl_s=10.0,
-        )
-        rescuer_thread = threading.Thread(target=rescuer.run, daemon=True)
-        rescuer_thread.start()
         seen_owners: Dict[str, set] = {}
 
         def both_settled() -> bool:
@@ -929,26 +733,39 @@ def _run_drain_during_lease_class(
                 seen_owners.setdefault(
                     lease["campaign"], set()
                 ).add(lease["owner"])
-            states = {
-                coordinator.job(job_a.id).state,
-                coordinator.job(job_b.id).state,
-            }
-            return states <= set(TERMINAL_STATES)
+            return _settled(coordinator, job_a.id, job_b.id)
 
-        _wait_until(both_settled, 300.0, 0.05)
-        # The drained victim must exit on its own (never killed).
-        victim_thread.join(timeout=60.0)
-        if victim_thread.is_alive():
-            outcome.violations.append(
-                "drained worker never exited on its own"
+        with _fabric_workers(
+            coordinator, store_path, ["chaos-drain-victim"], 10.0
+        ) as [(victim, victim_thread)]:
+            # Wait until the victim actually holds a lease, then drain
+            # it mid-flight.
+            leased = _wait_until(
+                lambda: any(
+                    l["owner"] == victim.name
+                    for l in coordinator.fabric_status()["leases"]
+                ),
+                60.0, 0.02,
             )
-            victim.stop()
-        elif not victim.drained:
-            outcome.violations.append(
-                "victim exited without observing the drain directive"
-            )
-        rescuer.stop()
-        rescuer_thread.join(timeout=10.0)
+            if not leased:
+                outcome.violations.append("victim never held a lease")
+                return
+            coordinator.drain_worker(victim.name)
+            outcome.fires = 1
+            with _fabric_workers(
+                coordinator, store_path, ["chaos-drain-rescuer"], 10.0
+            ):
+                _wait_until(both_settled, 300.0, 0.05)
+                # The drained victim must exit on its own (never killed).
+                victim_thread.join(timeout=60.0)
+                if victim_thread.is_alive():
+                    outcome.violations.append(
+                        "drained worker never exited on its own"
+                    )
+                elif not victim.drained:
+                    outcome.violations.append(
+                        "victim exited without observing the drain directive"
+                    )
         # The drained worker deregistered: no active registry row left.
         active = [
             w["name"]
@@ -1009,7 +826,6 @@ def _run_supervisor_sigkill_class(
     from repro.fabric.coordinator import Coordinator
     from repro.fabric.queue import WorkQueue
     from repro.fabric.supervisor import FleetSupervisor, SupervisorConfig
-    from repro.service.scheduler import TERMINAL_STATES
     from repro.service.server import ServiceApp
     from repro.service.specs import parse_campaign_spec
 
@@ -1048,10 +864,7 @@ def _run_supervisor_sigkill_class(
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30.0)
         outcome.fires = 1
-        _wait_until(
-            lambda: coordinator.job(job.id).state in TERMINAL_STATES,
-            300.0, 0.05,
-        )
+        _wait_settled(coordinator, job.id)
         # A replacement supervisor adopts the orphaned fleet from the
         # registry alone (its handles dict starts empty) and retires it.
         with WorkQueue(str(store_path)) as queue:
@@ -1106,7 +919,6 @@ _CLASS_RUNNERS = {
     FAULT_HTTP_DISCONNECT: _run_service_class,
     FAULT_LEASE_EXPIRY: _run_lease_expiry_class,
     FAULT_WORKER_SIGKILL: _run_worker_sigkill_class,
-    FAULT_SHARD_LOSS: _run_shard_loss_class,
     FAULT_SUPERVISOR_SIGKILL: _run_supervisor_sigkill_class,
     FAULT_DRAIN_DURING_LEASE: _run_drain_during_lease_class,
 }

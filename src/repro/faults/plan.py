@@ -47,7 +47,6 @@ FAULT_CLOCK_SKEW = "clock-skew"
 FAULT_HTTP_DISCONNECT = "http-disconnect"
 FAULT_LEASE_EXPIRY = "lease-expiry"
 FAULT_WORKER_SIGKILL = "worker-sigkill"
-FAULT_SHARD_LOSS = "shard-loss"
 FAULT_SUPERVISOR_SIGKILL = "supervisor-sigkill"
 FAULT_DRAIN_DURING_LEASE = "drain-during-lease"
 
@@ -67,7 +66,6 @@ FAULT_CLASSES = (
     FAULT_HTTP_DISCONNECT,
     FAULT_LEASE_EXPIRY,
     FAULT_WORKER_SIGKILL,
-    FAULT_SHARD_LOSS,
     FAULT_SUPERVISOR_SIGKILL,
     FAULT_DRAIN_DURING_LEASE,
 )
@@ -219,11 +217,6 @@ def _single_class_plan(fault: str, seed: int) -> FaultPlan:
         # subprocess mid-lease; the rule documents the schedule (first
         # lease dies) rather than firing through the in-process seam.
         rules = (rule(fault, "fabric.worker.process", hits=(1,)),)
-    elif fault == FAULT_SHARD_LOSS:
-        # Filesystem-level: the chaos driver deletes one non-meta shard
-        # of a sharded warehouse after the campaign lands; the rule
-        # documents the schedule (first shard touched is lost).
-        rules = (rule(fault, "store.shard.file", hits=(1,)),)
     elif fault == FAULT_SUPERVISOR_SIGKILL:
         # Process-level: the fleet supervisor dies mid-campaign; the
         # registry (not the corpse's memory) is the fleet's truth, so a
@@ -251,18 +244,14 @@ MATRIX_CLASSES = {
         FAULT_LEASE_EXPIRY,
         FAULT_WORKER_SIGKILL,
     ),
-    # The fleet recovery proofs: sharded-warehouse loss, supervisor
-    # death, drain racing a live lease.  ``fleet-smoke`` is the CI cut
-    # (no subprocess supervisor, so it stays fast).
+    # The fleet recovery proofs: supervisor death and drain racing a
+    # live lease.  ``fleet-smoke`` is the CI cut (no subprocess
+    # supervisor, so it stays fast).
     "fleet": (
-        FAULT_SHARD_LOSS,
         FAULT_SUPERVISOR_SIGKILL,
         FAULT_DRAIN_DURING_LEASE,
     ),
-    "fleet-smoke": (
-        FAULT_SHARD_LOSS,
-        FAULT_DRAIN_DURING_LEASE,
-    ),
+    "fleet-smoke": (FAULT_DRAIN_DURING_LEASE,),
     "default": FAULT_CLASSES,
 }
 
@@ -294,7 +283,6 @@ __all__ = [
     "FAULT_HTTP_DISCONNECT",
     "FAULT_LEASE_EXPIRY",
     "FAULT_WORKER_SIGKILL",
-    "FAULT_SHARD_LOSS",
     "FAULT_SUPERVISOR_SIGKILL",
     "FAULT_DRAIN_DURING_LEASE",
     "FaultRule",

@@ -112,11 +112,9 @@ class ServiceRouter:
     # ------------------------------------------------------------ plumbing
 
     def _store(self):
-        from repro.store import open_store
+        from repro.store import ResultStore
 
-        # Autodetects sharded layouts (shards.json directory) as well
-        # as classic single-file warehouses.
-        return open_store(self.store_path)
+        return ResultStore(self.store_path)
 
     def _fabric(self):
         """The scheduler's fabric protocol surface, or None when this is
@@ -387,19 +385,10 @@ class ServiceRouter:
     def _healthz(self) -> Response:
         from repro.faults.breaker import degraded
 
-        shard_report = None
         with self._store() as store:
-            if hasattr(store, "check_shards"):
-                store.check_shards()
-                shard_report = store.shard_report()
             ok = store.integrity_ok()
         open_breakers = degraded()
-        if not ok and shard_report and shard_report["lost"]:
-            # Lost shard files: reads fail typed and runs are flagged
-            # partial, but the service keeps answering for every other
-            # shard — distinct from single-file corruption.
-            status = "store-degraded"
-        elif not ok:
+        if not ok:
             status = "store-corrupt"
         elif open_breakers:
             # Open circuit breakers (store sink spilling, journal down):
@@ -417,8 +406,6 @@ class ServiceRouter:
             "running": metrics["running"],
             "uptime_s": round(metrics["uptime_s"], 3),
         }
-        if shard_report is not None:
-            body["shards"] = shard_report
         fabric = self._fabric()
         if fabric is not None and hasattr(fabric, "workers"):
             body["fleet"] = fabric.workers()
@@ -426,11 +413,8 @@ class ServiceRouter:
 
     def _prometheus(self) -> Response:
         m = self.scheduler.metrics()
-        shard_report = None
         with self._store() as store:
             counts = store.counts()
-            if hasattr(store, "shard_report"):
-                shard_report = store.shard_report()
         lines = [
             "# HELP repro_queue_depth Campaigns waiting to run.",
             "# TYPE repro_queue_depth gauge",
@@ -529,16 +513,6 @@ class ServiceRouter:
                     f'repro_fabric_worker_leases{{worker="{name}"}} '
                     f"{worker['leases']}"
                 )
-        if shard_report is not None:
-            lines += [
-                "# HELP repro_store_shards Configured warehouse shards.",
-                "# TYPE repro_store_shards gauge",
-                f"repro_store_shards {shard_report['shards']}",
-                "# HELP repro_store_shards_lost Shards whose database"
-                " file is missing.",
-                "# TYPE repro_store_shards_lost gauge",
-                f"repro_store_shards_lost {len(shard_report['lost'])}",
-            ]
         return text_response(
             200, "\n".join(lines) + "\n", "text/plain; version=0.0.4"
         )

@@ -142,9 +142,9 @@ def run_campaign(
     log.  Returns :func:`execute_campaign`'s summary plus the executor
     telemetry under ``"exec"`` (``"text"`` is its one-line report).
     """
-    from repro.store import StoreCache, open_store
+    from repro.store import ResultStore, StoreCache
 
-    with open_store(store_path) if store_path else nullcontext() as store:
+    with ResultStore(store_path) if store_path else nullcontext() as store:
         with Executor(
             jobs=jobs,
             cache=StoreCache(store) if store_path else None,
@@ -243,12 +243,11 @@ class Scheduler:
         # campaign — the breaker opens, /healthz reports degraded, and
         # resume_pending simply re-runs the campaign (idempotent thanks
         # to warehouse dedup).
-        from repro.store.sharded import open_store
-        from repro.store.warehouse import StoreError
+        from repro.store.warehouse import ResultStore, StoreError
 
         def write():
             inject.fault_point("service.journal", event=event)
-            with open_store(self.store_path) as store:
+            with ResultStore(self.store_path) as store:
                 store.record_event(
                     event,
                     campaign=job.id,
@@ -338,12 +337,12 @@ class Scheduler:
         ``started``.  Returns the resumed campaign ids (in original
         submission order).
         """
-        from repro.store.sharded import open_store
+        from repro.store.warehouse import ResultStore
 
         inject.fault_point("service.resume")
         last: Dict[str, Tuple[str, dict]] = {}
         order: List[str] = []
-        with open_store(self.store_path) as store:
+        with ResultStore(self.store_path) as store:
             journal = store.events()
         for event in journal:
             name = event.get("event", "")

@@ -48,12 +48,6 @@ from repro.store.ingest import (
     ingest_sideline,
 )
 from repro.store.schema import STORE_SCHEMA_VERSION, SchemaError
-from repro.store.sharded import (
-    ShardedResultStore,
-    ShardLostError,
-    open_store,
-    shard_index,
-)
 from repro.store.warehouse import (
     MEASUREMENT_METRICS,
     MetricRow,
@@ -65,10 +59,6 @@ from repro.store.warehouse import (
 
 __all__ = [
     "ResultStore",
-    "ShardedResultStore",
-    "ShardLostError",
-    "open_store",
-    "shard_index",
     "RunInfo",
     "MetricRow",
     "StoreError",

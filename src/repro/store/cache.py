@@ -32,16 +32,8 @@ class StoreCache(ResultCache):
 
     def __init__(self, store: Union[ResultStore, str, Path]):
         super().__init__()
-        if isinstance(store, (str, Path)):
-            from repro.store.sharded import open_store
-
-            self._owns_store = True
-            self.store = open_store(store)
-        else:
-            # A ResultStore or anything store-shaped (the sharded
-            # facade routes trials transparently).
-            self._owns_store = False
-            self.store = store
+        self._owns_store = isinstance(store, (str, Path))
+        self.store = ResultStore(store) if self._owns_store else store
         #: Counters for telemetry: how many lookups the warehouse served
         #: and how many payloads were persisted through this cache.
         self.store_hits = 0

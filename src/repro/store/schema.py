@@ -54,11 +54,10 @@ Tables
     their next heartbeat.  Confined to :mod:`repro.fabric.queue` by the
     same lint rule as the queue tables.
 ``shard_links`` (v3)
-    The sharded warehouse's run→trial link table: like ``run_trials``
-    but without the foreign key into ``trials``, because in a
-    :class:`repro.store.sharded.ShardedResultStore` the meta shard
-    links payloads that live in other shard files.  Unused (empty) in
-    single-file stores.
+    A run→trial link table without a foreign key into ``trials``.  It
+    was created for a sharded warehouse layout that no longer exists;
+    v3 still creates it, so every v3 file has the same schema, but
+    nothing reads or writes it.
 """
 
 from __future__ import annotations
@@ -208,14 +207,12 @@ CREATE TABLE IF NOT EXISTS shard_links (
 
 def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
     """v3: the fleet's durable worker registry (liveness + drain) and
-    the sharded warehouse's cross-shard run→trial link table.
+    the ``shard_links`` table.
 
     ``shard_links`` is ``run_trials`` minus the foreign key into
-    ``trials``: in a sharded layout the meta shard records links for
-    payloads that live in *other* shard files, so the key cannot
-    reference a local ``trials`` row.  Keeping the complete link set in
-    the meta shard is what makes degraded-mode reads honest — a lost
-    shard's runs still know exactly which trials they are missing.
+    ``trials``.  It served a sharded warehouse layout that has since
+    been removed and is unused (always empty); it stays in the v3 DDL
+    so every v3 file keeps one schema without a v4 migration.
     """
     conn.executescript(_FLEET_DDL)
 

@@ -184,6 +184,11 @@ class ResultStore:
         if retry is None:
             retry = _LOCK_RETRY
         self._retry_policy = retry
+        if self.path.is_dir():
+            raise StoreError(
+                f"warehouse path {self.path} is a directory, "
+                "not a database file"
+            )
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.path), timeout=timeout_s)

@@ -162,3 +162,13 @@ def test_store_gc_dry_run_then_purge(tmp_path, capsys):
     with ResultStore(db) as store:
         assert store.counts()["trials"] == 1
         assert store.get_trial("linked") is not None
+
+
+def test_directory_as_warehouse_is_a_typed_error(tmp_path, capsys):
+    warehouse = tmp_path / "not-a-db"
+    warehouse.mkdir()
+    assert main(["store", "runs", "--db", str(warehouse)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{warehouse} is a directory" in err
+    assert list(warehouse.iterdir()) == []

@@ -1,5 +1,6 @@
 """repro.store warehouse: round-trip fidelity, dedupe, schema, upserts."""
 
+import json
 import sqlite3
 
 import numpy as np
@@ -275,6 +276,33 @@ class TestStoreCache:
         cache.close()
         with ResultStore(tmp_path / "owned.db") as reopened:
             assert reopened.has_trial("k")
+
+
+class TestGc:
+    def test_gc_leaves_sideline_spill_untouched(self, store):
+        """A sideline spill next to the warehouse is recovery input:
+        gc must never unlink or rewrite it, and it must stay replayable
+        afterwards."""
+        from repro.store import ingest_sideline
+
+        run = store.ensure_run("r1")
+        for i in range(4):
+            store.put_trial(f"trial-{i}", np.full((4,), float(i)), run=run)
+        spill = store.path.parent / f"{store.path.name}.sideline.jsonl"
+        record = {
+            "kind": "trial",
+            "key": "spilled-1",
+            "dtype": "<f8",
+            "shape": [2],
+            "data": "AAAAAAAA8D8AAAAAAAAAQA==",  # [1.0, 2.0]
+        }
+        spill.write_text(json.dumps(record) + "\n")
+        before = spill.read_bytes()
+        store.gc()
+        assert spill.read_bytes() == before
+        report = ingest_sideline(store, spill)
+        assert report.trials == 1
+        assert store.get_trial("spilled-1").tolist() == [1.0, 2.0]
 
 
 class TestEvents:
