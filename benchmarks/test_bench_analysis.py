@@ -50,7 +50,7 @@ def _analyse(test, ref, config):
 def test_bench_analysis_calls_per_cell(benchmark):
     OUTPUT_DIR.mkdir(exist_ok=True)
     test, ref, config = _cell()
-    _analyse(test, ref, config)  # warm imports (scipy.optimize)
+    _analyse(test, ref, config)  # warm imports and first-call caches
 
     def profiled():
         profile = cProfile.Profile()

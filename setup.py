@@ -23,8 +23,9 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.21", "scipy>=1.7"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy>=1.21"],
+    # SciPy only as the tests' reference for the in-tree assignment solver.
+    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis", "scipy>=1.7"]},
     entry_points={"console_scripts": ["quicbench = repro.cli:main"]},
     keywords="quic congestion-control measurement conformance simulation",
 )

@@ -15,6 +15,7 @@ units by the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -189,28 +190,105 @@ def _kmeans_pp_init(
     return seeds
 
 
+def linear_sum_assignment(cost) -> list[int]:
+    """Minimum-cost assignment of each row of ``cost`` to its own column.
+
+    Returns ``cols`` with row ``i`` assigned to column ``cols[i]``.
+    ``cost`` is an ``(n, m)`` matrix with ``n <= m``.  This is a port of
+    SciPy's ``linear_sum_assignment`` (Crouse's shortest augmenting
+    path, ``rectangular_lsap.cpp``) that keeps its operation order, so
+    every float and every tie comes out the same: ``remaining`` is
+    filled in reverse (a constant matrix gives the identity), an
+    equal-cost column that is still unassigned wins a tie, and the dual
+    updates run in the same order.  Raises :class:`ValueError` on NaN or
+    ``-inf`` costs and when no finite assignment exists, as SciPy does.
+    """
+    matrix = np.asarray(cost, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError("cost must be a 2-D matrix")
+    nr, nc = matrix.shape
+    if nr > nc:
+        raise ValueError("cost matrix must not have more rows than columns")
+    # NaN and -inf are the two values not greater than -inf.
+    if not (matrix > -math.inf).all():
+        raise ValueError("matrix contains invalid numeric entries")
+    rows = matrix.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # Shortest augmenting path from row ``cur`` to a free column.
+        shortest = [math.inf] * nc
+        in_rows = [False] * nr
+        in_cols = [False] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        left = nc
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            in_rows[i] = True
+            row, u_i = rows[i], u[i]
+            index = -1
+            lowest = math.inf
+            for it in range(left):
+                j = remaining[it]
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+
+        u[cur] += min_val
+        for i in range(nr):
+            if in_rows[i] and i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if in_cols[j]:
+                v[j] -= min_val - shortest[j]
+        # Augment along the path back to ``cur``.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def match_clusters(
     reference_centroids: np.ndarray, other_centroids: np.ndarray
 ) -> np.ndarray:
     """Optimal assignment of ``other`` clusters onto reference clusters.
 
     Returns ``mapping`` such that other cluster ``mapping[i]`` corresponds
-    to reference cluster ``i`` (Hungarian algorithm on centroid
-    distances).  Both inputs must have the same k.
+    to reference cluster ``i`` (Hungarian assignment on squared centroid
+    distances, :func:`linear_sum_assignment`).  Both inputs must have the
+    same k.
     """
-    # Imported here, not at module level: SciPy's optimize package costs
-    # about half a second to import, and only this function needs it.
-    from scipy.optimize import linear_sum_assignment
-
     if reference_centroids.shape != other_centroids.shape:
         raise ValueError("centroid arrays must have identical shapes")
     cost = (
         (reference_centroids[:, None, :] - other_centroids[None, :, :]) ** 2
     ).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    mapping = np.empty(len(reference_centroids), dtype=int)
-    mapping[rows] = cols
-    return mapping
+    return np.array(linear_sum_assignment(cost), dtype=int)
 
 
 @dataclass

@@ -152,7 +152,7 @@ def _clusters_for_k(
             cents[j] = members.mean(axis=0) if len(members) else np.array([1e9, 1e9])
         return cents
 
-    # One cluster per trial needs no matching (nor SciPy).
+    # One cluster per trial needs no matching.
     ref_cents = original_centroids(reference, trials[0]) if reference.k > 1 else None
     per_cluster_hulls: List[List[np.ndarray]] = [[] for _ in range(reference.k)]
     per_cluster_points: List[List[np.ndarray]] = [[] for _ in range(reference.k)]

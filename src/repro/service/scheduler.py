@@ -203,11 +203,6 @@ class Scheduler:
         max_pending: int = 64,
         clock: Callable[[], float] = default_clock,
     ):
-        # Campaigns evaluate envelopes, which need SciPy's optimizer:
-        # import it (about half a second) before the first campaign
-        # rather than inside it.  Executor workers never import it.
-        import scipy.optimize  # noqa: F401
-
         self.store_path = str(store_path)
         self.exec_jobs = max(1, int(exec_jobs))
         self.max_pending = max(0, int(max_pending))

@@ -8,6 +8,7 @@ from repro.core.clustering import (
     KMeansResult,
     _kmeans_pp_init,
     kmeans,
+    linear_sum_assignment,
     match_clusters,
     select_k,
 )
@@ -88,6 +89,106 @@ class TestMatchClusters:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             match_clusters(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+def sentinel_costs(k, rng):
+    """``match_clusters``'s cost matrix with empty clusters on both sides.
+
+    ``build_envelope`` gives an empty cluster the centroid (1e9, 1e9), so
+    a trial with several empty clusters has tied sentinel columns.
+    """
+    ref = rng.normal((40.0, 5.0), (20.0, 3.0), size=(k, 2))
+    other = ref[rng.permutation(k)] + rng.normal(0.0, 2.0, size=(k, 2))
+    ref[rng.random(k) < 0.2] = 1e9
+    other[rng.random(k) < 0.4] = 1e9
+    return ((ref[:, None, :] - other[None, :, :]) ** 2).sum(axis=2)
+
+
+def cost_families(k, seed):
+    """One matrix of each fixed family, ``k`` × ``k``."""
+    rng = np.random.default_rng([k, seed])
+    yield rng.random((k, k))
+    yield rng.integers(0, 3, size=(k, k)).astype(float)  # many ties
+    yield np.full((k, k), float(seed))
+    yield sentinel_costs(k, rng)
+
+
+@pytest.fixture(scope="module")
+def scipy_assignment():
+    """SciPy's solver: the reference the in-tree port must equal."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def assign(cost):
+        rows, cols = optimize.linear_sum_assignment(cost)
+        assert rows.tolist() == list(range(len(cost)))
+        return cols.tolist()
+
+    return assign
+
+
+costs = st.integers(1, 7).flatmap(
+    lambda n: st.integers(n, 7).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 3).map(float),
+                    st.floats(0.0, 1e3, allow_nan=False),
+                    st.just(1e18),
+                ),
+                min_size=m, max_size=m,
+            ),
+            min_size=n, max_size=n,
+        )
+    )
+)
+
+
+class TestAssignmentMatchesSciPy:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_fixed_families(self, k, scipy_assignment):
+        for seed in range(40):
+            for cost in cost_families(k, seed):
+                assert linear_sum_assignment(cost) == scipy_assignment(cost)
+
+    @given(cost=costs)
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, cost, scipy_assignment):
+        assert linear_sum_assignment(cost) == scipy_assignment(cost)
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            [[np.nan, 1.0], [1.0, 2.0]],
+            [[-np.inf, 1.0], [1.0, 2.0]],
+            [[np.inf, np.inf], [1.0, 2.0]],  # a row with no finite cost
+            [[1.0, np.inf], [2.0, np.inf]],  # two rows, one finite column
+        ],
+    )
+    def test_invalid_costs_raise_like_scipy(self, cost, scipy_assignment):
+        with pytest.raises(ValueError):
+            scipy_assignment(np.array(cost))
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_constant_matrix_gives_identity(self, k):
+        assert linear_sum_assignment(np.ones((k, k))) == list(range(k))
+
+    def test_picks_the_cheaper_permutation(self):
+        assert linear_sum_assignment([[4.0, 1.0, 3.0],
+                                      [2.0, 0.0, 5.0],
+                                      [3.0, 2.0, 2.0]]) == [1, 0, 2]
+
+    def test_rectangular(self):
+        assert linear_sum_assignment([[5.0, 1.0, 9.0]]) == [1]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            linear_sum_assignment(np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            linear_sum_assignment(np.zeros(3))
 
 
 class TestSelectK:

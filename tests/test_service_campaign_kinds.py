@@ -227,13 +227,38 @@ def test_scheduled_fixes_store_the_harness_trials(tmp_path):
             == _stored(str(tmp_path / "direct.db"))[1])
 
 
-def test_executor_workers_skip_scipy():
-    # Pool workers only simulate; SciPy's optimize package is imported
-    # on first use by the analysis, not by the executor's imports.
+STARTUP_PROBE = """
+import sys
+import repro.exec.pool
+workers = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import numpy as np
+from repro.core import envelope
+from repro.core.envelope import EnvelopeConfig, build_envelope
+from repro.service import ServiceApp
+
+app = ServiceApp(sys.argv[1])
+app.start()
+matches = []
+match_clusters = envelope.match_clusters
+envelope.match_clusters = lambda *a: matches.append(1) or match_clusters(*a)
+rng = np.random.default_rng(0)
+trials = [np.vstack([rng.normal(c, (2.0, 0.4), size=(40, 2))
+                     for c in ((20.0, 2.0), (60.0, 8.0))]) for _ in range(3)]
+k = build_envelope(trials, EnvelopeConfig()).k
+app.stop()
+print(workers, k, len(matches) > 0,
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_service_starts_and_matches_clusters_without_scipy(tmp_path):
+    # Neither the executor's workers (``repro.exec.pool``) nor a started
+    # service that builds a two-cluster envelope imports SciPy.
     src = str(Path(repro.__file__).resolve().parents[1])
-    code = "import sys, repro.exec.pool; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "service.db")],
+        capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[] 2 True []"
