@@ -4,7 +4,7 @@
 # numerically identical at any job count.  e.g. `make bench JOBS=4`.
 JOBS ?= 1
 
-.PHONY: install test lint lint-graph bench quick-bench store-smoke service-smoke topo-smoke cca-smoke fabric-smoke fleet-smoke chaos clean-cache loc
+.PHONY: install test lint lint-graph bench quick-bench store-smoke service-smoke topo-smoke cca-smoke fabric-smoke chaos clean-cache loc
 
 install:
 	pip install -e .
@@ -75,13 +75,6 @@ cca-smoke:
 # fabric-smoke job runs).
 fabric-smoke:
 	python examples/fabric_smoke.py
-
-# Self-healing fleet exercise: the coordinator on a single-file
-# warehouse, two v1 workers, a rolling upgrade to v2 mid-campaign (every
-# campaign done in one lease attempt), and a byte-for-byte diff of the
-# warehouse against a single-process run.
-fleet-smoke:
-	python examples/fleet_smoke.py
 
 # Deterministic fault injection against a real campaign: every trial
 # must land bit-identical to the fault-free baseline or fail typed and

@@ -14,14 +14,13 @@ Wall-clocks are reported (and floored loosely); the bit-identity and
 protocol guarantees live in the tier-1 fabric test suite.
 """
 
-import threading
 import time
 
 from conftest import emit_bench, run_once
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.queue import WorkQueue
-from repro.fabric.worker import FabricWorker, LocalTransport
+from repro.fabric.worker import worker_threads
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.service.specs import parse_campaign_spec
 
@@ -97,32 +96,15 @@ def _drain_fleet(store_path, workers):
             )
             for i in range(CAMPAIGNS_PER_FLEET)
         ]
-        fleet = [
-            FabricWorker(
-                LocalTransport(coordinator),
-                name=f"bench-w{i}",
-                store_path=coordinator.store_path,
-                poll_s=0.02,
-                ttl_s=30.0,
-            )
-            for i in range(workers)
-        ]
-        threads = [
-            threading.Thread(target=w.run, daemon=True) for w in fleet
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 600.0
-        while time.monotonic() < deadline:
-            states = [coordinator.job(job.id).state for job in jobs]
-            if all(state in TERMINAL_STATES for state in states):
-                break
-            time.sleep(0.05)
-        wall = time.perf_counter() - t0
-        for worker in fleet:
-            worker.stop()
-        for thread in threads:
-            thread.join(timeout=10.0)
+        names = [f"bench-w{i}" for i in range(workers)]
+        with worker_threads(coordinator, names, ttl_s=30.0, poll_s=0.02):
+            deadline = time.monotonic() + 600.0
+            while time.monotonic() < deadline:
+                states = [coordinator.job(job.id).state for job in jobs]
+                if all(state in TERMINAL_STATES for state in states):
+                    break
+                time.sleep(0.05)
+            wall = time.perf_counter() - t0
         assert all(
             coordinator.job(job.id).state == DONE for job in jobs
         ), f"fleet of {workers} left campaigns unfinished"

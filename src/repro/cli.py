@@ -1048,8 +1048,6 @@ def cmd_fabric_worker(args) -> int:
         jobs=args.jobs,
         poll_s=args.poll,
         ttl_s=args.ttl,
-        version=args.worker_version,
-        drain_policy=args.drain_policy,
         log=lambda msg: print(msg, flush=True),
     )
 
@@ -1103,9 +1101,8 @@ def cmd_fabric_status(args) -> int:
     if status.get("workers"):
         print("workers:")
         for w in status["workers"]:
-            version = f" v{w['version']}" if w.get("version") else ""
             print(
-                f"  {w['name']:<16} {w['state']}{version} "
+                f"  {w['name']:<16} {w['state']} "
                 f"heartbeat {w['heartbeat_age_s']:.1f}s ago, "
                 f"{w['leases']} lease(s) held, "
                 f"{w['leases_total']} completed"
@@ -1114,8 +1111,8 @@ def cmd_fabric_status(args) -> int:
 
 
 def cmd_fabric_drain(args) -> int:
-    """Set the durable drain directive on a worker: it finishes (or
-    hands back) its lease, deregisters and exits — never killed."""
+    """Set the durable drain directive on a worker: it finishes its
+    lease, deregisters and exits — never killed."""
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(args.url)
@@ -1128,69 +1125,6 @@ def cmd_fabric_drain(args) -> int:
         f"{info['name']}: draining ({info['leases']} lease(s) "
         "to finish before exit)"
     )
-    return 0
-
-
-def cmd_fabric_supervise(args) -> int:
-    """Run the fleet supervisor: liveness reaping, backlog autoscaling
-    and (with --roll) a lease-safe rolling upgrade."""
-    import subprocess
-
-    from repro.fabric.queue import WorkQueue
-    from repro.fabric.supervisor import FleetSupervisor, SupervisorConfig
-
-    def spawn(name: str, version: str):
-        cmd = [
-            sys.executable, "-m", "repro", "fabric", "worker",
-            "--url", args.url, "--name", name,
-            "--poll", str(args.poll), "--ttl", str(args.ttl),
-        ]
-        if version:
-            cmd += ["--version", version]
-        if args.store:
-            cmd += ["--store", args.store]
-        if args.jobs != 1:
-            cmd += ["--jobs", str(args.jobs)]
-        print(f"supervisor: spawning {name}" + (f" v{version}" if version else ""))
-        return subprocess.Popen(cmd)
-
-    config = SupervisorConfig(
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        backlog_per_worker=args.backlog_per_worker,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        version=args.fleet_version,
-    )
-    with WorkQueue(args.db) as queue:
-        supervisor = FleetSupervisor(queue, config=config, spawn=spawn)
-        if args.roll:
-            result = supervisor.roll(args.roll)
-            print(
-                f"rolled fleet to {args.roll!r}: replaced "
-                f"{len(result['replaced'])} worker(s) "
-                f"({', '.join(result['replaced']) or 'none'})"
-            )
-            return 0
-        import time as _time
-
-        remaining = args.ticks
-        try:
-            while True:
-                d = supervisor.tick().as_dict()
-                if d["spawned"] or d["drained"] or d["dead"]:
-                    print(
-                        f"supervisor: backlog={d['backlog']} "
-                        f"live={d['live']} desired={d['desired']} "
-                        f"spawned={d['spawned']} drained={d['drained']} "
-                        f"dead={d['dead']}"
-                    )
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining <= 0:
-                        break
-                _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            print("supervisor: interrupted (fleet keeps running)")
     return 0
 
 
@@ -1208,6 +1142,7 @@ def cmd_store_render(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The quicbench argument parser (one subcommand per experiment)."""
     from repro import __version__
+    from repro.faults.plan import MATRIX_CLASSES
 
     parser = argparse.ArgumentParser(
         prog="quicbench",
@@ -1543,13 +1478,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit at the first empty poll (drain mode)")
     p.add_argument("--max-tasks", type=int, default=None,
                    help="exit after handling this many tasks")
-    p.add_argument("--version", dest="worker_version", default="",
-                   help="code version stamped in the worker registry "
-                   "(rolling upgrades drain workers on stale versions)")
-    p.add_argument("--drain-policy", choices=("finish", "handback"),
-                   default="finish",
-                   help="on drain: finish the current lease (default) "
-                   "or hand it back retryably and exit at once")
     p.set_defaults(fn=cmd_fabric_worker)
 
     p = fabric_sub.add_parser(
@@ -1565,49 +1493,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("worker", help="registered worker name")
     p.set_defaults(fn=cmd_fabric_drain)
 
-    p = fabric_sub.add_parser(
-        "supervise",
-        help="fleet supervisor: liveness, autoscaling, rolling upgrade",
-    )
-    p.add_argument("--db", required=True,
-                   help="the coordinator's warehouse (registry + queue)")
-    p.add_argument("--url", required=True,
-                   help="coordinator base URL handed to spawned workers")
-    p.add_argument("--min-workers", type=int, default=1)
-    p.add_argument("--max-workers", type=int, default=4)
-    p.add_argument("--backlog-per-worker", type=int, default=2,
-                   help="pending+leased tasks each worker should absorb")
-    p.add_argument("--heartbeat-timeout", type=float, default=60.0,
-                   help="heartbeat age past which a worker is declared "
-                   "dead and reaped from the registry")
-    p.add_argument("--fleet-version", default="",
-                   help="version stamped on workers this supervisor spawns")
-    p.add_argument("--roll", default=None, metavar="VERSION",
-                   help="perform a lease-safe rolling upgrade to VERSION "
-                   "and exit (spawn replacement, await heartbeat, drain "
-                   "old, await exit — one worker at a time)")
-    p.add_argument("--store", default=None,
-                   help="--store passed to spawned workers (shared-store "
-                   "mode); omit for remote result bundles")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="--jobs passed to spawned workers")
-    p.add_argument("--poll", type=float, default=0.5,
-                   help="--poll passed to spawned workers")
-    p.add_argument("--ttl", type=float, default=30.0,
-                   help="--ttl passed to spawned workers")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between supervision ticks")
-    p.add_argument("--ticks", type=int, default=None,
-                   help="stop after this many ticks (default: run forever)")
-    p.set_defaults(fn=cmd_fabric_supervise)
-
     p = sub.add_parser(
         "chaos",
         help="fault-injection campaign proving the pipeline invariant",
     )
     p.add_argument("--matrix", default="smoke",
-                   help="named fault matrix: smoke (fast, CI) or default "
-                   "(every fault class incl. the service round trip)")
+                   choices=sorted(MATRIX_CLASSES),
+                   help="named fault matrix: smoke is the fast CI cut, "
+                   "default runs every fault class")
     p.add_argument("--duration", type=float, default=2.0,
                    help="simulated seconds per trial")
     p.add_argument("--trials", type=int, default=1)

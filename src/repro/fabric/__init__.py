@@ -9,9 +9,9 @@ Layers (each importable on its own):
   remote workers without a shared filesystem.
 * :mod:`repro.fabric.coordinator` — the service scheduler dispatching
   into the queue instead of in-process threads.
-* :mod:`repro.fabric.worker` — the lease → execute → report agent.
-* :mod:`repro.fabric.supervisor` — fleet liveness, autoscaling off the
-  tenant-backlog gauges, and lease-safe rolling drain/upgrade.
+* :mod:`repro.fabric.worker` — the lease → execute → report agent, and
+  :func:`~repro.fabric.worker.worker_threads` for running N of them
+  in-process.
 
 The coordinator is served over HTTP by the campaign service's
 :class:`~repro.service.server.ServiceApp` (``repro fabric serve``).
@@ -42,9 +42,7 @@ _EXPORTS = {
     "LocalTransport": "repro.fabric.worker",
     "HttpTransport": "repro.fabric.worker",
     "lease_to_wire": "repro.fabric.worker",
-    "FleetSupervisor": "repro.fabric.supervisor",
-    "SupervisorConfig": "repro.fabric.supervisor",
-    "FleetDecision": "repro.fabric.supervisor",
+    "worker_threads": "repro.fabric.worker",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -171,7 +171,7 @@ class Coordinator(Scheduler):
                 self._emit(job, {"event": "state", "state": PENDING})
 
     def lease_task(
-        self, owner: str, ttl_s: Optional[float] = None, version: str = ""
+        self, owner: str, ttl_s: Optional[float] = None
     ) -> Optional[Lease]:
         """Claim the next task for a worker.
 
@@ -182,7 +182,7 @@ class Coordinator(Scheduler):
         ttl = float(ttl_s or self.lease_ttl_s)
         with self._work_queue() as q:
             expired = q.sweep()
-            lease = q.lease(owner, ttl_s=ttl, version=version)
+            lease = q.lease(owner, ttl_s=ttl)
         if expired:
             self._reconcile_expired(expired)
         if lease is None or isinstance(lease, dict):
@@ -297,7 +297,7 @@ class Coordinator(Scheduler):
             self._finish(job, FAILED, error)
         return outcome
 
-    # ------------------------------------------------------ fleet registry
+    # ----------------------------------------------------- worker registry
 
     def drain_worker(self, name: str) -> dict:
         """Set the durable drain directive for one worker; it observes
@@ -306,7 +306,11 @@ class Coordinator(Scheduler):
             return q.drain_worker(name)
 
     def deregister_worker(self, name: str) -> None:
-        """A worker's clean exit (or the supervisor reaping a dead one)."""
+        """A worker's clean exit, reported by the worker after a drain.
+
+        Nothing calls this for a worker that died: its row stays
+        ``active`` with a growing heartbeat age, and its lease returns
+        to the queue through ordinary expiry."""
         with self._work_queue() as q:
             q.deregister_worker(name)
 

@@ -16,13 +16,14 @@ file with one retry discipline.  Lease semantics are at-least-once:
   twice (stale lease + fresh lease) dedupes to identical rows and the
   second completion is acknowledged as a duplicate, never an error.
 
-The queue also keeps the fleet's durable worker registry
-(``fabric_workers``): every lease and heartbeat stamps the calling
-worker's ``last_seen``, so heartbeat *ages* — not process handles — are
-the fleet's liveness signal, and the ``draining`` state is a durable
-drain directive the worker observes on its next heartbeat (finish or
-hand back the lease, then exit).  A supervisor that crashes loses
-nothing: the registry and directives live in the warehouse.
+The queue also keeps the durable worker registry (``fabric_workers``):
+every lease and heartbeat stamps the calling worker's ``last_seen``, so
+heartbeat *ages* — not process handles — show which workers are alive,
+and the ``draining`` state is a durable drain directive the worker
+observes on its next heartbeat or lease poll (finish the lease, then
+exit).  Nothing reaps a dead worker's row: it stays ``active`` with a
+growing heartbeat age, and its lease returns to ``pending`` through
+ordinary expiry.
 
 Every statement that touches ``fabric_tasks`` / ``fabric_tenants`` /
 ``fabric_workers`` lives in this module; the ``queue-sql-confinement``
@@ -49,8 +50,8 @@ CANCELLED = "cancelled"
 
 TERMINAL = (DONE, FAILED, CANCELLED)
 
-# Worker registry states.  active -> draining -> exited; a worker that
-# re-registers (new process, same name) returns to active.
+# Worker registry states.  active -> draining -> exited; an exited worker
+# whose name leases or heartbeats again (a new process) returns to active.
 WORKER_ACTIVE = "active"
 WORKER_DRAINING = "draining"
 WORKER_EXITED = "exited"
@@ -179,60 +180,31 @@ class WorkQueue:
 
     # ------------------------------------------------------------- workers
 
-    def _touch_worker(
-        self, conn, name: str, now: float, version: Optional[str] = None
-    ) -> str:
+    def _touch_worker(self, conn, name: str, now: float) -> str:
         """Upsert the worker's registry row and stamp ``last_seen``.
 
         Returns the worker's current state.  A worker whose row says
         ``exited`` and shows up again is a restarted process: it
         re-activates (fresh ``started_at``).  ``draining`` is sticky —
-        only an explicit re-register clears it — so a drain directive
+        only the worker's own deregister ends it — so a drain directive
         can never be lost to a concurrently arriving heartbeat.
         """
         conn.execute(
-            "INSERT INTO fabric_workers (name, version, state, started_at,"
-            " last_seen) VALUES (?, ?, ?, ?, ?)"
+            "INSERT INTO fabric_workers (name, state, started_at, last_seen)"
+            " VALUES (?, ?, ?, ?)"
             " ON CONFLICT(name) DO UPDATE SET last_seen = excluded.last_seen,"
-            " version = CASE WHEN excluded.version != ''"
-            "   THEN excluded.version ELSE fabric_workers.version END,"
             " state = CASE WHEN fabric_workers.state = ?"
             "   THEN ? ELSE fabric_workers.state END,"
             " started_at = CASE WHEN fabric_workers.state = ?"
             "   THEN excluded.started_at ELSE fabric_workers.started_at END",
             (
-                name, version or "", WORKER_ACTIVE, now, now,
+                name, WORKER_ACTIVE, now, now,
                 WORKER_EXITED, WORKER_ACTIVE, WORKER_EXITED,
             ),
         )
         return conn.execute(
             "SELECT state FROM fabric_workers WHERE name = ?", (name,)
         ).fetchone()["state"]
-
-    def register_worker(self, name: str, version: str = "") -> dict:
-        """Explicitly (re-)register a worker as active.
-
-        Unlike the lease/heartbeat touch this *clears* a drain directive
-        — it is the "new code version taking over" half of a rolling
-        upgrade, so the restarted process starts with a clean state.
-        """
-        now = self._clock()
-
-        def txn(conn):
-            conn.execute(
-                "INSERT INTO fabric_workers (name, version, state,"
-                " started_at, last_seen) VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT(name) DO UPDATE SET"
-                " version = excluded.version, state = excluded.state,"
-                " started_at = excluded.started_at,"
-                " last_seen = excluded.last_seen",
-                (name, version, WORKER_ACTIVE, now, now),
-            )
-
-        self._store.write_transaction(txn)
-        info = self.worker_info(name)
-        assert info is not None
-        return info
 
     def deregister_worker(self, name: str) -> None:
         """Record a clean worker exit (keeps the row for fleet history)."""
@@ -249,7 +221,7 @@ class WorkQueue:
         """Set the durable drain directive for ``name``.
 
         The worker sees ``drain: true`` on its next heartbeat or lease
-        poll, finishes (or hands back) its current lease, and exits.
+        poll, finishes its current lease, deregisters and exits.
         Draining a worker the registry has never seen creates the row,
         so a directive can be issued before the first heartbeat lands.
         """
@@ -278,7 +250,7 @@ class WorkQueue:
 
         def txn(conn):
             sql = (
-                "SELECT w.name, w.version, w.state, w.started_at,"
+                "SELECT w.name, w.state, w.started_at,"
                 " w.last_seen, w.leases_total,"
                 " SUM(CASE WHEN k.state = ? THEN 1 ELSE 0 END) AS leases"
                 " FROM fabric_workers w LEFT JOIN fabric_tasks k"
@@ -291,7 +263,6 @@ class WorkQueue:
                 out.append(
                     {
                         "name": row["name"],
-                        "version": row["version"],
                         "state": row["state"],
                         "started_at": row["started_at"],
                         "last_seen": row["last_seen"],
@@ -457,7 +428,6 @@ class WorkQueue:
         self,
         owner: str,
         ttl_s: float = 30.0,
-        version: Optional[str] = None,
     ) -> Union[Lease, dict, None]:
         """Atomically claim the next task for ``owner``.
 
@@ -471,7 +441,7 @@ class WorkQueue:
         now = self._clock()
 
         def txn(conn):
-            if self._touch_worker(conn, owner, now, version) == WORKER_DRAINING:
+            if self._touch_worker(conn, owner, now) == WORKER_DRAINING:
                 return {"drain": True}
             self._sweep_expired(conn, now)
             tenant = self._pick_tenant(conn)
@@ -737,7 +707,7 @@ class WorkQueue:
             ]
             workers = []
             for row in conn.execute(
-                "SELECT w.name, w.version, w.state, w.last_seen,"
+                "SELECT w.name, w.state, w.last_seen,"
                 " w.leases_total,"
                 " SUM(CASE WHEN k.state = ? THEN 1 ELSE 0 END) AS leases"
                 " FROM fabric_workers w LEFT JOIN fabric_tasks k"
@@ -748,7 +718,6 @@ class WorkQueue:
                 workers.append(
                     {
                         "name": row["name"],
-                        "version": row["version"],
                         "state": row["state"],
                         "heartbeat_age_s": round(now - row["last_seen"], 3),
                         "leases": int(row["leases"] or 0),

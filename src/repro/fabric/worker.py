@@ -25,13 +25,14 @@ trials are already durable (shared mode) or recomputed deterministically
 lease loop backs off itself (capped, jittered, and cut short by
 :meth:`FabricWorker.stop`), and a heartbeat is never retried.
 
-Drain is the *graceful* exit the supervisor uses for scale-down and
-rolling upgrades: a ``{"drain": true}`` lease response or a heartbeat
-carrying ``drain`` tells the worker to stop taking work.  Under the
-default ``finish`` policy it completes the lease it holds first; under
-``handback`` it fails the lease retryable immediately.  Either way it
-deregisters and exits, so nothing is lost (the queue keeps the task)
-and nothing doubles (content-addressed trials dedupe).
+Drain is the *graceful* exit (``repro fabric drain``): a
+``{"drain": true}`` lease response or a heartbeat carrying ``drain``
+tells the worker to stop taking work.  It completes the lease it holds
+first, then deregisters and exits, so nothing is lost (the lease runs
+to completion) and nothing doubles (no second attempt is started).
+
+:func:`worker_threads` runs N workers in one process, each on a daemon
+thread over :class:`LocalTransport` (tests, benchmarks, chaos drills).
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from __future__ import annotations
 import tempfile
 import threading
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec import close_pools
 from repro.exec.telemetry import default_clock
@@ -64,10 +66,6 @@ class _CancelRequested(Exception):
     """The campaign was cancelled; abort at the trial boundary."""
 
 
-class _DrainHandback(Exception):
-    """Drain directive under the handback policy: return the lease."""
-
-
 def lease_to_wire(lease) -> dict:
     """Flatten a :class:`repro.fabric.queue.Lease` for JSON transport."""
     payload = lease.spec if isinstance(lease.spec, dict) else {}
@@ -88,12 +86,8 @@ class LocalTransport:
     def __init__(self, coordinator):
         self._coordinator = coordinator
 
-    def lease(
-        self, worker: str, ttl_s: float, version: str = ""
-    ) -> Optional[dict]:
-        lease = self._coordinator.lease_task(
-            worker, ttl_s=ttl_s, version=version
-        )
+    def lease(self, worker: str, ttl_s: float) -> Optional[dict]:
+        lease = self._coordinator.lease_task(worker, ttl_s=ttl_s)
         if lease is None or isinstance(lease, dict):
             return lease  # idle, or a {"drain": True} directive
         return lease_to_wire(lease)
@@ -168,14 +162,12 @@ class HttpTransport:
 
         return self._retry.call(fn, retryable=retryable)
 
-    def lease(
-        self, worker: str, ttl_s: float, version: str = ""
-    ) -> Optional[dict]:
+    def lease(self, worker: str, ttl_s: float) -> Optional[dict]:
         # One attempt, not retried: ``FabricWorker.run`` backs off on a
         # failed lease in a pause that ``stop()`` ends, where a retry
         # loop here would keep a stopping worker polling a coordinator
         # that is gone.
-        return self.client.fabric_lease(worker, ttl_s=ttl_s, version=version)
+        return self.client.fabric_lease(worker, ttl_s=ttl_s)
 
     def heartbeat(
         self,
@@ -229,17 +221,10 @@ class FabricWorker:
         jobs: int = 1,
         poll_s: float = 0.5,
         ttl_s: float = 30.0,
-        version: str = "",
-        drain_policy: str = "finish",
         sleep: Optional[Callable[[float], None]] = None,
         clock: Callable[[], float] = default_clock,
         log: Optional[Callable[[str], None]] = None,
     ):
-        if drain_policy not in ("finish", "handback"):
-            raise ValueError(
-                f"drain_policy must be 'finish' or 'handback', "
-                f"got {drain_policy!r}"
-            )
         self.transport = transport
         self.name = name
         self.store_path = str(store_path) if store_path else None
@@ -247,14 +232,6 @@ class FabricWorker:
         self.jobs = max(1, int(jobs))
         self.poll_s = float(poll_s)
         self.ttl_s = float(ttl_s)
-        #: Code version reported on every lease request; the supervisor
-        #: uses it to pick rolling-upgrade victims.
-        self.version = str(version)
-        #: What a drain directive does to a held lease: ``finish`` runs
-        #: it to completion before exiting (nothing recomputed),
-        #: ``handback`` fails it retryable immediately (fastest exit,
-        #: the next worker re-runs it — content addressing dedupes).
-        self.drain_policy = drain_policy
         #: True once a drain directive has been observed; the lease loop
         #: exits and the worker deregisters.
         self.drained = False
@@ -297,9 +274,7 @@ class FabricWorker:
         failing_since = 0.0
         while not self._stop.is_set():
             try:
-                lease = self.transport.lease(
-                    self.name, self.ttl_s, self.version
-                )
+                lease = self.transport.lease(self.name, self.ttl_s)
             except ServiceError as exc:
                 if failures == 0:
                     failing_since = self._clock()
@@ -344,9 +319,8 @@ class FabricWorker:
         # No more leases: stop the warm executor workers they ran on.
         close_pools()
         if self.drained:
-            # Hand the registry slot back so the supervisor's roll can
-            # proceed; best-effort — an unreachable coordinator just
-            # leaves the row to age out by heartbeat timeout.
+            # Mark the registry row exited; best-effort — against an
+            # unreachable coordinator the row just stays ``draining``.
             try:
                 self.transport.deregister(self.name)
             except (ServiceError, OSError) as exc:
@@ -410,8 +384,6 @@ class FabricWorker:
                 raise _LeaseLost()
             if state["cancel"]:
                 raise _CancelRequested()
-            if state["drain"] and self.drain_policy == "handback":
-                raise _DrainHandback()
 
         beater = threading.Thread(
             target=beat_loop, name=f"{self.name}-heartbeat", daemon=True
@@ -426,18 +398,6 @@ class FabricWorker:
             self._report_fail(
                 campaign, lease_id, "cancelled by request", retryable=False
             )
-            return
-        except _DrainHandback:
-            # Hand the lease back retryable: the task requeues for a
-            # surviving worker, and content-addressed trials mean the
-            # partial work already done is never recomputed into
-            # different bytes.
-            self._log(f"{self.name}: draining; handing back {campaign}")
-            self._report_fail(
-                campaign, lease_id, "drained: lease handed back",
-                retryable=True,
-            )
-            self.drained = True
             return
         except Exception as exc:  # noqa: BLE001 - report typed failure
             self._report_fail(
@@ -498,9 +458,47 @@ class FabricWorker:
         return summary, bundle
 
 
+@contextmanager
+def worker_threads(
+    coordinator,
+    names: Sequence[str],
+    ttl_s: float = 30.0,
+    poll_s: float = 0.05,
+    transport: Callable = LocalTransport,
+) -> Iterator[List[Tuple[FabricWorker, threading.Thread]]]:
+    """Run one :class:`FabricWorker` per name against ``coordinator``,
+    each on a daemon thread in shared-store mode (the coordinator's own
+    warehouse file).
+
+    ``transport`` is called with ``coordinator`` to build each worker's
+    transport.  Yields the ``(worker, thread)`` pairs; on exit every
+    worker is stopped and its thread joined (10 s each).
+    """
+    started = []
+    try:
+        for name in names:
+            worker = FabricWorker(
+                transport(coordinator),
+                name=name,
+                store_path=coordinator.store_path,
+                poll_s=poll_s,
+                ttl_s=ttl_s,
+            )
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            started.append((worker, thread))
+        yield started
+    finally:
+        for worker, _thread in started:
+            worker.stop()
+        for _worker, thread in started:
+            thread.join(timeout=10.0)
+
+
 __all__ = [
     "FabricWorker",
     "LocalTransport",
     "HttpTransport",
     "lease_to_wire",
+    "worker_threads",
 ]

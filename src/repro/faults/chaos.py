@@ -25,9 +25,7 @@ Everything is seeded: a failing chaos run reproduces with the same
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -40,7 +38,6 @@ from repro.faults.plan import (
     FAULT_DRAIN_DURING_LEASE,
     FAULT_HTTP_DISCONNECT,
     FAULT_LEASE_EXPIRY,
-    FAULT_SUPERVISOR_SIGKILL,
     FAULT_WORKER_HANG,
     FAULT_WORKER_SIGKILL,
     FaultPlan,
@@ -453,43 +450,6 @@ def _wait_settled(scheduler, *job_ids: str) -> bool:
     return _wait_until(lambda: _settled(scheduler, *job_ids), 300.0, 0.05)
 
 
-@contextmanager
-def _fabric_workers(
-    coordinator,
-    store_path: Path,
-    names: List[str],
-    ttl_s: float,
-    transport=None,
-):
-    """Run one in-process :class:`FabricWorker` per name, each on a
-    daemon thread polling ``coordinator`` every 0.05 s; yields the
-    ``(worker, thread)`` pairs and on exit stops every worker and joins
-    its thread (10 s each).  ``transport`` defaults to
-    :class:`LocalTransport`."""
-    from repro.fabric.worker import FabricWorker, LocalTransport
-
-    transport = transport or LocalTransport
-    started = []
-    for name in names:
-        worker = FabricWorker(
-            transport(coordinator),
-            name=name,
-            store_path=str(store_path),
-            poll_s=0.05,
-            ttl_s=ttl_s,
-        )
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        started.append((worker, thread))
-    try:
-        yield started
-    finally:
-        for worker, _thread in started:
-            worker.stop()
-        for _worker, thread in started:
-            thread.join(timeout=10.0)
-
-
 def _store_snaps(path: Path) -> Dict[str, _Snap]:
     from repro.store.warehouse import ResultStore
 
@@ -584,7 +544,7 @@ def _run_lease_expiry_class(
     expires mid-campaign, attempt 2 re-runs it; the stale attempt-1
     completion must dedupe ('duplicate'), never double-write."""
     from repro.fabric.coordinator import Coordinator
-    from repro.fabric.worker import LocalTransport
+    from repro.fabric.worker import LocalTransport, worker_threads
     from repro.service.specs import parse_campaign_spec
 
     spec = _fabric_spec(duration_s, trials)
@@ -617,9 +577,9 @@ def _run_lease_expiry_class(
     try:
         with inject.active_plan(plan) as injector:
             job = coordinator.submit(parse_campaign_spec(spec))
-            with _fabric_workers(
-                coordinator, store_path, ["chaos-lease-w1", "chaos-lease-w2"],
-                0.4, transport=_LateFirstCompletion,
+            with worker_threads(
+                coordinator, ["chaos-lease-w1", "chaos-lease-w2"],
+                ttl_s=0.4, transport=_LateFirstCompletion,
             ):
                 _wait_settled(coordinator, job.id)
             outcome.fires = injector.fire_count()
@@ -653,6 +613,7 @@ def _run_worker_sigkill_class(
     import sys
 
     from repro.fabric.coordinator import Coordinator
+    from repro.fabric.worker import worker_threads
     from repro.service.server import ServiceApp
     from repro.service.specs import parse_campaign_spec
 
@@ -690,7 +651,7 @@ def _run_worker_sigkill_class(
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30.0)
         outcome.fires = 1  # the kill is the (process-level) fault
-        with _fabric_workers(coordinator, store_path, ["chaos-rescuer"], 1.0):
+        with worker_threads(coordinator, ["chaos-rescuer"], ttl_s=1.0):
             _wait_settled(coordinator, job.id)
         _check_fabric_outcome(
             classdir, job.id, coordinator, baseline, outcome
@@ -714,6 +675,7 @@ def _run_drain_during_lease_class(
     second worker started after the drain absorbs the remaining
     campaign.  The store must match the fault-free baseline exactly."""
     from repro.fabric.coordinator import Coordinator
+    from repro.fabric.worker import worker_threads
     from repro.service.specs import parse_campaign_spec
 
     spec_a = _fabric_spec(duration_s, trials)
@@ -735,8 +697,8 @@ def _run_drain_during_lease_class(
                 ).add(lease["owner"])
             return _settled(coordinator, job_a.id, job_b.id)
 
-        with _fabric_workers(
-            coordinator, store_path, ["chaos-drain-victim"], 10.0
+        with worker_threads(
+            coordinator, ["chaos-drain-victim"], ttl_s=10.0
         ) as [(victim, victim_thread)]:
             # Wait until the victim actually holds a lease, then drain
             # it mid-flight.
@@ -752,8 +714,8 @@ def _run_drain_during_lease_class(
                 return
             coordinator.drain_worker(victim.name)
             outcome.fires = 1
-            with _fabric_workers(
-                coordinator, store_path, ["chaos-drain-rescuer"], 10.0
+            with worker_threads(
+                coordinator, ["chaos-drain-rescuer"], ttl_s=10.0
             ):
                 _wait_until(both_settled, 300.0, 0.05)
                 # The drained victim must exit on its own (never killed).
@@ -805,121 +767,12 @@ def _run_drain_during_lease_class(
         coordinator.shutdown(drain=False)
 
 
-def _run_supervisor_sigkill_class(
-    plan: FaultPlan,
-    classdir: Path,
-    duration_s: float,
-    trials: int,
-    outcome: FaultOutcome,
-) -> None:
-    """supervisor-sigkill: a real ``repro fabric supervise`` subprocess
-    spawns the fleet, then dies by SIGKILL mid-campaign.  The workers it
-    spawned are untouched (they answer to the registry, not the
-    supervisor), the campaign completes on a single lease attempt, and
-    a replacement supervisor adopts the same fleet by reading the same
-    warehouse — then drains it clean."""
-    import os
-    import signal
-    import subprocess
-    import sys
-
-    from repro.fabric.coordinator import Coordinator
-    from repro.fabric.queue import WorkQueue
-    from repro.fabric.supervisor import FleetSupervisor, SupervisorConfig
-    from repro.service.server import ServiceApp
-    from repro.service.specs import parse_campaign_spec
-
-    spec = _fabric_spec(duration_s, trials)
-    baseline = _fabric_baseline(spec, classdir / "baseline")
-    store_path = classdir / "store.db"
-    coordinator = Coordinator(str(store_path), lease_ttl_s=10.0, max_attempts=3)
-    app = ServiceApp(str(store_path), port=0, scheduler=coordinator)
-    app.start()
-    proc = None
-    try:
-        job = coordinator.submit(parse_campaign_spec(spec))
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "fabric", "supervise",
-                "--db", str(store_path), "--url", app.url,
-                "--store", str(store_path),
-                "--min-workers", "1", "--max-workers", "2",
-                "--interval", "0.1", "--ttl", "10.0",
-                "--poll", "0.05",
-            ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        # Kill the supervisor the moment its spawned worker holds
-        # the lease: fleet alive, campaign in flight, supervisor
-        # gone without cleanup.
-        leased = _wait_until(
-            lambda: bool(coordinator.fabric_status()["leases"]), 120.0, 0.02
-        )
-        if not leased:
-            outcome.violations.append(
-                "supervised worker never leased the task"
-            )
-            return
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30.0)
-        outcome.fires = 1
-        _wait_settled(coordinator, job.id)
-        # A replacement supervisor adopts the orphaned fleet from the
-        # registry alone (its handles dict starts empty) and retires it.
-        with WorkQueue(str(store_path)) as queue:
-            replacement = FleetSupervisor(
-                queue,
-                config=SupervisorConfig(min_workers=0, max_workers=2),
-            )
-            adopted = [
-                w["name"]
-                for w in replacement.fleet()
-                if w["state"] == "active"
-            ]
-            if not adopted:
-                outcome.violations.append(
-                    "replacement supervisor found no live workers in "
-                    "the registry"
-                )
-            for name in adopted:
-                queue.drain_worker(name)
-            # Retired means exited: a worker still ``draining`` has not
-            # seen the directive yet, and stopping the service under it
-            # would leave it polling a coordinator that is gone.
-            _wait_until(lambda: not queue.workers(), 60.0, 0.1)
-            leftover = [w["name"] for w in queue.workers()]
-            if leftover:
-                outcome.violations.append(
-                    f"orphaned workers never drained: {leftover}"
-                )
-        outcome.note = f"adopted {len(adopted)} worker(s) after the kill"
-        _check_fabric_job(
-            store_path, job.id, coordinator, outcome,
-            min_attempts=1, max_attempts=1,
-        )
-        violations, missing = _check_store(
-            store_path, baseline, set(), set()
-        )
-        outcome.violations += violations
-        outcome.violations += [
-            f"trial {k} missing after the kill" for k in missing
-        ]
-        if not outcome.violations:
-            outcome.recovered = True
-    finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-        app.stop(drain=False)
-
-
 #: Fault classes with their own campaign harness (service, fabric);
 #: every other class runs the local executor campaign in run_chaos.
 _CLASS_RUNNERS = {
     FAULT_HTTP_DISCONNECT: _run_service_class,
     FAULT_LEASE_EXPIRY: _run_lease_expiry_class,
     FAULT_WORKER_SIGKILL: _run_worker_sigkill_class,
-    FAULT_SUPERVISOR_SIGKILL: _run_supervisor_sigkill_class,
     FAULT_DRAIN_DURING_LEASE: _run_drain_during_lease_class,
 }
 

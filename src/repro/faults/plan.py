@@ -47,12 +47,14 @@ FAULT_CLOCK_SKEW = "clock-skew"
 FAULT_HTTP_DISCONNECT = "http-disconnect"
 FAULT_LEASE_EXPIRY = "lease-expiry"
 FAULT_WORKER_SIGKILL = "worker-sigkill"
-FAULT_SUPERVISOR_SIGKILL = "supervisor-sigkill"
 FAULT_DRAIN_DURING_LEASE = "drain-during-lease"
 
 #: Every fault class, in documentation order.  New classes append: the
 #: per-class schedule mix uses positional indices, and appending keeps
-#: every older class's seeded schedule byte-stable.
+#: every older class's seeded schedule byte-stable.  Removing a class
+#: shifts the index of every class after it, which moves no schedule
+#: only while those classes use fixed ``hits`` (``drain-during-lease``
+#: does).
 FAULT_CLASSES = (
     FAULT_WORKER_CRASH,
     FAULT_WORKER_HANG,
@@ -66,7 +68,6 @@ FAULT_CLASSES = (
     FAULT_HTTP_DISCONNECT,
     FAULT_LEASE_EXPIRY,
     FAULT_WORKER_SIGKILL,
-    FAULT_SUPERVISOR_SIGKILL,
     FAULT_DRAIN_DURING_LEASE,
 )
 
@@ -217,11 +218,6 @@ def _single_class_plan(fault: str, seed: int) -> FaultPlan:
         # subprocess mid-lease; the rule documents the schedule (first
         # lease dies) rather than firing through the in-process seam.
         rules = (rule(fault, "fabric.worker.process", hits=(1,)),)
-    elif fault == FAULT_SUPERVISOR_SIGKILL:
-        # Process-level: the fleet supervisor dies mid-campaign; the
-        # registry (not the corpse's memory) is the fleet's truth, so a
-        # replacement adopts the same workers.
-        rules = (rule(fault, "fabric.supervisor.process", hits=(1,)),)
     elif fault == FAULT_DRAIN_DURING_LEASE:
         # Registry-level: the leaseholder gets a durable drain directive
         # mid-lease; it must finish that lease (never hand it to a
@@ -244,13 +240,7 @@ MATRIX_CLASSES = {
         FAULT_LEASE_EXPIRY,
         FAULT_WORKER_SIGKILL,
     ),
-    # The fleet recovery proofs: supervisor death and drain racing a
-    # live lease.  ``fleet-smoke`` is the CI cut (no subprocess
-    # supervisor, so it stays fast).
-    "fleet": (
-        FAULT_SUPERVISOR_SIGKILL,
-        FAULT_DRAIN_DURING_LEASE,
-    ),
+    # Drain racing a live lease (CI's fabric-chaos-smoke job).
     "fleet-smoke": (FAULT_DRAIN_DURING_LEASE,),
     "default": FAULT_CLASSES,
 }
@@ -283,7 +273,6 @@ __all__ = [
     "FAULT_HTTP_DISCONNECT",
     "FAULT_LEASE_EXPIRY",
     "FAULT_WORKER_SIGKILL",
-    "FAULT_SUPERVISOR_SIGKILL",
     "FAULT_DRAIN_DURING_LEASE",
     "FaultRule",
     "FaultPlan",

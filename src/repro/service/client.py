@@ -343,20 +343,18 @@ class ServiceClient:
         """Queue depth, per-tenant backlog and live leases."""
         return self._request("GET", "/fabric/status")
 
-    def fabric_lease(
-        self, worker: str, ttl_s: float = 30.0, version: str = ""
-    ) -> Optional[dict]:
+    def fabric_lease(self, worker: str, ttl_s: float = 30.0) -> Optional[dict]:
         """Claim a task for ``worker``; None when the queue is idle, or
         ``{"drain": True}`` when the worker must drain and exit."""
         payload = self._request(
             "POST",
             "/fabric/lease",
-            body={"worker": worker, "ttl_s": ttl_s, "version": version},
+            body={"worker": worker, "ttl_s": ttl_s},
         )
         return payload or None
 
     def fabric_workers(self, include_exited: bool = False) -> List[dict]:
-        """The fleet registry: per-worker heartbeat age, state, leases."""
+        """The worker registry: per-worker heartbeat age, state, leases."""
         query = {"all": "1"} if include_exited else None
         payload = self._request("GET", "/fabric/workers", query=query)
         return payload.get("workers", [])

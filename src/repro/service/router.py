@@ -309,9 +309,7 @@ class ServiceRouter:
         worker = str(payload.get("worker") or "anonymous")
         ttl_s = payload.get("ttl_s")
         lease = fabric.lease_task(
-            worker,
-            ttl_s=float(ttl_s) if ttl_s else None,
-            version=str(payload.get("version") or ""),
+            worker, ttl_s=float(ttl_s) if ttl_s else None
         )
         if lease is None:
             return no_content()

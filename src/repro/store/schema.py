@@ -46,13 +46,15 @@ Tables
     against these tables lives in :mod:`repro.fabric.queue` — the
     ``queue-sql-confinement`` lint rule enforces that.
 ``fabric_workers`` (v3)
-    The fleet registry: one row per worker process that has ever talked
-    to the queue (code version, lifecycle state, start/last-seen
-    timestamps, lifetime lease counter).  Heartbeat ages computed from
-    ``last_seen`` drive supervisor liveness decisions, and the
+    The worker registry: one row per worker process that has ever
+    talked to the queue (lifecycle state, start/last-seen timestamps,
+    lifetime lease counter).  ``repro fabric status`` shows heartbeat
+    ages computed from ``last_seen``; nothing reaps a row by age.  The
     ``draining`` state is the durable drain directive workers observe on
-    their next heartbeat.  Confined to :mod:`repro.fabric.queue` by the
-    same lint rule as the queue tables.
+    their next heartbeat.  The ``version`` column is unused: it was
+    written for rolling upgrades that no longer exist, and v3 still
+    creates it so every v3 file has the same schema.  Confined to
+    :mod:`repro.fabric.queue` by the same lint rule as the queue tables.
 ``shard_links`` (v3)
     A run→trial link table without a foreign key into ``trials``.  It
     was created for a sharded warehouse layout that no longer exists;

@@ -51,3 +51,21 @@ def test_requires_subcommand():
 def test_unknown_stack_rejected():
     with pytest.raises(SystemExit):
         main(["conformance", "--stack", "nope", "--cca", "cubic"])
+
+
+def test_chaos_matrix_choices(capsys):
+    """A typo in ``chaos --matrix`` is a usage error (exit 2) that names
+    every real matrix, not a traceback from the chaos runner."""
+    from repro.faults.plan import MATRIX_CLASSES
+
+    for name in MATRIX_CLASSES:
+        args = build_parser().parse_args(["chaos", "--matrix", name])
+        assert args.matrix == name
+    with pytest.raises(SystemExit) as err:
+        main(["chaos", "--matrix", "nope"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in stderr
+    assert all(name in stderr for name in MATRIX_CLASSES)
+    assert "fleet-smoke" in stderr
+

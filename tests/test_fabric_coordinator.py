@@ -14,6 +14,7 @@ import pytest
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.queue import QuotaExceeded, WorkQueue
+from repro.fabric.worker import worker_threads
 from repro.service.scheduler import DONE, TERMINAL_STATES, Scheduler
 from repro.service.specs import parse_campaign_spec
 from repro.store import ResultStore
@@ -39,31 +40,14 @@ def snapshots(path):
 
 def run_fabric(coordinator, spec, workers=1, timeout=120.0):
     """Submit through the coordinator and drain it with local workers."""
-    from repro.fabric.worker import FabricWorker, LocalTransport
-
     job = coordinator.submit(parse_campaign_spec(spec))
-    fleet = [
-        FabricWorker(
-            LocalTransport(coordinator),
-            name=f"test-w{i}",
-            store_path=coordinator.store_path,
-            poll_s=0.05,
-            ttl_s=5.0,
-        )
-        for i in range(workers)
-    ]
-    threads = [threading.Thread(target=w.run, daemon=True) for w in fleet]
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if coordinator.job(job.id).state in TERMINAL_STATES:
-            break
-        time.sleep(0.05)
-    for worker in fleet:
-        worker.stop()
-    for thread in threads:
-        thread.join(timeout=10.0)
+    names = [f"test-w{i}" for i in range(workers)]
+    with worker_threads(coordinator, names, ttl_s=5.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if coordinator.job(job.id).state in TERMINAL_STATES:
+                break
+            time.sleep(0.05)
     return coordinator.job(job.id)
 
 
@@ -128,23 +112,7 @@ def test_drain_shutdown_races_concurrent_submits(tmp_path):
     """shutdown(drain=True) while submitters and workers race: every
     accepted campaign completes, every late submit fails loudly, and
     nothing deadlocks."""
-    from repro.fabric.worker import FabricWorker, LocalTransport
-
     coordinator = Coordinator(str(tmp_path / "fabric.db"))
-    fleet = [
-        FabricWorker(
-            LocalTransport(coordinator),
-            name=f"drain-w{i}",
-            store_path=coordinator.store_path,
-            poll_s=0.05,
-            ttl_s=5.0,
-        )
-        for i in range(2)
-    ]
-    threads = [threading.Thread(target=w.run, daemon=True) for w in fleet]
-    for thread in threads:
-        thread.start()
-
     accepted, rejected = [], []
     lock = threading.Lock()
 
@@ -159,27 +127,24 @@ def test_drain_shutdown_races_concurrent_submits(tmp_path):
             with lock:
                 accepted.append(job.id)
 
-    submitters = [
-        threading.Thread(target=submitter, args=(i,)) for i in range(4)
-    ]
-    for i, thread in enumerate(submitters):
-        thread.start()
-        if i == 1:
-            # Drain mid-burst so later submits race the stop flag.
-            drainer = threading.Thread(
-                target=coordinator.shutdown,
-                kwargs={"drain": True, "timeout": 120.0},
-            )
-            drainer.start()
-    for thread in submitters:
-        thread.join(timeout=30.0)
-        assert not thread.is_alive()
-    drainer.join(timeout=150.0)
-    assert not drainer.is_alive(), "drain shutdown deadlocked"
-    for worker in fleet:
-        worker.stop()
-    for thread in threads:
-        thread.join(timeout=10.0)
+    with worker_threads(coordinator, ["drain-w0", "drain-w1"], ttl_s=5.0):
+        submitters = [
+            threading.Thread(target=submitter, args=(i,)) for i in range(4)
+        ]
+        for i, thread in enumerate(submitters):
+            thread.start()
+            if i == 1:
+                # Drain mid-burst so later submits race the stop flag.
+                drainer = threading.Thread(
+                    target=coordinator.shutdown,
+                    kwargs={"drain": True, "timeout": 120.0},
+                )
+                drainer.start()
+        for thread in submitters:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        drainer.join(timeout=150.0)
+        assert not drainer.is_alive(), "drain shutdown deadlocked"
 
     assert accepted, "no submit won the race"
     assert len(accepted) + len(rejected) == 4

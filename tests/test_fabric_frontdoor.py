@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.fabric.coordinator import Coordinator
-from repro.fabric.worker import FabricWorker, LocalTransport
+from repro.fabric.worker import LocalTransport, worker_threads
 from repro.faults.retry import RetryPolicy
 from repro.service import ServiceApp, ServiceClient, ServiceError
 
@@ -49,20 +49,13 @@ def fabric(tmp_path_factory):
     coordinator.ensure_tenant("teamA", weight=2)
     app = ServiceApp(coordinator.store_path, scheduler=coordinator)
     app.start()
-    worker = FabricWorker(
-        _ResidentTransport(coordinator),
-        name="http-worker",
-        store_path=coordinator.store_path,
-        poll_s=0.05,
-        ttl_s=5.0,
-    )
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
     try:
-        yield app, ServiceClient(app.url, timeout_s=30.0)
+        with worker_threads(
+            coordinator, ["http-worker"], ttl_s=5.0,
+            transport=_ResidentTransport,
+        ):
+            yield app, ServiceClient(app.url, timeout_s=30.0)
     finally:
-        worker.stop()
-        thread.join(timeout=10.0)
         app.stop(drain=False)
 
 

@@ -220,8 +220,20 @@ def test_lease_touch_registers_worker(q, clock):
     assert worker["leases_total"] == 1
 
 
+def test_idle_lease_poll_registers_worker(q, clock):
+    """An empty queue hands out nothing, but the poll still registers
+    the worker: idle polls count as heartbeats."""
+    assert q.lease("w1", ttl_s=30.0) is None
+    (worker,) = q.workers()
+    assert worker["name"] == "w1"
+    assert worker["state"] == "active"
+    assert worker["leases"] == 0
+    assert worker["leases_total"] == 0
+    assert "version" not in worker
+
+
 def test_heartbeat_age_tracks_fake_clock(q, clock):
-    q.register_worker("w1")
+    assert q.lease("w1", ttl_s=30.0) is None  # an idle poll registers w1
     clock.advance(12.5)
     assert q.worker_info("w1")["heartbeat_age_s"] == 12.5
     q.enqueue("c1", SPEC)
@@ -264,15 +276,6 @@ def test_drain_is_sticky_against_concurrent_heartbeat(q):
     assert q.worker_info("w1")["state"] == "draining"
 
 
-def test_register_clears_drain_for_replacement(q):
-    """Re-registering is the new code version taking over: the restarted
-    process starts active even if the old row said draining."""
-    q.drain_worker("w1")
-    info = q.register_worker("w1", version="v2")
-    assert info["state"] == "active"
-    assert info["version"] == "v2"
-
-
 def test_drain_before_first_heartbeat_is_durable(q):
     q.drain_worker("w-unborn")
     assert q.worker_info("w-unborn")["state"] == "draining"
@@ -280,7 +283,7 @@ def test_drain_before_first_heartbeat_is_durable(q):
 
 
 def test_deregister_keeps_history_but_hides_worker(q):
-    q.register_worker("w1")
+    q.lease("w1", ttl_s=30.0)
     q.deregister_worker("w1")
     assert q.workers() == []
     info = q.worker_info("w1")
@@ -288,7 +291,7 @@ def test_deregister_keeps_history_but_hides_worker(q):
 
 
 def test_exited_worker_reactivates_on_new_lease(q, clock):
-    q.register_worker("w1")
+    q.lease("w1", ttl_s=30.0)
     q.deregister_worker("w1")
     q.enqueue("c1", SPEC)
     q.lease("w1", ttl_s=30.0)

@@ -1,4 +1,4 @@
-"""FabricWorker: lease loop, heartbeat discipline, remote result bundles.
+"""FabricWorker: lease loop, heartbeat discipline, drain, remote bundles.
 
 The protocol-behaviour tests script the transport and stub the campaign
 execution, so lease-lost / cancel / lost-beat paths are deterministic;
@@ -50,8 +50,9 @@ class ScriptTransport:
         self.heartbeats = []
         self.completions = []
         self.failures = []
+        self.deregistered = []
 
-    def lease(self, worker, ttl_s, version=""):
+    def lease(self, worker, ttl_s):
         reply = self.leases.pop(0) if self.leases else None
         if isinstance(reply, Exception):
             raise reply
@@ -73,6 +74,10 @@ class ScriptTransport:
     def fail(self, campaign, lease_id, error, retryable):
         self.failures.append((campaign, error, retryable))
         return {"outcome": "retried" if retryable else "failed"}
+
+    def deregister(self, worker):
+        self.deregistered.append(worker)
+        return {"ok": True}
 
 
 def scripted_worker(transport, execute):
@@ -223,6 +228,48 @@ def test_execution_error_reports_retryable_failure():
     assert campaign == "c1"
     assert error == "ValueError: bad campaign cell"
     assert retryable is True
+
+
+def test_drain_on_heartbeat_finishes_the_lease_then_exits():
+    """A heartbeat saying ``drain`` mid-lease: the worker completes that
+    lease once (no fail, no hand-over), takes no further lease,
+    deregisters and returns from ``run``."""
+    next_lease = dict(LEASE, campaign="c2", lease_id="L000002.1")
+    transport = ScriptTransport(
+        beats=[{"ok": True, "cancel": False, "drain": True}],
+        leases=[dict(LEASE), next_lease],
+    )
+
+    def execute(lease, progress):
+        # Keep the campaign running until the drain beat has landed.
+        record = SimpleNamespace(label="trial", status="ok")
+        deadline = time.monotonic() + 10.0
+        done = 0
+        while not transport.heartbeats and time.monotonic() < deadline:
+            done += 1
+            progress(record, done, done)
+            time.sleep(0.02)
+        return {"cells": done}, None
+
+    worker = scripted_worker(transport, execute)
+    assert worker.run(once=True) == 1
+    assert worker.drained is True
+    assert [c[:2] for c in transport.completions] == [("c1", "L000001.1")]
+    assert transport.failures == []
+    assert transport.leases == [next_lease]  # never asked for more work
+    assert transport.deregistered == ["scripted"]
+
+
+def test_drain_directive_on_lease_exits_without_work():
+    """A ``{"drain": True}`` lease reply: ``run`` returns at once with
+    no task handled, and the worker deregisters."""
+    transport = ScriptTransport(leases=[{"drain": True}, dict(LEASE)])
+    worker = scripted_worker(transport, lambda lease, progress: None)
+    assert worker.run(once=True) == 0
+    assert worker.drained is True
+    assert transport.completions == [] and transport.failures == []
+    assert transport.leases == [dict(LEASE)]
+    assert transport.deregistered == ["scripted"]
 
 
 def test_lost_heartbeat_never_drops_progress_events():
